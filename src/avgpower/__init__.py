@@ -31,12 +31,9 @@ from .decisions import (
 from .distributions import (
     BetaPrior,
     BinomialModel,
-    beta_binom_pmf,
     beta_log_pdf,
     beta_pdf,
     binom_pmf,
-    likelihood_ratio,
-    posterior_density,
 )
 from .monte_carlo import (
     AgreementReport,
@@ -71,12 +68,9 @@ __all__ = [
     "__version__",
     "BetaPrior",
     "BinomialModel",
-    "beta_binom_pmf",
     "beta_log_pdf",
     "beta_pdf",
     "binom_pmf",
-    "likelihood_ratio",
-    "posterior_density",
     "ConfidenceRegion",
     "DecisionMatrix",
     "DecisionRow",

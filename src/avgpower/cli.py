@@ -12,13 +12,13 @@ override file values, which override the built-in defaults.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 from .clopper_pearson import compare_lengths, comparison_csv
+from .csvtext import csv_text, point
 from .decisions import (
     ParameterGrid,
     TestConfig,
@@ -27,7 +27,7 @@ from .decisions import (
     decision_matrix_to_csv,
     rows_summary_csv,
 )
-from .distributions import BetaPrior, BinomialModel
+from .distributions import BetaPrior, BinomialModel, check_probability
 from .monte_carlo import (
     DegenerateWeightsError,
     LowEffectiveSampleError,
@@ -155,8 +155,7 @@ def cmd_construct(config: RunConfig) -> int:
     rows_path = _out_path(config, "decision_rows.csv")
     _write(matrix_path, decision_matrix_to_csv(matrix))
     _write(rows_path, rows_summary_csv(matrix))
-    n_rows = len(matrix.rows)
-    n_outcomes = config.n + 1
+    n_rows, n_outcomes = matrix.included.shape
     print(f"wrote {matrix_path} ({n_rows} nulls x {n_outcomes} outcomes)")
     print(f"wrote {rows_path}")
     return 0
@@ -167,11 +166,9 @@ def cmd_ci(config: RunConfig, x: int) -> int:
     test = config.test_config()
     matrix = build_decision_matrix(test)
     region = confidence_region(matrix, x)
-    lines = ["eta,included"]
-    for eta, row in zip(test.grid.points, matrix.rows):
-        lines.append(f"{format(eta, '.6f')},{int(row.included[x])}")
+    flags = matrix.included[:, x].astype(int)
     path = _out_path(config, f"ci_x{x}.csv")
-    _write(path, "\n".join(lines) + "\n")
+    _write(path, csv_text("eta,included", ((point(eta), str(flag)) for eta, flag in zip(test.grid.points, flags))))
     if region.is_empty:
         print(f"x={x}: empty region")
     else:
@@ -189,8 +186,7 @@ def cmd_power(config: RunConfig, thetas: Sequence[float]) -> int:
     if len(thetas) == 0:
         raise ValueError("at least one theta is required")
     for theta in thetas:
-        if not (math.isfinite(theta) and 0.0 <= theta <= 1.0):
-            raise ValueError(f"theta must lie in [0, 1], got {theta!r}")
+        check_probability(theta)
     test = config.test_config()
     matrix = build_decision_matrix(test)
     curves = [power_curve(matrix, theta) for theta in thetas]

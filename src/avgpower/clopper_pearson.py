@@ -7,13 +7,13 @@ needed at the cost of a few dozen tail evaluations per endpoint.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .csvtext import csv_text, value
 from .decisions import DecisionMatrix, confidence_region
-from .distributions import BinomialModel, binom_pmf_support
+from .distributions import BinomialModel, binom_pmf_support, check_level, check_outcome
 
 __all__ = [
     "BISECTION_TOL",
@@ -79,15 +79,8 @@ def clopper_pearson(x: int, model: BinomialModel, level: float) -> CpInterval:
     exceeds level/2 (zero when x = 0); the upper endpoint mirrors it. Both
     are found by bisection on the exact tail sums to within 1e-10.
     """
-    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-        raise ValueError(f"outcome must be an integer, got {x!r}")
-    x = int(x)
-    if not 0 <= x <= model.n:
-        raise ValueError(f"outcome {x} outside support 0..{model.n}")
-    level = float(level)
-    if not (math.isfinite(level) and 0.0 < level < 1.0):
-        raise ValueError(f"level must lie in (0, 1), got {level!r}")
-    half = level / 2.0
+    x = check_outcome(x, model)
+    half = check_level(level) / 2.0
 
     if x == 0:
         lower = 0.0
@@ -163,14 +156,10 @@ def compare_lengths(matrix: DecisionMatrix, level: float | None = None) -> Lengt
 
 def comparison_csv(comparison: LengthComparison) -> str:
     """Serialize the endpoint table: x,cp_lower,cp_upper,prop_lower,prop_upper."""
-    lines = ["x,cp_lower,cp_upper,prop_lower,prop_upper"]
-    for row in comparison.rows:
-        fields = [
-            str(row.x),
-            format(row.cp_lower, ".12g"),
-            format(row.cp_upper, ".12g"),
-            format(row.prop_lower, ".12g"),
-            format(row.prop_upper, ".12g"),
-        ]
-        lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        "x,cp_lower,cp_upper,prop_lower,prop_upper",
+        (
+            [str(row.x), *(value(v) for v in (row.cp_lower, row.cp_upper, row.prop_lower, row.prop_upper))]
+            for row in comparison.rows
+        ),
+    )

@@ -16,12 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvtext import csv_text, point, value
 from .distributions import (
     BetaPrior,
     BinomialModel,
     beta_binom_log_pmf_support,
     binom_log_pmf_support,
     binom_pmf_support,
+    check_level,
+    check_open_unit,
+    check_outcome,
 )
 
 __all__ = [
@@ -31,6 +35,7 @@ __all__ = [
     "DecisionRow",
     "DecisionMatrix",
     "ConfidenceRegion",
+    "ThresholdOverflowError",
     "build_decision_row",
     "build_decision_matrix",
     "coverage",
@@ -43,6 +48,8 @@ __all__ = [
 
 # Posterior densities within this relative distance of each other count as tied.
 TIE_RTOL = 1e-12
+# The same tolerance as a gap between log densities.
+_LOG_TIE_TOL = -math.log1p(-TIE_RTOL)
 
 
 @dataclass(frozen=True)
@@ -132,19 +139,16 @@ class TestConfig:
     grid: ParameterGrid
 
     def __post_init__(self) -> None:
-        level = float(self.level)
-        if not (math.isfinite(level) and 0.0 < level < 1.0):
-            raise ValueError(f"level must lie in (0, 1), got {self.level!r}")
-        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "level", check_level(self.level))
 
 
 @dataclass(eq=False)
 class DecisionRow:
     """Acceptance indicator over outcomes for one null value eta.
 
-    ``threshold`` is the smallest posterior density among admitted outcomes,
-    so the row equals {x : posterior_density(eta, x) >= threshold} up to tie
-    tolerance. ``achieved_coverage`` is the exact binomial mass of the
+    ``threshold`` is the smallest posterior density g(x) = f_eta(x) / P_mix(x)
+    among admitted outcomes, so the row equals {x : g(x) >= threshold} up to
+    tie tolerance. ``achieved_coverage`` is the exact binomial mass of the
     admitted set under eta and always reaches at least 1 - level.
     """
 
@@ -156,14 +160,30 @@ class DecisionRow:
 
 @dataclass(eq=False)
 class DecisionMatrix:
-    """One DecisionRow per grid point, in grid order."""
+    """Every grid null's decision row, stored as arrays in grid order.
+
+    With G grid points and n trials: ``included`` is bool (G, n+1),
+    ``threshold`` and ``achieved_coverage`` are float (G,). Row j carries
+    the meaning of a DecisionRow for the null ``config.grid.points[j]``.
+    The arrays are made read-only, since consumers share them uncopied.
+    """
 
     config: TestConfig
-    rows: list
+    included: np.ndarray
+    threshold: np.ndarray
+    achieved_coverage: np.ndarray
+
+    def __post_init__(self) -> None:
+        for arr in (self.included, self.threshold, self.achieved_coverage):
+            arr.flags.writeable = False
 
     def inclusion_matrix(self) -> np.ndarray:
         """Boolean (grid x outcomes) array of the acceptance indicators."""
-        return np.array([row.included for row in self.rows])
+        return self.included
+
+
+class ThresholdOverflowError(ValueError):
+    """A row threshold is too large for a double and cannot be written."""
 
 
 @dataclass(frozen=True)
@@ -185,22 +205,35 @@ class ConfidenceRegion:
         return self.accepted.size == 0
 
 
-def _tie_group_slices(sorted_desc: np.ndarray) -> list:
-    """Maximal runs of tied values in a descending-sorted array.
+def _admit_tie_groups(order: np.ndarray, log_g: np.ndarray, mass: np.ndarray, target: float) -> np.ndarray:
+    """Inclusion flags from admitting outcomes in ``order`` until ``mass`` reaches ``target``.
 
-    Adjacent values chain into one group while their gap stays within
-    TIE_RTOL relative to the larger of the pair; exact zeros tie with zeros.
+    ``order`` ranks the outcomes by descending ``log_g``. Adjacent ranked
+    values chain into one tie group while their densities stay within
+    TIE_RTOL of each other (equal infinities tie), and a tie group is
+    admitted or withheld as a unit.
     """
-    groups = []
-    start = 0
-    m = sorted_desc.size
-    while start < m:
-        stop = start + 1
-        while stop < m and (sorted_desc[stop - 1] - sorted_desc[stop]) <= TIE_RTOL * sorted_desc[stop - 1]:
-            stop += 1
-        groups.append((start, stop))
-        start = stop
-    return groups
+    ranked = log_g[order]
+    starts = np.concatenate(([0], np.flatnonzero(ranked[1:] < ranked[:-1] - _LOG_TIE_TOL) + 1))
+    reached = np.cumsum(np.add.reduceat(mass[order], starts))
+    # Groups enter up to and including the first that brings the mass to target.
+    taken = int(np.count_nonzero(reached < target)) + 1
+    stop = starts[taken] if taken < starts.size else order.size
+    included = np.zeros(order.size, dtype=bool)
+    included[order[:stop]] = True
+    return included
+
+
+def _row_summary(log_g: np.ndarray, mass: np.ndarray, included: np.ndarray) -> tuple:
+    """(threshold, admitted mass) of a row, from its flags alone.
+
+    Both are taken in natural outcome order, so a row rebuilt from its
+    serialized flags is bit-identical. A threshold beyond the double range
+    comes out as inf, without a warning.
+    """
+    with np.errstate(over="ignore"):
+        threshold = float(np.exp(log_g[included].min()))
+    return threshold, float(mass[included].sum())
 
 
 def build_decision_row(eta: float, config: TestConfig, *, log_mix: np.ndarray | None = None) -> DecisionRow:
@@ -220,35 +253,20 @@ def build_decision_row(eta: float, config: TestConfig, *, log_mix: np.ndarray | 
     -------
     DecisionRow
         Outcomes admitted in order of decreasing posterior density until the
-        exact binomial mass under eta reaches 1 - level. Tie groups enter
-        atomically; the threshold records the smallest admitted density.
+        exact binomial mass under eta reaches 1 - level. Outcomes are ranked
+        by log density, which stays finite where the density itself would
+        overflow. Tie groups enter atomically; the threshold records the
+        smallest admitted density.
     """
-    eta = float(eta)
-    if not (math.isfinite(eta) and 0.0 < eta < 1.0):
-        raise ValueError(f"eta must lie strictly inside (0, 1), got {eta!r}")
-    model = config.model
+    eta = check_open_unit(eta)
     if log_mix is None:
-        log_mix = beta_binom_log_pmf_support(model, config.prior)
-    log_f = binom_log_pmf_support(model, eta)
-    g = np.exp(log_f - log_mix)
+        log_mix = beta_binom_log_pmf_support(config.model, config.prior)
+    log_f = binom_log_pmf_support(config.model, eta)
+    log_g = log_f - log_mix
     pmf = np.exp(log_f)
-
-    order = np.argsort(-g, kind="stable")
-    g_sorted = g[order]
-    target = 1.0 - config.level
-    included = np.zeros(model.n + 1, dtype=bool)
-    cum = 0.0
-    for start, stop in _tie_group_slices(g_sorted):
-        if cum >= target:
-            break
-        block = order[start:stop]
-        included[block] = True
-        cum += float(pmf[block].sum())
-
-    # Recompute both summaries in natural outcome order so that a row rebuilt
-    # from its serialized inclusion flags is bit-identical.
-    achieved = float(pmf[included].sum())
-    threshold = float(g[included].min())
+    order = np.argsort(-log_g, kind="stable")
+    included = _admit_tie_groups(order, log_g, pmf, 1.0 - config.level)
+    threshold, achieved = _row_summary(log_g, pmf, included)
     return DecisionRow(eta=eta, included=included, threshold=threshold, achieved_coverage=achieved)
 
 
@@ -256,14 +274,20 @@ def build_decision_matrix(config: TestConfig) -> DecisionMatrix:
     """Build one decision row per grid point. Deterministic in config."""
     log_mix = beta_binom_log_pmf_support(config.model, config.prior)
     rows = [build_decision_row(eta, config, log_mix=log_mix) for eta in config.grid.points]
-    return DecisionMatrix(config=config, rows=rows)
+    return DecisionMatrix(
+        config=config,
+        included=np.array([row.included for row in rows]),
+        threshold=np.array([row.threshold for row in rows]),
+        achieved_coverage=np.array([row.achieved_coverage for row in rows]),
+    )
 
 
 def _check_index(matrix: DecisionMatrix, eta_index: int) -> int:
     if isinstance(eta_index, bool) or not isinstance(eta_index, (int, np.integer)):
         raise IndexError(f"eta_index must be an integer, got {eta_index!r}")
-    if not 0 <= eta_index < len(matrix.rows):
-        raise IndexError(f"eta_index {eta_index} outside 0..{len(matrix.rows) - 1}")
+    rows = len(matrix.included)
+    if not 0 <= eta_index < rows:
+        raise IndexError(f"eta_index {eta_index} outside 0..{rows - 1}")
     return int(eta_index)
 
 
@@ -271,7 +295,7 @@ def coverage(matrix: DecisionMatrix, theta: float, eta_index: int) -> float:
     """Probability under theta that the row at eta_index accepts the draw."""
     eta_index = _check_index(matrix, eta_index)
     pmf = binom_pmf_support(matrix.config.model, theta)
-    return float(pmf[matrix.rows[eta_index].included].sum())
+    return float(pmf[matrix.included[eta_index]].sum())
 
 
 def type1_error(matrix: DecisionMatrix, eta_index: int) -> float:
@@ -282,14 +306,8 @@ def type1_error(matrix: DecisionMatrix, eta_index: int) -> float:
 
 def confidence_region(matrix: DecisionMatrix, x_observed: int) -> ConfidenceRegion:
     """Invert the matrix at one observed outcome (grid values accepting it)."""
-    model = matrix.config.model
-    if isinstance(x_observed, bool) or not isinstance(x_observed, (int, np.integer)):
-        raise ValueError(f"outcome must be an integer, got {x_observed!r}")
-    if not 0 <= x_observed <= model.n:
-        raise ValueError(f"outcome {x_observed} outside support 0..{model.n}")
-    x_observed = int(x_observed)
-    mask = np.array([row.included[x_observed] for row in matrix.rows])
-    idx = np.flatnonzero(mask)
+    x_observed = check_outcome(x_observed, matrix.config.model)
+    idx = np.flatnonzero(matrix.included[:, x_observed])
     accepted = matrix.config.grid.points[idx]
     if idx.size == 0:
         return ConfidenceRegion(x_observed, accepted, math.nan, math.nan, True)
@@ -303,29 +321,45 @@ def confidence_region(matrix: DecisionMatrix, x_observed: int) -> ConfidenceRegi
     )
 
 
+def _check_thresholds(matrix: DecisionMatrix) -> None:
+    bad = np.flatnonzero(~np.isfinite(matrix.threshold))
+    if bad.size:
+        eta = point(matrix.config.grid.points[bad[0]])
+        raise ThresholdOverflowError(f"threshold at eta {eta} does not fit in a double ({bad.size} rows overflow)")
+
+
 def decision_matrix_to_csv(matrix: DecisionMatrix) -> str:
     """Long-form serialization: one line per (eta, x) pair.
 
     eta carries 6 decimal places and the row threshold 12 significant digits,
-    repeated on every line of the row.
+    repeated on every line of the row. Raises ThresholdOverflowError when a
+    threshold is not finite.
     """
-    lines = ["eta,x,included,threshold"]
-    for row in matrix.rows:
-        eta_s = format(row.eta, ".6f")
-        thr_s = format(row.threshold, ".12g")
-        for x, flag in enumerate(row.included):
-            lines.append(f"{eta_s},{x},{int(flag)},{thr_s}")
-    return "\n".join(lines) + "\n"
+    _check_thresholds(matrix)
+    outcomes = [str(x) for x in range(matrix.config.model.n + 1)]
+
+    def lines():
+        for eta, flags, thr in zip(matrix.config.grid.points, matrix.included, matrix.threshold):
+            eta_s, thr_s = point(eta), value(thr)
+            for x, flag in zip(outcomes, flags.tolist()):
+                yield eta_s, x, "01"[flag], thr_s
+
+    return csv_text("eta,x,included,threshold", lines())
 
 
 def rows_summary_csv(matrix: DecisionMatrix) -> str:
-    """Per-row summary: eta, threshold, achieved coverage."""
-    lines = ["eta,threshold,achieved_coverage"]
-    for row in matrix.rows:
-        lines.append(
-            f"{format(row.eta, '.6f')},{format(row.threshold, '.12g')},{format(row.achieved_coverage, '.12g')}"
-        )
-    return "\n".join(lines) + "\n"
+    """Per-row summary: eta, threshold, achieved coverage.
+
+    Raises ThresholdOverflowError when a threshold is not finite.
+    """
+    _check_thresholds(matrix)
+    return csv_text(
+        "eta,threshold,achieved_coverage",
+        (
+            (point(eta), value(thr), value(cov))
+            for eta, thr, cov in zip(matrix.config.grid.points, matrix.threshold, matrix.achieved_coverage)
+        ),
+    )
 
 
 def decision_matrix_from_csv(text: str, config: TestConfig) -> DecisionMatrix:
@@ -340,46 +374,44 @@ def decision_matrix_from_csv(text: str, config: TestConfig) -> DecisionMatrix:
     lines = [ln for ln in text.splitlines() if ln]
     if not lines or lines[0] != "eta,x,included,threshold":
         raise ValueError("not a decision-matrix CSV: bad header")
-    n = config.model.n
-    by_eta: dict = {}
+    grid, n = config.grid, config.model.n
+    row_of = {point(eta): j for j, eta in enumerate(grid.points)}
+    included = np.zeros((len(grid), n + 1), dtype=bool)
+    seen = np.zeros((len(grid), n + 1), dtype=bool)
+    file_thr: list = [None] * len(grid)
     for ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != 4:
             raise ValueError(f"malformed line: {ln!r}")
         eta_s, x_s, inc_s, thr_s = parts
-        rec = by_eta.setdefault(eta_s, {"included": np.zeros(n + 1, dtype=bool), "seen": set(), "thr": thr_s})
-        x = int(x_s)
+        if eta_s not in row_of:
+            raise ValueError(f"eta {eta_s} is not a point of the config grid")
+        j, x = row_of[eta_s], int(x_s)
         if not 0 <= x <= n:
             raise ValueError(f"outcome {x} outside support 0..{n}")
-        if x in rec["seen"]:
+        if seen[j, x]:
             raise ValueError(f"duplicate outcome {x} for eta {eta_s}")
-        if rec["thr"] != thr_s:
+        if file_thr[j] not in (None, thr_s):
             raise ValueError(f"inconsistent threshold within eta {eta_s}")
-        rec["seen"].add(x)
-        rec["included"][x] = inc_s == "1"
+        seen[j, x] = True
+        file_thr[j] = thr_s
+        included[j, x] = inc_s == "1"
 
-    grid = config.grid
-    if len(by_eta) != len(grid):
-        raise ValueError(f"CSV has {len(by_eta)} rows, config grid has {len(grid)}")
     log_mix = beta_binom_log_pmf_support(config.model, config.prior)
-    rows = []
-    for eta in grid.points:
-        eta_s = format(float(eta), ".6f")
-        if eta_s not in by_eta:
+    threshold = np.empty(len(grid))
+    achieved = np.empty(len(grid))
+    for j, eta in enumerate(grid.points):
+        eta_s = point(eta)
+        if not seen[j].any():
             raise ValueError(f"grid point {eta_s} missing from CSV")
-        rec = by_eta[eta_s]
-        if len(rec["seen"]) != n + 1:
+        if not seen[j].all():
             raise ValueError(f"eta {eta_s} is missing outcomes")
-        included = rec["included"]
-        log_f = binom_log_pmf_support(config.model, float(eta))
-        pmf = np.exp(log_f)
-        g = np.exp(log_f - log_mix)
-        if not included.any():
+        if not included[j].any():
             raise ValueError(f"eta {eta_s} has an empty acceptance row")
-        achieved = float(pmf[included].sum())
-        threshold = float(g[included].min())
-        file_thr = float(rec["thr"])
-        if not math.isclose(file_thr, threshold, rel_tol=1e-9, abs_tol=0.0):
-            raise ValueError(f"threshold mismatch for eta {eta_s}: file {file_thr!r} vs recomputed {threshold!r}")
-        rows.append(DecisionRow(eta=float(eta), included=included, threshold=threshold, achieved_coverage=achieved))
-    return DecisionMatrix(config=config, rows=rows)
+        log_f = binom_log_pmf_support(config.model, float(eta))
+        threshold[j], achieved[j] = _row_summary(log_f - log_mix, np.exp(log_f), included[j])
+        if not math.isclose(float(file_thr[j]), threshold[j], rel_tol=1e-9, abs_tol=0.0):
+            raise ValueError(
+                f"threshold mismatch for eta {eta_s}: file {float(file_thr[j])!r} vs recomputed {threshold[j]!r}"
+            )
+    return DecisionMatrix(config=config, included=included, threshold=threshold, achieved_coverage=achieved)

@@ -23,12 +23,13 @@ __all__ = [
     "binom_pmf_support",
     "beta_pdf",
     "beta_log_pdf",
-    "beta_binom_pmf",
     "beta_binom_log_pmf_support",
     "beta_binom_pmf_support",
-    "posterior_density",
     "posterior_density_support",
-    "likelihood_ratio",
+    "check_outcome",
+    "check_probability",
+    "check_level",
+    "check_open_unit",
 ]
 
 
@@ -88,7 +89,8 @@ def _log_choose_support(n: int) -> np.ndarray:
     return np.array([lg - math.lgamma(x + 1) - math.lgamma(n - x + 1) for x in range(n + 1)])
 
 
-def _check_outcome(x: int, model: BinomialModel) -> int:
+def check_outcome(x: int, model: BinomialModel) -> int:
+    """An observed outcome: an integer in 0..n."""
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
         raise ValueError(f"outcome must be an integer, got {x!r}")
     if not 0 <= x <= model.n:
@@ -96,7 +98,24 @@ def _check_outcome(x: int, model: BinomialModel) -> int:
     return int(x)
 
 
-def _check_probability(theta: float, name: str = "theta") -> float:
+def check_level(level: float) -> float:
+    """A test level, strictly inside (0, 1)."""
+    value = float(level)
+    if not (math.isfinite(value) and 0.0 < value < 1.0):
+        raise ValueError(f"level must lie in (0, 1), got {level!r}")
+    return value
+
+
+def check_open_unit(eta: float) -> float:
+    """A null value, strictly inside (0, 1)."""
+    eta = float(eta)
+    if not (math.isfinite(eta) and 0.0 < eta < 1.0):
+        raise ValueError(f"eta must lie strictly inside (0, 1), got {eta!r}")
+    return eta
+
+
+def check_probability(theta: float, name: str = "theta") -> float:
+    """A probability in [0, 1], endpoints included."""
     theta = float(theta)
     if not (math.isfinite(theta) and 0.0 <= theta <= 1.0):
         raise ValueError(f"{name} must lie in [0, 1], got {theta!r}")
@@ -109,7 +128,7 @@ def binom_log_pmf_support(model: BinomialModel, theta: float) -> np.ndarray:
     theta = 0 and theta = 1 are honoured as degenerate point masses, with
     -inf log mass on impossible outcomes.
     """
-    theta = _check_probability(theta)
+    theta = check_probability(theta)
     n = model.n
     if theta == 0.0 or theta == 1.0:
         out = np.full(n + 1, -math.inf)
@@ -126,8 +145,8 @@ def binom_pmf_support(model: BinomialModel, theta: float) -> np.ndarray:
 
 def binom_pmf(x: int, model: BinomialModel, theta: float) -> float:
     """C(n,x) theta^x (1-theta)^(n-x), computed in log space."""
-    x = _check_outcome(x, model)
-    theta = _check_probability(theta)
+    x = check_outcome(x, model)
+    theta = check_probability(theta)
     if theta == 0.0:
         return 1.0 if x == 0 else 0.0
     if theta == 1.0:
@@ -138,7 +157,7 @@ def binom_pmf(x: int, model: BinomialModel, theta: float) -> float:
 
 def beta_log_pdf(t: float, prior: BetaPrior) -> float:
     """Log density of Beta(a, b) at t; -inf where the density vanishes."""
-    t = _check_probability(t, "t")
+    t = check_probability(t, "t")
     a, b = prior.a, prior.b
     if t == 0.0 or t == 1.0:
         if a < 1.0 or b < 1.0:
@@ -169,67 +188,11 @@ def beta_binom_pmf_support(model: BinomialModel, prior: BetaPrior) -> np.ndarray
     return np.exp(beta_binom_log_pmf_support(model, prior))
 
 
-def beta_binom_pmf(x: int, model: BinomialModel, prior: BetaPrior) -> float:
-    """C(n,x) B(x+a, b+n-x) / B(a,b), the prior-mixture mass of outcome x."""
-    x = _check_outcome(x, model)
-    lp = (
-        _log_choose_support(model.n)[x]
-        + log_beta(x + prior.a, prior.b + model.n - x)
-        - log_beta(prior.a, prior.b)
-    )
-    return math.exp(lp)
-
-
-def _check_open_unit(eta: float) -> float:
-    eta = float(eta)
-    if not (math.isfinite(eta) and 0.0 < eta < 1.0):
-        raise ValueError(f"eta must lie strictly inside (0, 1), got {eta!r}")
-    return eta
-
-
-def posterior_density(eta: float, x: int, model: BinomialModel, prior: BetaPrior) -> float:
-    """Posterior density of eta given x, taken relative to the prior measure.
-
-    Parameters
-    ----------
-    eta : float
-        Null parameter value, strictly inside (0, 1).
-    x : int
-        Observed outcome in 0..n.
-    model, prior : BinomialModel, BetaPrior
-        Likelihood family and weighting measure.
-
-    Returns
-    -------
-    float
-        f_eta(x) / P_mix(x), where P_mix is the beta-binomial marginal.
-        Algebraically identical to the ratio of beta densities
-        Beta(eta; a+x, b+n-x) / Beta(eta; a, b).
-    """
-    eta = _check_open_unit(eta)
-    x = _check_outcome(x, model)
-    lf = binom_log_pmf_support(model, eta)[x]
-    lmix = beta_binom_log_pmf_support(model, prior)[x]
-    return math.exp(lf - lmix)
-
-
 def posterior_density_support(eta: float, model: BinomialModel, prior: BetaPrior) -> np.ndarray:
-    """Posterior density relative to the prior for every outcome 0..n at once."""
-    eta = _check_open_unit(eta)
-    return np.exp(binom_log_pmf_support(model, eta) - beta_binom_log_pmf_support(model, prior))
+    """Posterior density of eta relative to the prior, for every outcome 0..n.
 
-
-def likelihood_ratio(eta: float, x: int, model: BinomialModel, prior: BetaPrior) -> float:
-    """Mixture-to-null likelihood ratio P_mix(x) / f_eta(x).
-
-    Reciprocal of :func:`posterior_density`. Outcomes impossible under the
-    null (only reachable with eta at 0 or 1) yield +inf so that ranking by
-    ascending ratio places them last.
+    f_eta(x) / P_mix(x), where P_mix is the beta-binomial marginal; this
+    equals the ratio of beta densities Beta(eta; a+x, b+n-x) / Beta(eta; a, b).
     """
-    eta = _check_probability(eta, "eta")
-    x = _check_outcome(x, model)
-    lf = binom_log_pmf_support(model, eta)[x]
-    if lf == -math.inf:
-        return math.inf
-    lmix = beta_binom_log_pmf_support(model, prior)[x]
-    return math.exp(lmix - lf)
+    eta = check_open_unit(eta)
+    return np.exp(binom_log_pmf_support(model, eta) - beta_binom_log_pmf_support(model, prior))

@@ -24,8 +24,9 @@ from typing import Any, Callable, Sequence
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .decisions import DecisionMatrix, _tie_group_slices
-from .distributions import BetaPrior, BinomialModel, binom_pmf
+from .csvtext import csv_text, point, value
+from .decisions import DecisionMatrix, _admit_tie_groups, _row_summary
+from .distributions import BetaPrior, BinomialModel, binom_pmf, check_level
 
 __all__ = [
     "DegenerateWeightsError",
@@ -96,10 +97,7 @@ class McConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        level = float(self.level)
-        if not (math.isfinite(level) and 0.0 < level < 1.0):
-            raise ValueError(f"level must lie in (0, 1), got {self.level!r}")
-        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "level", check_level(self.level))
         floor = float(self.ess_floor)
         if not (math.isfinite(floor) and floor >= 0.0):
             raise ValueError(f"ess_floor must be finite and nonnegative, got {self.ess_floor!r}")
@@ -238,8 +236,8 @@ def mc_build_decision_row(model: GenericModel, eta: Any, samples: PooledSamples,
     if total_f == 0.0:
         raise DegenerateWeightsError(f"no sampled outcome carries likelihood mass at eta {eta!r}")
 
-    with np.errstate(divide="ignore"):
-        g = np.where(f == 0.0, 0.0, f / samples.mix_density)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_g = np.where(f == 0.0, -np.inf, np.log(f) - np.log(samples.mix_density))
     v = samples.counts * f / samples.data_proposal
     total_v = float(v.sum())
     # Effective sample size of the raw draws, not of the pooled atoms: each
@@ -248,24 +246,15 @@ def mc_build_decision_row(model: GenericModel, eta: Any, samples: PooledSamples,
     if ess < cfg.ess_floor:
         raise LowEffectiveSampleError(f"effective sample size {ess:.1f} below floor {cfg.ess_floor:.1f}")
 
-    order = np.lexsort((-f, -g))
-    g_sorted = g[order]
-    included = np.zeros(len(samples.outcomes), dtype=bool)
-    target = (1.0 - cfg.level) * total_v
-    cum = 0.0
-    for start, stop in _tie_group_slices(g_sorted):
-        if cum >= target:
-            break
-        block = order[start:stop]
-        included[block] = True
-        cum += float(v[block].sum())
-
+    order = np.lexsort((-f, -log_g))
+    included = _admit_tie_groups(order, log_g, v, (1.0 - cfg.level) * total_v)
+    threshold, covered = _row_summary(log_g, v, included)
     return McDecisionRow(
         eta=eta,
         outcomes=samples.outcomes,
         included=included,
-        threshold=float(g[included].min()),
-        estimated_coverage=float(v[included].sum() / total_v),
+        threshold=threshold,
+        estimated_coverage=covered / total_v,
     )
 
 
@@ -300,16 +289,16 @@ def agreement_with_matrix(mc_rows: Sequence[McDecisionRow], matrix: DecisionMatr
         raise ValueError(f"{len(mc_rows)} MC rows against a {len(grid)}-point grid")
     n = matrix.config.model.n
     per_eta = np.empty(len(mc_rows))
-    for r, (mc_row, exact_row) in enumerate(zip(mc_rows, matrix.rows)):
-        if abs(float(mc_row.eta) - exact_row.eta) > 1e-12:
-            raise ValueError(f"row {r} null value {mc_row.eta!r} does not match grid point {exact_row.eta!r}")
+    for r, (mc_row, eta, exact) in enumerate(zip(mc_rows, grid.points, matrix.included)):
+        if abs(float(mc_row.eta) - eta) > 1e-12:
+            raise ValueError(f"row {r} null value {mc_row.eta!r} does not match grid point {float(eta)!r}")
         mc_full = np.zeros(n + 1, dtype=bool)
         for x, flag in zip(mc_row.outcomes, mc_row.included):
             xi = int(x)
             if not 0 <= xi <= n:
                 raise ValueError(f"sampled outcome {x!r} outside support 0..{n}")
             mc_full[xi] = bool(flag)
-        per_eta[r] = float(np.mean(mc_full == exact_row.included))
+        per_eta[r] = float(np.mean(mc_full == exact))
     return AgreementReport(per_eta=per_eta, overall=float(per_eta.mean()))
 
 
@@ -317,7 +306,4 @@ def agreement_csv(report: AgreementReport, grid_points: np.ndarray) -> str:
     """Serialize per-null agreement: eta,agreement."""
     if report.per_eta.size != grid_points.size:
         raise ValueError("report length does not match the grid")
-    lines = ["eta,agreement"]
-    for eta, val in zip(grid_points, report.per_eta):
-        lines.append(f"{format(eta, '.6f')},{format(val, '.12g')}")
-    return "\n".join(lines) + "\n"
+    return csv_text("eta,agreement", ((point(eta), value(val)) for eta, val in zip(grid_points, report.per_eta)))

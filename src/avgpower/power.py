@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .csvtext import csv_text, point, value
 from .decisions import DecisionMatrix, coverage, _check_index
 from .distributions import (
     BetaPrior,
@@ -84,15 +85,21 @@ def _grid_measure(matrix: DecisionMatrix, prior: BetaPrior) -> np.ndarray:
     return dens * grid.cell_widths
 
 
+def _weighted_power(matrix: DecisionMatrix, w: np.ndarray, theta: float) -> float:
+    return float(w @ power_curve(matrix, theta).values / w.sum())
+
+
 def avg_power_given_theta(matrix: DecisionMatrix, theta: float) -> float:
     """Average power over grid nulls for one theta, under the matrix's prior.
 
     Null values are weighted by the construction prior's density at the grid
     points, renormalized to sum to one.
     """
-    w = _grid_measure(matrix, matrix.config.prior)
-    curve = power_curve(matrix, theta)
-    return float(w @ curve.values / w.sum())
+    return _weighted_power(matrix, _grid_measure(matrix, matrix.config.prior), theta)
+
+
+def _mixed_power(bb: np.ndarray, included: np.ndarray) -> float:
+    return float(np.clip(1.0 - bb[included].sum(), 0.0, 1.0))
 
 
 def mixed_power_given_eta(matrix: DecisionMatrix, eta_index: int) -> float:
@@ -103,7 +110,7 @@ def mixed_power_given_eta(matrix: DecisionMatrix, eta_index: int) -> float:
     """
     eta_index = _check_index(matrix, eta_index)
     bb = beta_binom_pmf_support(matrix.config.model, matrix.config.prior)
-    return float(np.clip(1.0 - bb[matrix.rows[eta_index].included].sum(), 0.0, 1.0))
+    return _mixed_power(bb, matrix.included[eta_index])
 
 
 def average_power_report(matrix: DecisionMatrix, averaging_prior: BetaPrior) -> AveragePowerReport:
@@ -148,30 +155,31 @@ def overall_power_grid(matrices: Sequence[DecisionMatrix], priors: Sequence[Beta
 
 def power_curves_csv(curves: Sequence[PowerCurve], grid_points: np.ndarray) -> str:
     """Stack curves into long form: theta,eta,power."""
-    lines = ["theta,eta,power"]
-    for curve in curves:
-        if curve.values.size != grid_points.size:
-            raise ValueError("curve length does not match the grid")
-        theta_s = format(curve.theta, ".6f")
-        for eta, val in zip(grid_points, curve.values):
-            lines.append(f"{theta_s},{format(eta, '.6f')},{format(val, '.12g')}")
-    return "\n".join(lines) + "\n"
+    if any(curve.values.size != grid_points.size for curve in curves):
+        raise ValueError("curve length does not match the grid")
+    etas = [point(eta) for eta in grid_points]
+    return csv_text(
+        "theta,eta,power",
+        ((point(curve.theta), eta_s, value(val)) for curve in curves for eta_s, val in zip(etas, curve.values)),
+    )
 
 
 def mixed_power_csv(matrix: DecisionMatrix) -> str:
     """Mixed power at every grid null: eta,mixed_power."""
-    lines = ["eta,mixed_power"]
-    for i, eta in enumerate(matrix.config.grid.points):
-        lines.append(f"{format(eta, '.6f')},{format(mixed_power_given_eta(matrix, i), '.12g')}")
-    return "\n".join(lines) + "\n"
+    bb = beta_binom_pmf_support(matrix.config.model, matrix.config.prior)
+    return csv_text(
+        "eta,mixed_power",
+        ((point(eta), value(_mixed_power(bb, row))) for eta, row in zip(matrix.config.grid.points, matrix.included)),
+    )
 
 
 def avg_power_csv(matrix: DecisionMatrix, thetas: np.ndarray) -> str:
     """Per-theta average power at the given thetas: theta,avg_power."""
-    lines = ["theta,avg_power"]
-    for theta in thetas:
-        lines.append(f"{format(theta, '.6f')},{format(avg_power_given_theta(matrix, float(theta)), '.12g')}")
-    return "\n".join(lines) + "\n"
+    w = _grid_measure(matrix, matrix.config.prior)
+    return csv_text(
+        "theta,avg_power",
+        ((point(theta), value(_weighted_power(matrix, w, float(theta)))) for theta in thetas),
+    )
 
 
 def power_table_csv(
@@ -186,7 +194,7 @@ def power_table_csv(
         raise ValueError("table shape does not match the labels")
     if any("," in lab for lab in [corner, *row_labels, *column_labels]):
         raise ValueError("labels must not contain commas")
-    lines = [",".join([corner, *column_labels])]
-    for lab, row in zip(row_labels, values):
-        lines.append(",".join([lab, *(format(v, ".12g") for v in row)]))
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        ",".join([corner, *column_labels]),
+        ([lab, *(value(v) for v in row)] for lab, row in zip(row_labels, values)),
+    )

@@ -12,7 +12,7 @@ from avgpower import (
     TestConfig,
     build_decision_matrix,
 )
-from avgpower.decisions import DecisionMatrix, DecisionRow
+from avgpower.decisions import DecisionMatrix
 
 # The library type is named like a test class; tell pytest not to collect it.
 TestConfig.__test__ = False
@@ -26,11 +26,13 @@ def make_full_acceptance():
         config = TestConfig(
             level=0.05, model=BinomialModel(n), prior=BetaPrior(0.5, 0.5), grid=ParameterGrid.regular()
         )
-        rows = [
-            DecisionRow(eta=float(eta), included=np.ones(n + 1, dtype=bool), threshold=0.0, achieved_coverage=1.0)
-            for eta in config.grid.points
-        ]
-        return DecisionMatrix(config=config, rows=rows)
+        g = len(config.grid)
+        return DecisionMatrix(
+            config=config,
+            included=np.ones((g, n + 1), dtype=bool),
+            threshold=np.zeros(g),
+            achieved_coverage=np.ones(g),
+        )
 
     return build
 

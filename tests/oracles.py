@@ -102,6 +102,10 @@ def _posterior_values(eta, n: int, a, b) -> list:
     return values
 
 
+def oracle_posterior_density(eta: float, x: int, n: int, a: float, b: float) -> float:
+    return float(_posterior_values(eta, n, a, b)[x])
+
+
 def oracle_greedy_row(eta: float, n: int, level: float, a: float, b: float) -> frozenset:
     """Re-sort by posterior value and take the shortest covering prefix.
 

@@ -77,7 +77,7 @@ def test_criterion_03_level_guarantee(acceptance_log, matrix_non, matrix_inf):
     violations = 0
     worst = 0.0
     for matrix in (matrix_non, matrix_inf):
-        for j in range(len(matrix.rows)):
+        for j in range(len(matrix.included)):
             err = type1_error(matrix, j)
             worst = max(worst, err)
             if err > LEVEL:
@@ -104,8 +104,8 @@ def test_criterion_04_contiguity(acceptance_log, matrix_non, matrix_inf, model10
 
 
 def test_criterion_05_region_geometry(acceptance_log, matrix_non, matrix_inf):
-    non_mask = np.array([row.included[50] for row in matrix_non.rows])
-    inf_mask = np.array([row.included[50] for row in matrix_inf.rows])
+    non_mask = matrix_non.included[:, 50]
+    inf_mask = matrix_inf.included[:, 50]
     strict_subset = bool(np.all(non_mask[inf_mask])) and int(non_mask.sum()) > int(inf_mask.sum())
     at_zero = confidence_region(matrix_inf, 0).upper > confidence_region(matrix_non, 0).upper
     at_n = confidence_region(matrix_inf, 100).lower < confidence_region(matrix_non, 100).lower
@@ -152,7 +152,7 @@ def test_criterion_07_small_instance_optimality(acceptance_log):
         for a, b in ((0.5, 0.5), (100.0, 100.0)):
             matrix = build_decision_matrix(TestConfig(LEVEL, model, BetaPrior(a, b), grid))
             for j, eta in enumerate(grid.points):
-                built = frozenset(np.flatnonzero(matrix.rows[j].included).tolist())
+                built = frozenset(np.flatnonzero(matrix.included[j]).tolist())
                 achieved = mixed_power_given_eta(matrix, j)
                 rows = oracle_threshold_rows(float(eta), n, LEVEL, a, b)
                 built_cov = next((cov for members, cov, _ in rows if members == built), None)

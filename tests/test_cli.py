@@ -52,6 +52,14 @@ class TestConstruct:
             os.path.join(peaked, "decision_matrix.csv")
         )
 
+    def test_overflowing_threshold_fails(self, tmp_path, capsys):
+        # Under Beta(1000, 1) the posterior density of low nulls exceeds the
+        # double range: the command refuses to write inf instead of a number.
+        out = str(tmp_path / "extreme")
+        assert run(["construct", "--n", "1000", "--prior-a", "1000", "--prior-b", "1", "--out", out]) == 1
+        assert "error: threshold at eta 0.002000 does not fit in a double" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
 
 class TestCi:
     def test_region_file_and_summary(self, tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from avgpower import (
     decision_matrix_to_csv,
     type1_error,
 )
-from avgpower.decisions import DecisionMatrix, DecisionRow, rows_summary_csv
+from avgpower.decisions import DecisionMatrix, ThresholdOverflowError, rows_summary_csv
 from avgpower.distributions import binom_pmf_support, posterior_density_support
 from oracles import oracle_greedy_row
 
@@ -143,22 +145,22 @@ class TestMatrixAndCoverage:
     def test_matrix_rows_follow_grid(self):
         config = small_config()
         matrix = build_decision_matrix(config)
-        assert len(matrix.rows) == 499
-        assert [row.eta for row in matrix.rows] == [float(p) for p in config.grid.points]
+        assert matrix.threshold.shape == matrix.achieved_coverage.shape == (499,)
         assert matrix.inclusion_matrix().shape == (499, 21)
+        assert matrix.inclusion_matrix() is matrix.included
 
     def test_coverage_is_exact_mass(self):
         config = small_config()
         matrix = build_decision_matrix(config)
         pmf = binom_pmf_support(config.model, 0.4)
-        expected = float(pmf[matrix.rows[100].included].sum())
+        expected = float(pmf[matrix.included[100]].sum())
         assert coverage(matrix, 0.4, 100) == expected
 
     def test_type1_error_complements_own_coverage(self):
         config = small_config()
         matrix = build_decision_matrix(config)
         idx = config.grid.nearest_index(0.5)
-        assert type1_error(matrix, idx) == pytest.approx(1.0 - matrix.rows[idx].achieved_coverage, abs=1e-15)
+        assert type1_error(matrix, idx) == pytest.approx(1.0 - matrix.achieved_coverage[idx], abs=1e-15)
         assert type1_error(matrix, idx) <= config.level
 
     def test_index_validation(self):
@@ -195,11 +197,13 @@ class TestConfidenceRegion:
     def test_empty_region_is_representable(self):
         config = small_config(n=2)
         matrix = build_decision_matrix(config)
-        rows = [
-            DecisionRow(eta=row.eta, included=np.zeros(3, dtype=bool), threshold=0.0, achieved_coverage=0.0)
-            for row in matrix.rows
-        ]
-        empty = confidence_region(DecisionMatrix(config=config, rows=rows), 1)
+        rejects_all = DecisionMatrix(
+            config=config,
+            included=np.zeros_like(matrix.included),
+            threshold=np.zeros_like(matrix.threshold),
+            achieved_coverage=np.zeros_like(matrix.achieved_coverage),
+        )
+        empty = confidence_region(rejects_all, 1)
         assert empty.is_empty
         assert np.isnan(empty.lower) and np.isnan(empty.upper)
         assert empty.contiguous
@@ -221,11 +225,9 @@ class TestCsv:
         matrix = build_decision_matrix(config)
         text = decision_matrix_to_csv(matrix)
         rebuilt = decision_matrix_from_csv(text, config)
-        for original, restored in zip(matrix.rows, rebuilt.rows):
-            assert restored.eta == original.eta
-            assert np.array_equal(restored.included, original.included)
-            assert restored.threshold == original.threshold
-            assert restored.achieved_coverage == original.achieved_coverage
+        assert np.array_equal(rebuilt.included, matrix.included)
+        assert np.array_equal(rebuilt.threshold, matrix.threshold)
+        assert np.array_equal(rebuilt.achieved_coverage, matrix.achieved_coverage)
         assert decision_matrix_to_csv(rebuilt) == text
 
     def test_rows_summary(self):
@@ -265,3 +267,34 @@ class TestCsv:
         )
         with pytest.raises(ValueError, match="grid"):
             decision_matrix_from_csv(text, wrong_grid)
+
+
+class TestExtremePrior:
+    """n=1000 under Beta(1000, 1): low nulls have posterior densities beyond
+    the double range, which only a log-space ranking can order."""
+
+    @pytest.fixture(scope="class")
+    def built(self):
+        config = TestConfig(0.05, BinomialModel(1000), BetaPrior(1000.0, 1.0), ParameterGrid.regular())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            matrix = build_decision_matrix(config)
+        return matrix, caught
+
+    def test_build_emits_no_warning(self, built):
+        _, caught = built
+        assert [str(w.message) for w in caught] == []
+
+    def test_overflowing_row_matches_oracle(self, built):
+        matrix, _ = built
+        grid = matrix.config.grid
+        j = grid.nearest_index(0.256)
+        expected = oracle_greedy_row(float(grid.points[j]), 1000, 0.05, 1000.0, 1.0)
+        assert set(np.flatnonzero(matrix.included[j]).tolist()) == set(expected)
+        assert np.isinf(matrix.threshold[j])
+
+    def test_csv_writers_name_the_first_overflowing_eta(self, built):
+        matrix, _ = built
+        for write in (decision_matrix_to_csv, rows_summary_csv):
+            with pytest.raises(ThresholdOverflowError, match="threshold at eta 0.002000 does not fit in a double"):
+                write(matrix)

@@ -12,17 +12,14 @@ from hypothesis import strategies as st
 from avgpower.distributions import (
     BetaPrior,
     BinomialModel,
-    beta_binom_pmf,
     beta_binom_pmf_support,
     beta_log_pdf,
     beta_pdf,
     binom_log_pmf_support,
     binom_pmf,
     binom_pmf_support,
-    likelihood_ratio,
     log_beta,
     log_gamma,
-    posterior_density,
     posterior_density_support,
 )
 from oracles import (
@@ -30,6 +27,7 @@ from oracles import (
     oracle_beta_pdf,
     oracle_binom_pmf,
     oracle_log_gamma,
+    oracle_posterior_density,
 )
 
 
@@ -152,12 +150,12 @@ class TestBetaPdf:
 
 class TestBetaBinomial:
     def test_against_quadrature_oracle(self):
-        got = beta_binom_pmf(50, BinomialModel(100), BetaPrior(0.5, 0.5))
+        got = beta_binom_pmf_support(BinomialModel(100), BetaPrior(0.5, 0.5))[50]
         assert got == pytest.approx(oracle_beta_binom_pmf(50, 100, 0.5, 0.5), rel=1e-9)
 
     @pytest.mark.parametrize("x,n,a,b", [(0, 20, 0.5, 0.5), (7, 20, 3.0, 1.5), (100, 100, 100.0, 100.0)])
     def test_more_oracle_points(self, x, n, a, b):
-        got = beta_binom_pmf(x, BinomialModel(n), BetaPrior(a, b))
+        got = beta_binom_pmf_support(BinomialModel(n), BetaPrior(a, b))[x]
         assert got == pytest.approx(oracle_beta_binom_pmf(x, n, a, b), rel=1e-9)
 
     @given(n=st.integers(1, 60), a=st.floats(0.1, 40.0), b=st.floats(0.1, 40.0))
@@ -175,15 +173,16 @@ class TestBetaBinomial:
 class TestPosteriorDensity:
     def test_matches_explicit_ratio(self):
         model, prior = BinomialModel(100), BetaPrior(0.5, 0.5)
+        mix = beta_binom_pmf_support(model, prior)
         for eta, x in [(0.3, 25), (0.5, 50), (0.9, 95)]:
-            expected = binom_pmf(x, model, eta) / beta_binom_pmf(x, model, prior)
-            assert posterior_density(eta, x, model, prior) == pytest.approx(expected, rel=1e-12)
+            expected = binom_pmf(x, model, eta) / mix[x]
+            assert posterior_density_support(eta, model, prior)[x] == pytest.approx(expected, rel=1e-12)
 
     def test_support_variant_agrees(self):
         model, prior = BinomialModel(20), BetaPrior(2.0, 3.0)
         dens = posterior_density_support(0.4, model, prior)
         for x in (0, 7, 20):
-            assert dens[x] == pytest.approx(posterior_density(0.4, x, model, prior), rel=1e-13)
+            assert dens[x] == pytest.approx(oracle_posterior_density(0.4, x, 20, 2.0, 3.0), rel=1e-13)
 
     def test_averages_to_one_over_prior_mixture(self):
         # Summing g(eta, x) * P_mix(x) over x returns the likelihood's total
@@ -196,18 +195,6 @@ class TestPosteriorDensity:
     def test_rejects_boundary_eta(self):
         model, prior = BinomialModel(10), BetaPrior(0.5, 0.5)
         with pytest.raises(ValueError):
-            posterior_density(0.0, 5, model, prior)
+            posterior_density_support(0.0, model, prior)
         with pytest.raises(ValueError):
-            posterior_density(1.0, 5, model, prior)
-
-    def test_likelihood_ratio_is_reciprocal(self):
-        model, prior = BinomialModel(40), BetaPrior(0.5, 0.5)
-        g = posterior_density(0.25, 10, model, prior)
-        r = likelihood_ratio(0.25, 10, model, prior)
-        assert r == pytest.approx(1.0 / g, rel=1e-12)
-
-    def test_likelihood_ratio_infinite_off_support(self):
-        # Degenerate eta puts zero likelihood on interior outcomes, so the
-        # mixture-to-likelihood ratio diverges.
-        model, prior = BinomialModel(10), BetaPrior(0.5, 0.5)
-        assert likelihood_ratio(0.0, 5, model, prior) == math.inf
+            posterior_density_support(1.0, model, prior)

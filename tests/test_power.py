@@ -107,7 +107,7 @@ class TestMixedPower:
     def test_restates_closed_form(self, matrix_non):
         bb = beta_binom_pmf_support(matrix_non.config.model, matrix_non.config.prior)
         for idx in (0, 249, 498):
-            expected = 1.0 - float(bb[matrix_non.rows[idx].included].sum())
+            expected = 1.0 - float(bb[matrix_non.included[idx]].sum())
             assert mixed_power_given_eta(matrix_non, idx) == pytest.approx(expected, abs=1e-15)
 
     def test_full_acceptance_gives_zero(self, make_full_acceptance):
@@ -116,7 +116,7 @@ class TestMixedPower:
     def test_against_quadrature_oracle(self, matrix_non, matrix_inf):
         for matrix, (a, b) in ((matrix_non, (0.5, 0.5)), (matrix_inf, (100.0, 100.0))):
             for idx in (0, 249, 498):
-                reference = oracle_mixed_power(matrix.rows[idx].included, 100, a, b)
+                reference = oracle_mixed_power(matrix.included[idx], 100, a, b)
                 assert mixed_power_given_eta(matrix, idx) == pytest.approx(reference, abs=5e-3)
 
     def test_invalid_index(self, matrix_non):
@@ -184,6 +184,16 @@ class TestSerialization:
         avg_lines = avg_power_csv(matrix, np.array([0.5, 0.6])).splitlines()
         assert avg_lines[0] == "theta,avg_power"
         assert len(avg_lines) == 3
+
+    def test_csv_rows_print_the_scalar_values(self):
+        grid = ParameterGrid.regular(49, 0.02, 0.98)
+        matrix = build_decision_matrix(TestConfig(0.05, BinomialModel(20), BetaPrior(0.5, 0.5), grid))
+        mixed = mixed_power_csv(matrix).splitlines()[1:]
+        avg = avg_power_csv(matrix, grid.points).splitlines()[1:]
+        assert len(mixed) == len(avg) == len(grid)
+        for j, eta in enumerate(grid.points):
+            assert mixed[j] == f"{eta:.6f},{mixed_power_given_eta(matrix, j):.12g}"
+            assert avg[j] == f"{eta:.6f},{avg_power_given_theta(matrix, float(eta)):.12g}"
 
     def test_power_table_csv(self):
         text = power_table_csv(
