@@ -252,6 +252,8 @@ def cmd_mc_validate(config: RunConfig, mc: McConfig, min_agreement: float) -> in
     path = _out_path(config, "mc_agreement.csv")
     _write(path, agreement_csv(report, test.grid.points))
     print(f"overall agreement {report.overall:.6f} (threshold {min_agreement:.6f})")
+    lowest = min(rows, key=lambda row: row.ess)
+    print(f"minimum effective sample size {lowest.ess:.1f} at eta {lowest.eta:.6f}")
     print(f"wrote {path}")
     if report.overall < min_agreement:
         print("agreement below threshold", file=sys.stderr)

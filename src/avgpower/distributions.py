@@ -27,6 +27,7 @@ __all__ = [
     "beta_binom_pmf_support",
     "posterior_density_support",
     "check_outcome",
+    "check_outcomes",
     "check_probability",
     "check_level",
     "check_open_unit",
@@ -98,6 +99,19 @@ def check_outcome(x: int, model: BinomialModel) -> int:
     return int(x)
 
 
+def check_outcomes(x: np.ndarray, model: BinomialModel) -> np.ndarray:
+    """An array of observed outcomes: integer dtype, every value in 0..n.
+
+    Checked before use as an index, where a negative value would wrap around.
+    """
+    if x.dtype.kind not in "iu":
+        raise ValueError(f"outcomes must be an integer array, got dtype {x.dtype}")
+    outside = (x < 0) | (x > model.n)
+    if outside.any():
+        raise ValueError(f"outcome {x[outside].flat[0]} outside support 0..{model.n}")
+    return x
+
+
 def check_level(level: float) -> float:
     """A test level, strictly inside (0, 1)."""
     value = float(level)
@@ -143,16 +157,17 @@ def binom_pmf_support(model: BinomialModel, theta: float) -> np.ndarray:
     return np.exp(binom_log_pmf_support(model, theta))
 
 
-def binom_pmf(x: int, model: BinomialModel, theta: float) -> float:
-    """C(n,x) theta^x (1-theta)^(n-x), computed in log space."""
+def binom_pmf(x: int | np.ndarray, model: BinomialModel, theta: float) -> float | np.ndarray:
+    """C(n,x) theta^x (1-theta)^(n-x), computed in log space.
+
+    x is one outcome or an integer array of outcomes; an array gives an
+    array of the same shape. Both index binom_log_pmf_support.
+    """
+    if isinstance(x, np.ndarray):
+        x = check_outcomes(x, model)
+        return np.exp(binom_log_pmf_support(model, theta)[x])
     x = check_outcome(x, model)
-    theta = check_probability(theta)
-    if theta == 0.0:
-        return 1.0 if x == 0 else 0.0
-    if theta == 1.0:
-        return 1.0 if x == model.n else 0.0
-    lp = _log_choose_support(model.n)[x] + x * math.log(theta) + (model.n - x) * math.log1p(-theta)
-    return math.exp(lp)
+    return math.exp(binom_log_pmf_support(model, theta)[x])
 
 
 def beta_log_pdf(t: float, prior: BetaPrior) -> float:

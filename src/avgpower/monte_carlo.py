@@ -1,23 +1,23 @@
 """Monte Carlo construction of decision rows for models given as plug-ins.
 
 The engine never sees a model's algebra. A plug-in supplies four callables:
-a likelihood evaluator, a parameter sampler (from the prior or a proposal),
-a data sampler, and the prior-to-proposal density ratio that rescales
-proposal draws back to prior expectations. From those the engine samples
-parameters, samples data under each, estimates the prior predictive mass of
-every distinct observed outcome by self-normalized importance weighting, and
-builds per-null acceptance rows by the same posterior-descending greedy rule
-as the exact path.
+a batched likelihood evaluator, a parameter sampler (from the prior or a
+proposal), a batched data sampler, and the prior-to-proposal density ratio
+that rescales proposal draws back to prior expectations. From those the
+engine samples parameters, samples a row of data under each, estimates the
+prior predictive mass of every distinct observed outcome by self-normalized
+importance weighting, and builds per-null acceptance rows by the same
+posterior-descending greedy rule as the exact path.
 
 Randomness is counter-based. Parameter draws use the stream keyed by
-(seed, 0); the data draw at indices (i, j) uses its own stream keyed by
-(seed, 1, i, j), so any scheduling of the work reproduces the same sample.
+(seed, 0); the data row of parameter i uses its own stream keyed by
+(seed, 1, i), so any scheduling of the rows reproduces the same sample, and
+drawing more parameters leaves the earlier rows unchanged.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -26,7 +26,7 @@ from numpy.random import Generator, Philox, SeedSequence
 
 from .csvtext import csv_text, point, value
 from .decisions import DecisionMatrix, _admit_tie_groups, _row_summary
-from .distributions import BetaPrior, BinomialModel, binom_pmf, check_level
+from .distributions import BetaPrior, BinomialModel, binom_pmf, check_level, check_outcomes
 
 __all__ = [
     "DegenerateWeightsError",
@@ -61,20 +61,21 @@ class LowEffectiveSampleError(RuntimeError):
 class GenericModel:
     """Model plug-in: four callables, no other contract.
 
-    likelihood(data, parameter) returns the sampling density of one data
-    value; sample_param(rng, x0) draws one parameter from the proposal,
-    where x0 is the observed data passed through for optional focusing and
-    may be None; sample_data(rng, parameter) draws one data value; and
+    likelihood(outcomes, parameter) takes a 1-D array of data values and
+    returns the array of their sampling densities; sample_param(rng, x0)
+    draws one parameter from the proposal, where x0 is the observed data
+    passed through for optional focusing and may be None; sample_data(rng,
+    parameter, size) draws a 1-D array of size data values; and
     prior_density_ratio(parameter) is prior density over proposal density
     at the drawn parameter (identically 1 when the proposal is the prior).
 
-    Data values must be hashable and orderable: distinct outcomes are pooled
-    through a dictionary and reported in sorted order.
+    Data values must be elements of a numpy array that np.unique can sort:
+    distinct outcomes are pooled with np.unique and reported in sorted order.
     """
 
-    likelihood: Callable[[Any, Any], float]
+    likelihood: Callable[[np.ndarray, Any], np.ndarray]
     sample_param: Callable[[Generator, Any], Any]
-    sample_data: Callable[[Generator, Any], Any]
+    sample_data: Callable[[Generator, Any, int], np.ndarray]
     prior_density_ratio: Callable[[Any], float]
 
 
@@ -114,9 +115,9 @@ class ParamSample:
 
 @dataclass(eq=False)
 class DataSample:
-    """draws[i][j] is the j-th data value generated under params[i]."""
+    """draws[i, j] is the j-th data value generated under params[i]."""
 
-    draws: list
+    draws: np.ndarray
 
 
 @dataclass(eq=False)
@@ -132,7 +133,7 @@ class PooledSamples:
 
     params: list
     weights: np.ndarray
-    outcomes: list
+    outcomes: np.ndarray
     counts: np.ndarray
     mix_density: np.ndarray
     data_proposal: np.ndarray
@@ -140,13 +141,18 @@ class PooledSamples:
 
 @dataclass(eq=False)
 class McDecisionRow:
-    """Acceptance decision over the sampled outcomes for one null value."""
+    """Acceptance decision over the sampled outcomes for one null value.
+
+    ess is the effective sample size of the raw draws under the null's
+    coverage weights.
+    """
 
     eta: Any
-    outcomes: list
+    outcomes: np.ndarray
     included: np.ndarray
     threshold: float
     estimated_coverage: float
+    ess: float
 
 
 @dataclass(frozen=True)
@@ -161,8 +167,18 @@ def _param_rng(cfg: McConfig) -> Generator:
     return Generator(Philox(SeedSequence((cfg.seed, 0))))
 
 
-def _data_rng(cfg: McConfig, i: int, j: int) -> Generator:
-    return Generator(Philox(SeedSequence((cfg.seed, 1, i, j))))
+def _data_rng(cfg: McConfig, i: int) -> Generator:
+    return Generator(Philox(SeedSequence((cfg.seed, 1, i))))
+
+
+def _likelihood(model: GenericModel, outcomes: np.ndarray, param: Any) -> np.ndarray:
+    """One batched likelihood call, checked for shape, finiteness and sign."""
+    f = np.asarray(model.likelihood(outcomes, param), dtype=float)
+    if f.shape != outcomes.shape:
+        raise ValueError(f"likelihood returned shape {f.shape} for {outcomes.size} outcomes")
+    if not np.all(np.isfinite(f)) or np.any(f < 0.0):
+        raise ValueError("likelihood values must be finite and nonnegative")
+    return f
 
 
 def mc_sample_params(model: GenericModel, cfg: McConfig, x0: Any | None = None) -> ParamSample:
@@ -184,29 +200,23 @@ def mc_sample_params(model: GenericModel, cfg: McConfig, x0: Any | None = None) 
 
 
 def mc_sample_data(model: GenericModel, params: ParamSample, cfg: McConfig) -> DataSample:
-    """Draw n_data_per_param values under each sampled parameter."""
-    draws = []
-    for i, p in enumerate(params.params):
-        draws.append([model.sample_data(_data_rng(cfg, i, j), p) for j in range(cfg.n_data_per_param)])
+    """Draw a row of n_data_per_param values under each sampled parameter."""
+    m = cfg.n_data_per_param
+    draws = np.stack([np.asarray(model.sample_data(_data_rng(cfg, i), p, m)) for i, p in enumerate(params.params)])
+    if draws.shape != (len(params.params), m):
+        raise ValueError(f"sample_data must return a 1-D array of {m} values")
     return DataSample(draws=draws)
 
 
 def pool_samples(model: GenericModel, params: ParamSample, data: DataSample) -> PooledSamples:
     """Collapse the raw draws to distinct outcomes and estimate densities."""
-    counter: Counter = Counter()
-    for row in data.draws:
-        counter.update(row)
-    outcomes = sorted(counter)
-    counts = np.array([counter[x] for x in outcomes], dtype=float)
-
-    lik = np.array([[float(model.likelihood(x, p)) for x in outcomes] for p in params.params])
-    if not np.all(np.isfinite(lik)) or np.any(lik < 0.0):
-        raise ValueError("likelihood values must be finite and nonnegative")
+    outcomes, counts = np.unique(data.draws, return_counts=True)
+    lik = np.stack([_likelihood(model, outcomes, p) for p in params.params])
     mix = params.weights @ lik / params.weights.sum()
     proposal = lik.mean(axis=0)
     if np.any(proposal == 0.0):
         bad = outcomes[int(np.argmax(proposal == 0.0))]
-        raise ValueError(f"likelihood assigns zero density to sampled outcome {bad!r}")
+        raise ValueError(f"likelihood assigns zero density to sampled outcome {bad}")
     return PooledSamples(
         params=params.params,
         weights=params.weights,
@@ -229,9 +239,7 @@ def mc_build_decision_row(model: GenericModel, eta: Any, samples: PooledSamples,
     sampled outcome, and LowEffectiveSampleError when the coverage weights
     carry fewer effective draws than cfg.ess_floor.
     """
-    f = np.array([float(model.likelihood(x, eta)) for x in samples.outcomes])
-    if not np.all(np.isfinite(f)) or np.any(f < 0.0):
-        raise ValueError("likelihood values must be finite and nonnegative")
+    f = _likelihood(model, samples.outcomes, eta)
     total_f = f.sum()
     if total_f == 0.0:
         raise DegenerateWeightsError(f"no sampled outcome carries likelihood mass at eta {eta!r}")
@@ -244,7 +252,9 @@ def mc_build_decision_row(model: GenericModel, eta: Any, samples: PooledSamples,
     # of the count_k draws behind atom k carries the weight f_k / q_k.
     ess = total_v**2 / float((v * v / samples.counts).sum())
     if ess < cfg.ess_floor:
-        raise LowEffectiveSampleError(f"effective sample size {ess:.1f} below floor {cfg.ess_floor:.1f}")
+        raise LowEffectiveSampleError(
+            f"effective sample size {ess:.1f} below floor {cfg.ess_floor:.1f} at eta {eta!r}"
+        )
 
     order = np.lexsort((-f, -log_g))
     included = _admit_tie_groups(order, log_g, v, (1.0 - cfg.level) * total_v)
@@ -255,6 +265,7 @@ def mc_build_decision_row(model: GenericModel, eta: Any, samples: PooledSamples,
         included=included,
         threshold=threshold,
         estimated_coverage=covered / total_v,
+        ess=ess,
     )
 
 
@@ -271,9 +282,9 @@ def mc_decision_rows(
 def make_binomial_plugin(model: BinomialModel, prior: BetaPrior) -> GenericModel:
     """Binomial likelihood with a beta prior, proposal equal to the prior."""
     return GenericModel(
-        likelihood=lambda x, theta: binom_pmf(int(x), model, float(theta)),
+        likelihood=lambda outcomes, theta: binom_pmf(outcomes, model, float(theta)),
         sample_param=lambda rng, x0: float(rng.beta(prior.a, prior.b)),
-        sample_data=lambda rng, theta: int(rng.binomial(model.n, theta)),
+        sample_data=lambda rng, theta, size: rng.binomial(model.n, theta, size),
         prior_density_ratio=lambda theta: 1.0,
     )
 
@@ -281,24 +292,23 @@ def make_binomial_plugin(model: BinomialModel, prior: BetaPrior) -> GenericModel
 def agreement_with_matrix(mc_rows: Sequence[McDecisionRow], matrix: DecisionMatrix) -> AgreementReport:
     """Fraction of outcome cells where MC inclusion matches the exact rows.
 
-    Rows must align with the matrix grid one-to-one. Outcomes the MC sample
-    never produced count as excluded on the MC side.
+    Rows must align with the matrix grid one-to-one, and their outcomes
+    must be integers in the matrix support. Outcomes the MC sample never
+    produced count as excluded on the MC side.
     """
     grid = matrix.config.grid
     if len(mc_rows) != len(grid):
         raise ValueError(f"{len(mc_rows)} MC rows against a {len(grid)}-point grid")
-    n = matrix.config.model.n
-    per_eta = np.empty(len(mc_rows))
-    for r, (mc_row, eta, exact) in enumerate(zip(mc_rows, grid.points, matrix.included)):
+    mc_full = np.zeros_like(matrix.included)
+    for r, (mc_row, eta) in enumerate(zip(mc_rows, grid.points)):
         if abs(float(mc_row.eta) - eta) > 1e-12:
             raise ValueError(f"row {r} null value {mc_row.eta!r} does not match grid point {float(eta)!r}")
-        mc_full = np.zeros(n + 1, dtype=bool)
-        for x, flag in zip(mc_row.outcomes, mc_row.included):
-            xi = int(x)
-            if not 0 <= xi <= n:
-                raise ValueError(f"sampled outcome {x!r} outside support 0..{n}")
-            mc_full[xi] = bool(flag)
-        per_eta[r] = float(np.mean(mc_full == exact))
+        try:
+            outcomes = check_outcomes(np.asarray(mc_row.outcomes), matrix.config.model)
+        except ValueError as exc:
+            raise ValueError(f"sampled {exc}") from None
+        mc_full[r, outcomes] = mc_row.included
+    per_eta = (mc_full == matrix.included).mean(axis=1)
     return AgreementReport(per_eta=per_eta, overall=float(per_eta.mean()))
 
 

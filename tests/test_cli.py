@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 
 import pytest
 
@@ -161,7 +162,9 @@ class TestMcValidate:
         lines = read(os.path.join(out, "mc_agreement.csv")).splitlines()
         assert lines[0] == "eta,agreement"
         assert len(lines) == 50
-        assert "overall agreement" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "overall agreement" in printed
+        assert re.search(r"^minimum effective sample size \d+\.\d at eta 0\.\d{6}$", printed, re.MULTILINE)
 
     def test_impossible_threshold_fails(self, tmp_path):
         out = str(tmp_path / "mc1")

@@ -94,6 +94,27 @@ class TestBinomPmf:
         with pytest.raises(ValueError):
             binom_pmf_support(model, math.nan)
 
+    @pytest.mark.parametrize("n,theta", [(1, 0.3), (20, 0.123), (100, 0.97), (1000, 0.5)])
+    def test_array_against_oracle_over_support(self, n, theta):
+        got = binom_pmf(np.arange(n + 1), BinomialModel(n), theta)
+        assert got.shape == (n + 1,)
+        assert got == pytest.approx([oracle_binom_pmf(x, n, theta) for x in range(n + 1)], rel=1e-12)
+
+    def test_array_keeps_shape_and_scalar_values(self):
+        model = BinomialModel(10)
+        x = np.array([[0, 3], [7, 10]])
+        got = binom_pmf(x, model, 0.3)
+        assert got.shape == (2, 2)
+        assert got.tolist() == [[binom_pmf(int(k), model, 0.3) for k in row] for row in x]
+        assert binom_pmf(x, model, 0.0).tolist() == [[1.0, 0.0], [0.0, 0.0]]
+
+    @pytest.mark.parametrize(
+        "x", [np.array([0, -1]), np.array([11]), np.array([1.0, 2.0]), np.array([True, False])]
+    )
+    def test_array_rejects_bad_outcomes(self, x):
+        with pytest.raises(ValueError):
+            binom_pmf(x, BinomialModel(10), 0.5)
+
     @given(n=st.integers(1, 200), theta=st.floats(0.0, 1.0))
     @settings(max_examples=60, deadline=None)
     def test_support_is_a_distribution(self, n, theta):

@@ -23,8 +23,8 @@ from avgpower import (
     mc_sample_params,
     pool_samples,
 )
-from avgpower.distributions import beta_binom_pmf_support, binom_pmf
-from avgpower.monte_carlo import agreement_csv
+from avgpower.distributions import beta_binom_pmf_support
+from avgpower.monte_carlo import McDecisionRow, _data_rng, agreement_csv
 
 
 def binom_plugin(n: int = 20, a: float = 0.5, b: float = 0.5) -> GenericModel:
@@ -125,7 +125,36 @@ class TestSampleData:
         params = mc_sample_params(plugin, cfg())
         a = mc_sample_data(plugin, params, cfg())
         b = mc_sample_data(plugin, params, cfg())
-        assert a.draws == b.draws
+        assert np.array_equal(a.draws, b.draws)
+
+    def test_row_is_its_parameter_stream(self):
+        plugin = binom_plugin()
+        config = cfg()
+        params = mc_sample_params(plugin, config)
+        data = mc_sample_data(plugin, params, config)
+        assert data.draws.shape == (config.n_params, config.n_data_per_param)
+        for i in (0, 1, 137, config.n_params - 1):
+            alone = plugin.sample_data(_data_rng(config, i), params.params[i], config.n_data_per_param)
+            assert np.array_equal(data.draws[i], alone)
+
+    def test_fewer_parameters_keep_the_leading_rows(self):
+        plugin = binom_plugin()
+        fewer, more = cfg(n_params=200), cfg(n_params=300)
+        a = mc_sample_data(plugin, mc_sample_params(plugin, fewer), fewer)
+        b = mc_sample_data(plugin, mc_sample_params(plugin, more), more)
+        assert np.array_equal(a.draws, b.draws[:200])
+
+    def test_rejects_wrong_row_shape(self):
+        base = binom_plugin()
+        short = GenericModel(
+            likelihood=base.likelihood,
+            sample_param=base.sample_param,
+            sample_data=lambda rng, theta, size: base.sample_data(rng, theta, size - 1),
+            prior_density_ratio=base.prior_density_ratio,
+        )
+        config = cfg(n_params=5)
+        with pytest.raises(ValueError):
+            mc_sample_data(short, mc_sample_params(short, config), config)
 
 
 class TestPooling:
@@ -135,7 +164,9 @@ class TestPooling:
         params = mc_sample_params(plugin, config)
         data = mc_sample_data(plugin, params, config)
         pooled = pool_samples(plugin, params, data)
-        assert pooled.outcomes == sorted(set(x for row in data.draws for x in row))
+        values = data.draws.ravel().tolist()
+        assert pooled.outcomes.tolist() == sorted(set(values))
+        assert pooled.counts.tolist() == [values.count(x) for x in pooled.outcomes.tolist()]
         assert pooled.counts.sum() == config.n_params * config.n_data_per_param
 
     def test_mix_density_estimates_prior_predictive(self):
@@ -145,7 +176,7 @@ class TestPooling:
         data = mc_sample_data(plugin, params, config)
         pooled = pool_samples(plugin, params, data)
         bb = beta_binom_pmf_support(BinomialModel(20), BetaPrior(0.5, 0.5))
-        lik = np.array([[plugin.likelihood(x, p) for x in pooled.outcomes] for p in params.params])
+        lik = np.array([plugin.likelihood(pooled.outcomes, p) for p in params.params])
         se = lik.std(axis=0, ddof=1) / np.sqrt(config.n_params)
         for k, x in enumerate(pooled.outcomes):
             assert abs(pooled.mix_density[k] - bb[x]) <= 3 * se[k] + 1e-12
@@ -156,13 +187,21 @@ class TestPooling:
         params = mc_sample_params(plugin, config)
         data = mc_sample_data(plugin, params, config)
         broken = GenericModel(
-            likelihood=lambda x, theta: 0.0,
+            likelihood=lambda x, theta: np.zeros(x.shape),
             sample_param=plugin.sample_param,
             sample_data=plugin.sample_data,
             prior_density_ratio=plugin.prior_density_ratio,
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="zero density"):
             pool_samples(broken, params, data)
+        scalar = GenericModel(
+            likelihood=lambda x, theta: 0.5,
+            sample_param=plugin.sample_param,
+            sample_data=plugin.sample_data,
+            prior_density_ratio=plugin.prior_density_ratio,
+        )
+        with pytest.raises(ValueError, match="shape"):
+            pool_samples(scalar, params, data)
 
 
 class TestBuildRow:
@@ -204,6 +243,13 @@ class TestBuildRow:
         row = mc_build_decision_row(plugin, 0.3, pooled, cfg(level=1.0 - 1e-12))
         assert row.included.sum() == 1
 
+    def test_ess_is_kept_and_above_the_floor(self):
+        plugin, config, pooled = self.pooled()
+        row = mc_build_decision_row(plugin, 0.41, pooled, config)
+        v = pooled.counts * plugin.likelihood(pooled.outcomes, 0.41) / pooled.data_proposal
+        assert row.ess == pytest.approx(v.sum() ** 2 / (v * v / pooled.counts).sum(), rel=1e-12)
+        assert row.ess >= config.ess_floor
+
     def test_ess_floor_trips(self):
         plugin, config, pooled = self.pooled()
         with pytest.raises(LowEffectiveSampleError):
@@ -212,7 +258,7 @@ class TestBuildRow:
     def test_no_mass_at_null_is_degenerate(self):
         plugin, config, pooled = self.pooled()
         spiky = GenericModel(
-            likelihood=lambda x, theta: 1.0 if x == 999 else 0.0,
+            likelihood=lambda x, theta: np.where(x == 999, 1.0, 0.0),
             sample_param=plugin.sample_param,
             sample_data=plugin.sample_data,
             prior_density_ratio=plugin.prior_density_ratio,
@@ -246,6 +292,15 @@ class TestAgreement:
         shifted = mc_decision_rows(plugin, small, [float(e) + 1e-6 for e in grid.points])
         with pytest.raises(ValueError):
             agreement_with_matrix(shifted, exact)
+
+    def test_outcomes_outside_support_raise(self):
+        grid = ParameterGrid.regular(2, 0.25, 0.75)
+        exact = build_decision_matrix(TestConfig(0.05, BinomialModel(20), BetaPrior(0.5, 0.5), grid))
+        good = McDecisionRow(float(grid.points[0]), np.array([3]), np.ones(1, bool), 1.0, 1.0, 1e3)
+        for bad in (-1, 21):
+            row = McDecisionRow(float(grid.points[1]), np.array([bad, 3]), np.ones(2, bool), 1.0, 1.0, 1e3)
+            with pytest.raises(ValueError, match=f"sampled outcome {bad} outside support 0..20"):
+                agreement_with_matrix([good, row], exact)
 
     def test_agreement_csv(self):
         grid = self.small_grid()
