@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .clopper_pearson import compare_lengths, comparison_csv
@@ -60,7 +60,6 @@ __all__ = [
 
 DEFAULT_THETAS = (0.5, 0.55, 0.6)
 
-TABLE_CORNER = "Average power"
 TABLE_COLUMNS = ("Informative test", "Non-informative test")
 TABLE_ROWS = (
     "Informative distribution of hypotheses",
@@ -218,7 +217,7 @@ def cmd_table1(non_informative: RunConfig, informative: RunConfig) -> int:
     p_inf = BetaPrior(a=informative.prior_a, b=informative.prior_b)
     values = overall_power_grid([m_inf, m_non], [p_inf, p_non])
     path = _out_path(non_informative, "table1.csv")
-    _write(path, power_table_csv(values, list(TABLE_ROWS), list(TABLE_COLUMNS), TABLE_CORNER))
+    _write(path, power_table_csv(values, list(TABLE_ROWS), list(TABLE_COLUMNS)))
     print(f"wrote {path}")
     return 0
 
@@ -240,6 +239,7 @@ def cmd_compare_cp(config: RunConfig) -> int:
 
 def cmd_mc_validate(config: RunConfig, mc: McConfig, min_agreement: float) -> int:
     """Compare Monte Carlo rows against the exact matrix on the same grid."""
+    min_agreement = check_probability(min_agreement, "min_agreement")
     test = config.test_config()
     plugin = make_binomial_plugin(test.model, test.prior)
     try:
@@ -320,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
         dest="min_agreement",
         type=float,
         default=0.95,
-        help="fail when overall agreement drops below this (default 0.95)",
+        help="fail when overall agreement drops below this, in [0, 1] (default 0.95)",
     )
     p.add_argument(
         "--ess-floor",
@@ -344,16 +344,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             thetas = args.theta if args.theta is not None else list(DEFAULT_THETAS)
             return cmd_power(config, thetas)
         if args.command == "table1":
-            informative = RunConfig(
-                n=config.n,
-                level=config.level,
+            informative = replace(
+                config,
                 prior_a=args.prior_a2 if args.prior_a2 is not None else 100.0,
                 prior_b=args.prior_b2 if args.prior_b2 is not None else 100.0,
-                grid_points=config.grid_points,
-                grid_min=config.grid_min,
-                grid_max=config.grid_max,
-                seed=config.seed,
-                output_dir=config.output_dir,
             )
             return cmd_table1(config, informative)
         if args.command == "compare-cp":

@@ -72,6 +72,21 @@ def _lower_tail(model: BinomialModel, x: int, theta: float) -> float:
     return float(binom_pmf_support(model, theta)[: x + 1].sum())
 
 
+def _bisect(predicate) -> float:
+    """Midpoint of the final bracket where ``predicate`` turns true on [0, 1].
+
+    ``predicate`` must be false below the crossing and true above it.
+    """
+    lo, hi = 0.0, 1.0
+    while hi - lo > BISECTION_TOL:
+        mid = (lo + hi) / 2.0
+        if predicate(mid):
+            hi = mid
+        else:
+            lo = mid
+    return (lo + hi) / 2.0
+
+
 def clopper_pearson(x: int, model: BinomialModel, level: float) -> CpInterval:
     """Equal-tail interval for x successes, each tail at level/2.
 
@@ -81,33 +96,9 @@ def clopper_pearson(x: int, model: BinomialModel, level: float) -> CpInterval:
     """
     x = check_outcome(x, model)
     half = check_level(level) / 2.0
-
-    if x == 0:
-        lower = 0.0
-    else:
-        # P(X >= x | theta) increases from 0 to 1; find where it crosses half.
-        lo, hi = 0.0, 1.0
-        while hi - lo > BISECTION_TOL:
-            mid = (lo + hi) / 2.0
-            if _upper_tail(model, x, mid) > half:
-                hi = mid
-            else:
-                lo = mid
-        lower = (lo + hi) / 2.0
-
-    if x == model.n:
-        upper = 1.0
-    else:
-        # P(X <= x | theta) decreases from 1 to 0.
-        lo, hi = 0.0, 1.0
-        while hi - lo > BISECTION_TOL:
-            mid = (lo + hi) / 2.0
-            if _lower_tail(model, x, mid) > half:
-                lo = mid
-            else:
-                hi = mid
-        upper = (lo + hi) / 2.0
-
+    # P(X >= x | theta) increases from 0 to 1; P(X <= x | theta) decreases from 1 to 0.
+    lower = 0.0 if x == 0 else _bisect(lambda t: _upper_tail(model, x, t) > half)
+    upper = 1.0 if x == model.n else _bisect(lambda t: _lower_tail(model, x, t) <= half)
     return CpInterval(x=x, lower=lower, upper=upper)
 
 
@@ -116,16 +107,13 @@ def cp_intervals(model: BinomialModel, level: float) -> list:
     return [clopper_pearson(x, model, level) for x in model.outcomes()]
 
 
-def compare_lengths(matrix: DecisionMatrix, level: float | None = None) -> LengthComparison:
+def compare_lengths(matrix: DecisionMatrix) -> LengthComparison:
     """Endpoint table and mean lengths, proposed regions vs the baseline.
 
-    The baseline is computed at ``level`` (the matrix's own level when
-    omitted); the comparison is meaningful when the two coincide. Empty
-    proposed regions contribute NaN endpoints and zero length.
+    The baseline is computed at the matrix's own level. Empty proposed
+    regions contribute NaN endpoints and zero length.
     """
     config = matrix.config
-    if level is None:
-        level = config.level
     grid_pts = config.grid.points
     step = float(np.max(np.diff(grid_pts))) if grid_pts.size > 1 else 0.0
 
@@ -133,7 +121,7 @@ def compare_lengths(matrix: DecisionMatrix, level: float | None = None) -> Lengt
     cp_lengths = []
     prop_lengths = []
     for x in config.model.outcomes():
-        cp = clopper_pearson(x, config.model, level)
+        cp = clopper_pearson(x, config.model, config.level)
         region = confidence_region(matrix, x)
         rows.append(
             ComparisonRow(

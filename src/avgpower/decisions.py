@@ -54,34 +54,27 @@ _LOG_TIE_TOL = -math.log1p(-TIE_RTOL)
 
 @dataclass(frozen=True)
 class ParameterGrid:
-    """Ordered evaluation points in (0, 1) with normalized integration weights.
+    """Ordered evaluation points in (0, 1).
 
-    ``weights`` sum to one and default to the relative cell widths of the
-    points, i.e. a piecewise-constant rule scaled to a probability measure.
+    A grid is its points. Grid averages weight each point by its cell width
+    (``cell_widths``, from neighbour spacing) times a prior density.
     """
 
     points: np.ndarray
-    weights: np.ndarray
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float)
-        wts = np.asarray(self.weights, dtype=float)
         if pts.ndim != 1 or pts.size == 0:
             raise ValueError("grid needs at least one point")
-        if wts.shape != pts.shape:
-            raise ValueError("weights must align with points")
         if not (np.all(pts > 0.0) and np.all(pts < 1.0)):
             raise ValueError("grid points must lie strictly inside (0, 1)")
         if pts.size > 1 and not np.all(np.diff(pts) > 0.0):
             raise ValueError("grid points must be strictly increasing")
-        if np.any(wts < 0.0) or abs(wts.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must be nonnegative and sum to 1")
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", wts)
 
     @classmethod
     def regular(cls, count: int = 499, low: float = 0.002, high: float = 0.998) -> "ParameterGrid":
-        """Equally spaced grid over [low, high] with uniform weights.
+        """Equally spaced grid over [low, high].
 
         Points are assembled as an exact mirror image about the midpoint so
         that symmetric priors see a symmetric grid down to the last bit.
@@ -100,33 +93,29 @@ class ParameterGrid:
             upper = (low + high) - half[::-1]
             middle = [np.array([(low + high) / 2.0])] if count % 2 else []
             pts = np.concatenate([half, *middle, upper])
-        widths = _cell_widths(pts)
-        return cls(points=pts, weights=widths / widths.sum())
+        return cls(points=pts)
 
     @property
     def cell_widths(self) -> np.ndarray:
         """Piecewise-constant cell width per point, from neighbour spacing."""
-        return _cell_widths(self.points)
+        pts = self.points
+        if pts.size == 1:
+            return np.array([1.0])
+        w = np.empty(pts.size)
+        w[0] = pts[1] - pts[0]
+        w[-1] = pts[-1] - pts[-2]
+        w[1:-1] = (pts[2:] - pts[:-2]) / 2.0
+        return w
 
-    def nearest_index(self, value: float, tol: float = 1e-9) -> int:
-        """Index of the grid point closest to value; errors beyond tol."""
+    def nearest_index(self, value: float) -> int:
+        """Index of the grid point closest to value; errors beyond 1e-9."""
         idx = int(np.argmin(np.abs(self.points - value)))
-        if abs(self.points[idx] - value) > tol:
+        if abs(self.points[idx] - value) > 1e-9:
             raise ValueError(f"{value!r} is not a grid point (nearest is {self.points[idx]!r})")
         return idx
 
     def __len__(self) -> int:
         return int(self.points.size)
-
-
-def _cell_widths(pts: np.ndarray) -> np.ndarray:
-    if pts.size == 1:
-        return np.array([1.0])
-    w = np.empty(pts.size)
-    w[0] = pts[1] - pts[0]
-    w[-1] = pts[-1] - pts[-2]
-    w[1:-1] = (pts[2:] - pts[:-2]) / 2.0
-    return w
 
 
 @dataclass(frozen=True)
@@ -395,6 +384,8 @@ def decision_matrix_from_csv(text: str, config: TestConfig) -> DecisionMatrix:
             raise ValueError(f"inconsistent threshold within eta {eta_s}")
         seen[j, x] = True
         file_thr[j] = thr_s
+        if inc_s not in ("0", "1"):
+            raise ValueError(f"included flag must be 0 or 1: {ln!r}")
         included[j, x] = inc_s == "1"
 
     log_mix = beta_binom_log_pmf_support(config.model, config.prior)

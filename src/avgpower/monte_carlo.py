@@ -62,19 +62,18 @@ class GenericModel:
     """Model plug-in: four callables, no other contract.
 
     likelihood(outcomes, parameter) takes a 1-D array of data values and
-    returns the array of their sampling densities; sample_param(rng, x0)
-    draws one parameter from the proposal, where x0 is the observed data
-    passed through for optional focusing and may be None; sample_data(rng,
-    parameter, size) draws a 1-D array of size data values; and
-    prior_density_ratio(parameter) is prior density over proposal density
-    at the drawn parameter (identically 1 when the proposal is the prior).
+    returns the array of their sampling densities; sample_param(rng) draws
+    one parameter from the proposal; sample_data(rng, parameter, size) draws
+    a 1-D array of size data values; and prior_density_ratio(parameter) is
+    prior density over proposal density at the drawn parameter (identically
+    1 when the proposal is the prior).
 
     Data values must be elements of a numpy array that np.unique can sort:
     distinct outcomes are pooled with np.unique and reported in sorted order.
     """
 
     likelihood: Callable[[np.ndarray, Any], np.ndarray]
-    sample_param: Callable[[Generator, Any], Any]
+    sample_param: Callable[[Generator], Any]
     sample_data: Callable[[Generator, Any, int], np.ndarray]
     prior_density_ratio: Callable[[Any], float]
 
@@ -131,8 +130,6 @@ class PooledSamples:
     sums are importance-corrected against it.
     """
 
-    params: list
-    weights: np.ndarray
     outcomes: np.ndarray
     counts: np.ndarray
     mix_density: np.ndarray
@@ -181,16 +178,15 @@ def _likelihood(model: GenericModel, outcomes: np.ndarray, param: Any) -> np.nda
     return f
 
 
-def mc_sample_params(model: GenericModel, cfg: McConfig, x0: Any | None = None) -> ParamSample:
+def mc_sample_params(model: GenericModel, cfg: McConfig) -> ParamSample:
     """Draw the parameter sample and its prior-correcting weights.
 
-    x0 is handed to the plug-in's proposal untouched; with no proposal
-    focusing the weights are identically 1 and the draws are prior draws.
+    When the proposal is the prior the weights are identically 1.
 
     Raises DegenerateWeightsError when every weight is zero.
     """
     rng = _param_rng(cfg)
-    params = [model.sample_param(rng, x0) for _ in range(cfg.n_params)]
+    params = [model.sample_param(rng) for _ in range(cfg.n_params)]
     weights = np.array([float(model.prior_density_ratio(p)) for p in params])
     if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
         raise ValueError("importance weights must be finite and nonnegative")
@@ -217,14 +213,7 @@ def pool_samples(model: GenericModel, params: ParamSample, data: DataSample) -> 
     if np.any(proposal == 0.0):
         bad = outcomes[int(np.argmax(proposal == 0.0))]
         raise ValueError(f"likelihood assigns zero density to sampled outcome {bad}")
-    return PooledSamples(
-        params=params.params,
-        weights=params.weights,
-        outcomes=outcomes,
-        counts=counts,
-        mix_density=mix,
-        data_proposal=proposal,
-    )
+    return PooledSamples(outcomes=outcomes, counts=counts, mix_density=mix, data_proposal=proposal)
 
 
 def mc_build_decision_row(model: GenericModel, eta: Any, samples: PooledSamples, cfg: McConfig) -> McDecisionRow:
@@ -269,11 +258,9 @@ def mc_build_decision_row(model: GenericModel, eta: Any, samples: PooledSamples,
     )
 
 
-def mc_decision_rows(
-    model: GenericModel, cfg: McConfig, etas: Sequence[Any], x0: Any | None = None
-) -> list:
+def mc_decision_rows(model: GenericModel, cfg: McConfig, etas: Sequence[Any]) -> list:
     """Run the full pipeline and build one row per requested null value."""
-    params = mc_sample_params(model, cfg, x0)
+    params = mc_sample_params(model, cfg)
     data = mc_sample_data(model, params, cfg)
     samples = pool_samples(model, params, data)
     return [mc_build_decision_row(model, eta, samples, cfg) for eta in etas]
@@ -283,7 +270,7 @@ def make_binomial_plugin(model: BinomialModel, prior: BetaPrior) -> GenericModel
     """Binomial likelihood with a beta prior, proposal equal to the prior."""
     return GenericModel(
         likelihood=lambda outcomes, theta: binom_pmf(outcomes, model, float(theta)),
-        sample_param=lambda rng, x0: float(rng.beta(prior.a, prior.b)),
+        sample_param=lambda rng: float(rng.beta(prior.a, prior.b)),
         sample_data=lambda rng, theta, size: rng.binomial(model.n, theta, size),
         prior_density_ratio=lambda theta: 1.0,
     )

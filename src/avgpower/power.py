@@ -42,6 +42,8 @@ __all__ = [
     "power_table_csv",
 ]
 
+TABLE_CORNER = "Average power"
+
 
 @dataclass(frozen=True)
 class PowerCurve:
@@ -182,19 +184,14 @@ def avg_power_csv(matrix: DecisionMatrix, thetas: np.ndarray) -> str:
     )
 
 
-def power_table_csv(
-    values: np.ndarray,
-    row_labels: Sequence[str],
-    column_labels: Sequence[str],
-    corner: str = "Average power",
-) -> str:
-    """Render a labelled table of overall powers as CSV."""
+def power_table_csv(values: np.ndarray, row_labels: Sequence[str], column_labels: Sequence[str]) -> str:
+    """Render a labelled table of overall powers as CSV, TABLE_CORNER in the corner."""
     values = np.asarray(values, dtype=float)
     if values.shape != (len(row_labels), len(column_labels)):
         raise ValueError("table shape does not match the labels")
-    if any("," in lab for lab in [corner, *row_labels, *column_labels]):
+    if any("," in lab for lab in [*row_labels, *column_labels]):
         raise ValueError("labels must not contain commas")
     return csv_text(
-        ",".join([corner, *column_labels]),
+        ",".join([TABLE_CORNER, *column_labels]),
         ([lab, *(value(v) for v in row)] for lab, row in zip(row_labels, values)),
     )

@@ -170,6 +170,18 @@ class TestMcValidate:
         out = str(tmp_path / "mc1")
         assert run([*self.mc_args(out), "--min-agreement", "1.01"]) == 1
 
+    def test_agreement_below_threshold_fails(self, tmp_path, capsys):
+        out = str(tmp_path / "mc3")
+        assert run([*self.mc_args(out), "--min-agreement", "1.0"]) == 1
+        assert "agreement below threshold" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "-0.1", "1.5"])
+    def test_min_agreement_outside_unit_interval_fails(self, tmp_path, capsys, value):
+        out = str(tmp_path / "mc4")
+        assert run([*self.mc_args(out), "--min-agreement", value]) == 1
+        assert "error: min_agreement must lie in [0, 1]" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_unreachable_ess_floor_fails(self, tmp_path, capsys):
         out = str(tmp_path / "mc2")
         assert run([*self.mc_args(out), "--ess-floor", "1e18"]) == 1

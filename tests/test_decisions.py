@@ -42,7 +42,6 @@ class TestParameterGrid:
         assert grid.points[-1] == pytest.approx(0.998, abs=1e-15)
         assert grid.points[249] == 0.5
         np.testing.assert_allclose(np.diff(grid.points), 0.002, rtol=1e-9)
-        assert grid.weights.sum() == pytest.approx(1.0, abs=1e-13)
 
     def test_mirror_symmetry_is_exact(self):
         grid = ParameterGrid.regular()
@@ -53,10 +52,9 @@ class TestParameterGrid:
         grid = ParameterGrid.regular(1, 0.3, 0.7)
         assert grid.points.tolist() == [0.5]
         assert grid.cell_widths.tolist() == [1.0]
-        assert grid.weights.tolist() == [1.0]
 
     def test_cell_widths(self):
-        grid = ParameterGrid(points=np.array([0.1, 0.2, 0.4]), weights=np.array([0.25, 0.375, 0.375]))
+        grid = ParameterGrid(points=np.array([0.1, 0.2, 0.4]))
         np.testing.assert_allclose(grid.cell_widths, [0.1, 0.15, 0.2])
 
     def test_nearest_index(self):
@@ -74,9 +72,7 @@ class TestParameterGrid:
         with pytest.raises(ValueError):
             ParameterGrid.regular(10, 0.0, 0.9)
         with pytest.raises(ValueError):
-            ParameterGrid(points=np.array([0.2, 0.1]), weights=np.array([0.5, 0.5]))
-        with pytest.raises(ValueError):
-            ParameterGrid(points=np.array([0.1, 0.2]), weights=np.array([0.8, 0.1]))
+            ParameterGrid(points=np.array([0.2, 0.1]))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -252,6 +248,12 @@ class TestCsv:
         duplicated = "\n".join(lines + [lines[-1]])
         with pytest.raises(ValueError, match="duplicate outcome"):
             decision_matrix_from_csv(duplicated, config)
+
+        garbled = lines[:]
+        eta_s, x_s, inc_s, thr_s = garbled[1].split(",")
+        garbled[1] = ",".join([eta_s, x_s, "yes", thr_s])
+        with pytest.raises(ValueError, match="included flag must be 0 or 1"):
+            decision_matrix_from_csv("\n".join(garbled), config)
 
         flipped = lines[:]
         eta_s, x_s, inc_s, thr_s = flipped[1].split(",")

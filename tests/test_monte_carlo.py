@@ -98,7 +98,7 @@ class TestSampleData:
         base = binom_plugin()
         at_zero = GenericModel(
             likelihood=base.likelihood,
-            sample_param=lambda rng, x0: 0.0,
+            sample_param=lambda rng: 0.0,
             sample_data=base.sample_data,
             prior_density_ratio=base.prior_density_ratio,
         )
@@ -110,7 +110,7 @@ class TestSampleData:
         plugin = binom_plugin(n=100)
         fixed = GenericModel(
             likelihood=plugin.likelihood,
-            sample_param=lambda rng, x0: 0.5,
+            sample_param=lambda rng: 0.5,
             sample_data=plugin.sample_data,
             prior_density_ratio=plugin.prior_density_ratio,
         )
@@ -227,7 +227,7 @@ class TestBuildRow:
         base = binom_plugin()
         degenerate = GenericModel(
             likelihood=base.likelihood,
-            sample_param=lambda rng, x0: 0.35,
+            sample_param=lambda rng: 0.35,
             sample_data=base.sample_data,
             prior_density_ratio=lambda theta: 1.0,
         )
