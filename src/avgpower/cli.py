@@ -194,7 +194,7 @@ def cmd_power(config: RunConfig, thetas: Sequence[float]) -> int:
     avg_path = _out_path(config, "avg_power.csv")
     _write(curves_path, power_curves_csv(curves, test.grid.points))
     _write(mixed_path, mixed_power_csv(matrix))
-    _write(avg_path, avg_power_csv(matrix, test.grid.points))
+    _write(avg_path, avg_power_csv(matrix))
     print(f"wrote {curves_path} ({len(curves)} curves)")
     print(f"wrote {mixed_path}")
     print(f"wrote {avg_path}")

@@ -194,14 +194,14 @@ class ConfidenceRegion:
         return self.accepted.size == 0
 
 
-def _admit_tie_groups(order: np.ndarray, log_g: np.ndarray, mass: np.ndarray, target: float) -> np.ndarray:
-    """Inclusion flags from admitting outcomes in ``order`` until ``mass`` reaches ``target``.
+def _admit_tie_groups(log_g: np.ndarray, mass: np.ndarray, target: float) -> np.ndarray:
+    """Inclusion flags from admitting outcomes by descending ``log_g`` until ``mass`` reaches ``target``.
 
-    ``order`` ranks the outcomes by descending ``log_g``. Adjacent ranked
-    values chain into one tie group while their densities stay within
-    TIE_RTOL of each other (equal infinities tie), and a tie group is
-    admitted or withheld as a unit.
+    Adjacent ranked values chain into one tie group while their densities
+    stay within TIE_RTOL of each other (equal infinities tie), and a tie
+    group is admitted or withheld as a unit.
     """
+    order = np.argsort(-log_g, kind="stable")
     ranked = log_g[order]
     starts = np.concatenate(([0], np.flatnonzero(ranked[1:] < ranked[:-1] - _LOG_TIE_TOL) + 1))
     reached = np.cumsum(np.add.reduceat(mass[order], starts))
@@ -253,8 +253,7 @@ def build_decision_row(eta: float, config: TestConfig, *, log_mix: np.ndarray | 
     log_f = binom_log_pmf_support(config.model, eta)
     log_g = log_f - log_mix
     pmf = np.exp(log_f)
-    order = np.argsort(-log_g, kind="stable")
-    included = _admit_tie_groups(order, log_g, pmf, 1.0 - config.level)
+    included = _admit_tie_groups(log_g, pmf, 1.0 - config.level)
     threshold, achieved = _row_summary(log_g, pmf, included)
     return DecisionRow(eta=eta, included=included, threshold=threshold, achieved_coverage=achieved)
 
@@ -351,6 +350,13 @@ def rows_summary_csv(matrix: DecisionMatrix) -> str:
     )
 
 
+def _parse_field(parse, token: str, column: str, line: str):
+    try:
+        return parse(token)
+    except ValueError:
+        raise ValueError(f"unreadable {column} {token!r} in line {line!r}") from None
+
+
 def decision_matrix_from_csv(text: str, config: TestConfig) -> DecisionMatrix:
     """Rebuild a DecisionMatrix from its long-form CSV.
 
@@ -375,7 +381,8 @@ def decision_matrix_from_csv(text: str, config: TestConfig) -> DecisionMatrix:
         eta_s, x_s, inc_s, thr_s = parts
         if eta_s not in row_of:
             raise ValueError(f"eta {eta_s} is not a point of the config grid")
-        j, x = row_of[eta_s], int(x_s)
+        j, x = row_of[eta_s], _parse_field(int, x_s, "x", ln)
+        _parse_field(float, thr_s, "threshold", ln)
         if not 0 <= x <= n:
             raise ValueError(f"outcome {x} outside support 0..{n}")
         if seen[j, x]:

@@ -221,8 +221,8 @@ def mc_build_decision_row(model: GenericModel, eta: Any, samples: PooledSamples,
 
     Outcomes are ordered by the estimated posterior-to-prior density ratio
     (likelihood over estimated predictive mass), tie groups entering
-    atomically with ties broken toward larger likelihood, and admitted until
-    the importance-corrected coverage estimate reaches 1 - level.
+    atomically, and admitted until the importance-corrected coverage
+    estimate reaches 1 - level.
 
     Raises DegenerateWeightsError when the null assigns no mass to any
     sampled outcome, and LowEffectiveSampleError when the coverage weights
@@ -245,8 +245,7 @@ def mc_build_decision_row(model: GenericModel, eta: Any, samples: PooledSamples,
             f"effective sample size {ess:.1f} below floor {cfg.ess_floor:.1f} at eta {eta!r}"
         )
 
-    order = np.lexsort((-f, -log_g))
-    included = _admit_tie_groups(order, log_g, v, (1.0 - cfg.level) * total_v)
+    included = _admit_tie_groups(log_g, v, (1.0 - cfg.level) * total_v)
     threshold, covered = _row_summary(log_g, v, included)
     return McDecisionRow(
         eta=eta,

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .csvtext import csv_text, point, value
-from .decisions import DecisionMatrix, coverage, _check_index
+from .decisions import DecisionMatrix, _check_index
 from .distributions import (
     BetaPrior,
     beta_binom_pmf_support,
@@ -57,9 +57,9 @@ class PowerCurve:
 class AveragePowerReport:
     """Grid-measure power averages for one matrix and averaging prior.
 
-    ``weights`` is the unnormalized grid measure shared by both axes.
-    ``overall`` equals the weighted sum of ``per_theta`` and of ``per_eta``;
-    the three are different contractions of one double sum.
+    ``weights`` is the unnormalized grid measure w (total z) on both axes, and
+    ``per_theta / z`` is the per-theta average power. ``overall``, the double
+    sum over w (``w @ per_theta`` or ``w @ per_eta``), exceeds 1 when z does.
     """
 
     weights: np.ndarray
@@ -68,16 +68,20 @@ class AveragePowerReport:
     overall: float
 
 
+def _rejection(matrix: DecisionMatrix, pmf: np.ndarray) -> np.ndarray:
+    """Rejection probability at every grid null for outcomes drawn from pmf."""
+    return np.clip(1.0 - matrix.inclusion_matrix().astype(float) @ pmf, 0.0, 1.0)
+
+
 def power(matrix: DecisionMatrix, theta: float, eta_index: int) -> float:
     """Probability under theta of rejecting the null at eta_index."""
-    return float(np.clip(1.0 - coverage(matrix, theta, eta_index), 0.0, 1.0))
+    eta_index = _check_index(matrix, eta_index)
+    return float(power_curve(matrix, theta).values[eta_index])
 
 
 def power_curve(matrix: DecisionMatrix, theta: float) -> PowerCurve:
     """Power against every grid null for draws from theta."""
-    pmf = binom_pmf_support(matrix.config.model, theta)
-    values = np.clip(1.0 - matrix.inclusion_matrix().astype(float) @ pmf, 0.0, 1.0)
-    return PowerCurve(theta=float(theta), values=values)
+    return PowerCurve(theta=float(theta), values=_rejection(matrix, binom_pmf_support(matrix.config.model, theta)))
 
 
 def _grid_measure(matrix: DecisionMatrix, prior: BetaPrior) -> np.ndarray:
@@ -87,21 +91,20 @@ def _grid_measure(matrix: DecisionMatrix, prior: BetaPrior) -> np.ndarray:
     return dens * grid.cell_widths
 
 
-def _weighted_power(matrix: DecisionMatrix, w: np.ndarray, theta: float) -> float:
-    return float(w @ power_curve(matrix, theta).values / w.sum())
+def _per_theta(matrix: DecisionMatrix, w: np.ndarray, pmfs: np.ndarray) -> np.ndarray:
+    """Power summed over the nulls under measure w, z - pmfs @ (D^T w), for each pmf."""
+    return w.sum() - pmfs @ (matrix.inclusion_matrix().astype(float).T @ w)
 
 
 def avg_power_given_theta(matrix: DecisionMatrix, theta: float) -> float:
     """Average power over grid nulls for one theta, under the matrix's prior.
 
-    Null values are weighted by the construction prior's density at the grid
-    points, renormalized to sum to one.
+    Null values are weighted by the construction prior's grid measure,
+    renormalized to sum to one. theta need not be a grid point.
     """
-    return _weighted_power(matrix, _grid_measure(matrix, matrix.config.prior), theta)
-
-
-def _mixed_power(bb: np.ndarray, included: np.ndarray) -> float:
-    return float(np.clip(1.0 - bb[included].sum(), 0.0, 1.0))
+    w = _grid_measure(matrix, matrix.config.prior)
+    pmf = binom_pmf_support(matrix.config.model, theta)
+    return float(np.clip(_per_theta(matrix, w, pmf) / w.sum(), 0.0, 1.0))
 
 
 def mixed_power_given_eta(matrix: DecisionMatrix, eta_index: int) -> float:
@@ -112,7 +115,7 @@ def mixed_power_given_eta(matrix: DecisionMatrix, eta_index: int) -> float:
     """
     eta_index = _check_index(matrix, eta_index)
     bb = beta_binom_pmf_support(matrix.config.model, matrix.config.prior)
-    return _mixed_power(bb, matrix.included[eta_index])
+    return float(_rejection(matrix, bb)[eta_index])
 
 
 def average_power_report(matrix: DecisionMatrix, averaging_prior: BetaPrior) -> AveragePowerReport:
@@ -125,21 +128,15 @@ def average_power_report(matrix: DecisionMatrix, averaging_prior: BetaPrior) -> 
     With D the inclusion matrix, P the binomial kernel at the grid points,
     and w the measure, the double sum is
 
-        overall = sum_j w_j * (Z - sum_x D[j, x] * (w @ P)[x]),  Z = sum(w)
+        overall = sum_t w_t * (Z - sum_x P[t, x] * (D^T w)[x]),  Z = sum(w)
 
     and per_theta, per_eta are its two partial contractions.
     """
-    grid = matrix.config.grid
     w = _grid_measure(matrix, averaging_prior)
-    z = float(w.sum())
-    d = matrix.inclusion_matrix().astype(float)
-    p = np.array([binom_pmf_support(matrix.config.model, t) for t in grid.points])
-    data_mix = w @ p
-    accept_mass = d.T @ w
-    per_theta = z - p @ accept_mass
-    per_eta = z - d @ data_mix
-    overall = float(z * z - data_mix @ accept_mass)
-    return AveragePowerReport(weights=w, per_theta=per_theta, per_eta=per_eta, overall=overall)
+    p = np.array([binom_pmf_support(matrix.config.model, t) for t in matrix.config.grid.points])
+    per_theta = _per_theta(matrix, w, p)
+    per_eta = w.sum() - matrix.inclusion_matrix().astype(float) @ (w @ p)
+    return AveragePowerReport(weights=w, per_theta=per_theta, per_eta=per_eta, overall=float(w @ per_theta))
 
 
 def overall_avg_power(matrix: DecisionMatrix, averaging_prior: BetaPrior) -> float:
@@ -168,20 +165,15 @@ def power_curves_csv(curves: Sequence[PowerCurve], grid_points: np.ndarray) -> s
 
 def mixed_power_csv(matrix: DecisionMatrix) -> str:
     """Mixed power at every grid null: eta,mixed_power."""
-    bb = beta_binom_pmf_support(matrix.config.model, matrix.config.prior)
-    return csv_text(
-        "eta,mixed_power",
-        ((point(eta), value(_mixed_power(bb, row))) for eta, row in zip(matrix.config.grid.points, matrix.included)),
-    )
+    values = _rejection(matrix, beta_binom_pmf_support(matrix.config.model, matrix.config.prior))
+    return csv_text("eta,mixed_power", ((point(eta), value(v)) for eta, v in zip(matrix.config.grid.points, values)))
 
 
-def avg_power_csv(matrix: DecisionMatrix, thetas: np.ndarray) -> str:
-    """Per-theta average power at the given thetas: theta,avg_power."""
-    w = _grid_measure(matrix, matrix.config.prior)
-    return csv_text(
-        "theta,avg_power",
-        ((point(theta), value(_weighted_power(matrix, w, float(theta)))) for theta in thetas),
-    )
+def avg_power_csv(matrix: DecisionMatrix) -> str:
+    """Per-theta average power at every grid point, under the matrix's prior: theta,avg_power."""
+    report = average_power_report(matrix, matrix.config.prior)
+    values = np.clip(report.per_theta / report.weights.sum(), 0.0, 1.0)
+    return csv_text("theta,avg_power", ((point(t), value(v)) for t, v in zip(matrix.config.grid.points, values)))
 
 
 def power_table_csv(values: np.ndarray, row_labels: Sequence[str], column_labels: Sequence[str]) -> str:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import warnings
 
 import numpy as np
@@ -254,6 +255,14 @@ class TestCsv:
         garbled[1] = ",".join([eta_s, x_s, "yes", thr_s])
         with pytest.raises(ValueError, match="included flag must be 0 or 1"):
             decision_matrix_from_csv("\n".join(garbled), config)
+
+        for column, name, token in ((1, "x", "one"), (3, "threshold", "abc")):
+            unreadable = lines[:]
+            parts = unreadable[1].split(",")
+            parts[column] = token
+            unreadable[1] = ",".join(parts)
+            with pytest.raises(ValueError, match=re.escape(f"unreadable {name} '{token}' in line '{unreadable[1]}'")):
+                decision_matrix_from_csv("\n".join(unreadable), config)
 
         flipped = lines[:]
         eta_s, x_s, inc_s, thr_s = flipped[1].split(",")

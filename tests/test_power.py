@@ -90,6 +90,15 @@ class TestAvgPowerGivenTheta:
         values = np.array([avg_power_given_theta(matrix_inf, float(t)) for t in grid499.points])
         assert grid499.points[int(np.argmin(values))] == 0.5
 
+    def test_is_the_weighted_power_curve(self, matrix_non, matrix_inf, grid499):
+        # The per-theta contraction equals the definition: the power curve
+        # averaged over the nulls under the construction prior's measure.
+        for matrix in (matrix_non, matrix_inf):
+            w = average_power_report(matrix, matrix.config.prior).weights
+            for theta in [*grid499.points[::25], 0.3141]:
+                expected = w @ power_curve(matrix, float(theta)).values / w.sum()
+                assert avg_power_given_theta(matrix, float(theta)) == pytest.approx(expected, abs=1e-12)
+
     @pytest.mark.parametrize("theta", [0.5, 0.55, 0.6])
     def test_agrees_with_tenfold_grid(self, matrix_non, matrix_inf, theta):
         fine = ParameterGrid.regular(4990, 0.002, 0.998)
@@ -181,15 +190,15 @@ class TestSerialization:
         mixed_lines = mixed_power_csv(matrix).splitlines()
         assert mixed_lines[0] == "eta,mixed_power"
         assert len(mixed_lines) == 500
-        avg_lines = avg_power_csv(matrix, np.array([0.5, 0.6])).splitlines()
+        avg_lines = avg_power_csv(matrix).splitlines()
         assert avg_lines[0] == "theta,avg_power"
-        assert len(avg_lines) == 3
+        assert len(avg_lines) == 500
 
     def test_csv_rows_print_the_scalar_values(self):
         grid = ParameterGrid.regular(49, 0.02, 0.98)
         matrix = build_decision_matrix(TestConfig(0.05, BinomialModel(20), BetaPrior(0.5, 0.5), grid))
         mixed = mixed_power_csv(matrix).splitlines()[1:]
-        avg = avg_power_csv(matrix, grid.points).splitlines()[1:]
+        avg = avg_power_csv(matrix).splitlines()[1:]
         assert len(mixed) == len(avg) == len(grid)
         for j, eta in enumerate(grid.points):
             assert mixed[j] == f"{eta:.6f},{mixed_power_given_eta(matrix, j):.12g}"

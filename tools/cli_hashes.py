@@ -1,0 +1,83 @@
+"""Write the CLI's contract files and print their SHA-256 digests.
+
+Runs nine subcommand invocations (``construct`` with both priors, ``ci`` at
+x = 0, n/2 and n, ``power``, ``table1``, ``compare-cp`` and ``mc-validate``)
+at four configurations, in one process through ``avgpower.cli.main``. That
+gives 13 files per configuration and 52 in all, written under ``--out DIR``
+and listed on stdout as sorted ``sha256  path`` lines, paths relative to DIR.
+
+Compare two checkouts by running it in each and diffing the listings:
+
+    python3 tools/cli_hashes.py --out /tmp/before > before.txt
+    python3 tools/cli_hashes.py --out /tmp/after > after.txt
+    diff before.txt after.txt
+
+The package is imported from the ``src/`` next to this script, so each
+checkout hashes its own code.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+
+from avgpower.cli import main  # noqa: E402
+
+# name -> (n, grid flags)
+CONFIGS = {
+    "n100_g499": (100, ["--grid-points", "499"]),
+    "n100_g1001": (100, ["--grid-points", "1001"]),
+    "n1000_g499": (1000, ["--grid-points", "499"]),
+    "n20_g49": (20, ["--grid-points", "49", "--grid-min", "0.02", "--grid-max", "0.98"]),
+}
+
+
+def commands(n: int) -> list:
+    """(subdirectory, argv) for every invocation at n trials."""
+    return [
+        ("construct_non", ["construct"]),
+        ("construct_inf", ["construct", "--prior-a", "100", "--prior-b", "100"]),
+        *((f"ci_x{x}", ["ci", "--x", str(x)]) for x in (0, n // 2, n)),
+        ("power", ["power"]),
+        ("table1", ["table1"]),
+        ("compare_cp", ["compare-cp"]),
+        ("mc_validate", ["mc-validate"]),
+    ]
+
+
+def write_all(out: str) -> list:
+    """Run every invocation into ``out`` and return the written file paths."""
+    for name, (n, grid) in CONFIGS.items():
+        for sub, argv in commands(n):
+            target = os.path.join(out, name, sub)
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main([*argv, "--n", str(n), *grid, "--out", target])
+            if code != 0:
+                raise SystemExit(f"{name}/{sub}: exit {code}")
+    return sorted(
+        os.path.relpath(os.path.join(root, f), out) for root, _dirs, files in os.walk(out) for f in files
+    )
+
+
+def sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def main_hashes(argv: list | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True, help="directory for the CLI files (created if missing)")
+    args = parser.parse_args(argv)
+    for rel in write_all(args.out):
+        print(f"{sha256(os.path.join(args.out, rel))}  {rel}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main_hashes())
