@@ -200,11 +200,18 @@ def _admit_tie_groups(log_g: np.ndarray, mass: np.ndarray, target: float) -> np.
     Adjacent ranked values chain into one tie group while their densities
     stay within TIE_RTOL of each other (equal infinities tie), and a tie
     group is admitted or withheld as a unit.
+
+    Raises ValueError when even the whole support falls short of ``target``.
     """
     order = np.argsort(-log_g, kind="stable")
     ranked = log_g[order]
     starts = np.concatenate(([0], np.flatnonzero(ranked[1:] < ranked[:-1] - _LOG_TIE_TOL) + 1))
     reached = np.cumsum(np.add.reduceat(mass[order], starts))
+    if reached[-1] < target:
+        raise ValueError(
+            f"no set of outcomes reaches the coverage target {target!r}: "
+            f"the whole support holds {float(reached[-1])!r}"
+        )
     # Groups enter up to and including the first that brings the mass to target.
     taken = int(np.count_nonzero(reached < target)) + 1
     stop = starts[taken] if taken < starts.size else order.size

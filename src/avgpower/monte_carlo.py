@@ -1,13 +1,12 @@
 """Monte Carlo construction of decision rows for models given as plug-ins.
 
-The engine never sees a model's algebra. A plug-in supplies four callables:
-a batched likelihood evaluator, a parameter sampler (from the prior or a
-proposal), a batched data sampler, and the prior-to-proposal density ratio
-that rescales proposal draws back to prior expectations. From those the
-engine samples parameters, samples a row of data under each, estimates the
-prior predictive mass of every distinct observed outcome by self-normalized
-importance weighting, and builds per-null acceptance rows by the same
-posterior-descending greedy rule as the exact path.
+The engine never sees a model's algebra. A plug-in supplies three callables:
+a batched likelihood evaluator, a prior sampler and a batched data sampler.
+From those the engine samples parameters from the prior, samples a row of
+data under each, estimates the prior predictive mass of every distinct
+observed outcome as the mean of the sampled likelihoods, and builds per-null
+acceptance rows by the same posterior-descending greedy rule as the exact
+path.
 
 Randomness is counter-based. Parameter draws use the stream keyed by
 (seed, 0); the data row of parameter i uses its own stream keyed by
@@ -33,7 +32,6 @@ __all__ = [
     "LowEffectiveSampleError",
     "GenericModel",
     "McConfig",
-    "ParamSample",
     "DataSample",
     "PooledSamples",
     "McDecisionRow",
@@ -50,23 +48,21 @@ __all__ = [
 
 
 class DegenerateWeightsError(RuntimeError):
-    """All importance mass vanished; no estimate is possible."""
+    """The null assigns no likelihood to any sampled outcome; no estimate is possible."""
 
 
 class LowEffectiveSampleError(RuntimeError):
-    """Importance weights are too concentrated to trust the estimate."""
+    """A null's coverage weights are too concentrated to trust the estimate."""
 
 
 @dataclass(frozen=True)
 class GenericModel:
-    """Model plug-in: four callables, no other contract.
+    """Model plug-in: three callables, no other contract.
 
     likelihood(outcomes, parameter) takes a 1-D array of data values and
     returns the array of their sampling densities; sample_param(rng) draws
-    one parameter from the proposal; sample_data(rng, parameter, size) draws
-    a 1-D array of size data values; and prior_density_ratio(parameter) is
-    prior density over proposal density at the drawn parameter (identically
-    1 when the proposal is the prior).
+    one parameter from the prior; and sample_data(rng, parameter, size)
+    draws a 1-D array of size data values.
 
     Data values must be elements of a numpy array that np.unique can sort:
     distinct outcomes are pooled with np.unique and reported in sorted order.
@@ -75,7 +71,6 @@ class GenericModel:
     likelihood: Callable[[np.ndarray, Any], np.ndarray]
     sample_param: Callable[[Generator], Any]
     sample_data: Callable[[Generator, Any, int], np.ndarray]
-    prior_density_ratio: Callable[[Any], float]
 
 
 @dataclass(frozen=True)
@@ -89,27 +84,21 @@ class McConfig:
     ess_floor: float = 100.0
 
     def __post_init__(self) -> None:
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
         for name in ("n_params", "n_data_per_param"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         object.__setattr__(self, "level", check_level(self.level))
         floor = float(self.ess_floor)
         if not (math.isfinite(floor) and floor >= 0.0):
             raise ValueError(f"ess_floor must be finite and nonnegative, got {self.ess_floor!r}")
         object.__setattr__(self, "ess_floor", floor)
-
-
-@dataclass(eq=False)
-class ParamSample:
-    """Proposal draws with their prior-correcting importance weights."""
-
-    params: list
-    weights: np.ndarray
 
 
 @dataclass(eq=False)
@@ -123,17 +112,14 @@ class DataSample:
 class PooledSamples:
     """Distinct outcomes with every per-outcome quantity the rows need.
 
-    mix_density estimates the prior predictive mass of each outcome by
-    self-normalized importance weighting over the parameter draws.
-    data_proposal is the density under which the pooled data were actually
-    generated (the unweighted mixture of the sampled likelihoods); coverage
-    sums are importance-corrected against it.
+    mix_density is the mean of the sampled likelihoods at each outcome: the
+    estimate of its prior predictive mass, and the density under which the
+    pooled data were generated.
     """
 
     outcomes: np.ndarray
     counts: np.ndarray
     mix_density: np.ndarray
-    data_proposal: np.ndarray
 
 
 @dataclass(eq=False)
@@ -178,42 +164,29 @@ def _likelihood(model: GenericModel, outcomes: np.ndarray, param: Any) -> np.nda
     return f
 
 
-def mc_sample_params(model: GenericModel, cfg: McConfig) -> ParamSample:
-    """Draw the parameter sample and its prior-correcting weights.
-
-    When the proposal is the prior the weights are identically 1.
-
-    Raises DegenerateWeightsError when every weight is zero.
-    """
+def mc_sample_params(model: GenericModel, cfg: McConfig) -> list:
+    """Draw cfg.n_params parameters from the prior."""
     rng = _param_rng(cfg)
-    params = [model.sample_param(rng) for _ in range(cfg.n_params)]
-    weights = np.array([float(model.prior_density_ratio(p)) for p in params])
-    if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
-        raise ValueError("importance weights must be finite and nonnegative")
-    if weights.sum() == 0.0:
-        raise DegenerateWeightsError("all importance weights are zero")
-    return ParamSample(params=params, weights=weights)
+    return [model.sample_param(rng) for _ in range(cfg.n_params)]
 
 
-def mc_sample_data(model: GenericModel, params: ParamSample, cfg: McConfig) -> DataSample:
+def mc_sample_data(model: GenericModel, params: Sequence[Any], cfg: McConfig) -> DataSample:
     """Draw a row of n_data_per_param values under each sampled parameter."""
     m = cfg.n_data_per_param
-    draws = np.stack([np.asarray(model.sample_data(_data_rng(cfg, i), p, m)) for i, p in enumerate(params.params)])
-    if draws.shape != (len(params.params), m):
+    draws = np.stack([np.asarray(model.sample_data(_data_rng(cfg, i), p, m)) for i, p in enumerate(params)])
+    if draws.shape != (len(params), m):
         raise ValueError(f"sample_data must return a 1-D array of {m} values")
     return DataSample(draws=draws)
 
 
-def pool_samples(model: GenericModel, params: ParamSample, data: DataSample) -> PooledSamples:
-    """Collapse the raw draws to distinct outcomes and estimate densities."""
+def pool_samples(model: GenericModel, params: Sequence[Any], data: DataSample) -> PooledSamples:
+    """Collapse the raw draws to distinct outcomes and estimate their prior predictive mass."""
     outcomes, counts = np.unique(data.draws, return_counts=True)
-    lik = np.stack([_likelihood(model, outcomes, p) for p in params.params])
-    mix = params.weights @ lik / params.weights.sum()
-    proposal = lik.mean(axis=0)
-    if np.any(proposal == 0.0):
-        bad = outcomes[int(np.argmax(proposal == 0.0))]
+    mix = np.stack([_likelihood(model, outcomes, p) for p in params]).mean(axis=0)
+    if np.any(mix == 0.0):
+        bad = outcomes[int(np.argmax(mix == 0.0))]
         raise ValueError(f"likelihood assigns zero density to sampled outcome {bad}")
-    return PooledSamples(outcomes=outcomes, counts=counts, mix_density=mix, data_proposal=proposal)
+    return PooledSamples(outcomes=outcomes, counts=counts, mix_density=mix)
 
 
 def mc_build_decision_row(model: GenericModel, eta: Any, samples: PooledSamples, cfg: McConfig) -> McDecisionRow:
@@ -221,8 +194,9 @@ def mc_build_decision_row(model: GenericModel, eta: Any, samples: PooledSamples,
 
     Outcomes are ordered by the estimated posterior-to-prior density ratio
     (likelihood over estimated predictive mass), tie groups entering
-    atomically, and admitted until the importance-corrected coverage
-    estimate reaches 1 - level.
+    atomically, and admitted until the coverage estimate reaches 1 - level.
+    In that estimate a draw of outcome k weighs f_k / mix_density_k: the
+    null likelihood over the prior predictive density it was drawn from.
 
     Raises DegenerateWeightsError when the null assigns no mass to any
     sampled outcome, and LowEffectiveSampleError when the coverage weights
@@ -235,10 +209,10 @@ def mc_build_decision_row(model: GenericModel, eta: Any, samples: PooledSamples,
 
     with np.errstate(divide="ignore", invalid="ignore"):
         log_g = np.where(f == 0.0, -np.inf, np.log(f) - np.log(samples.mix_density))
-    v = samples.counts * f / samples.data_proposal
+    v = samples.counts * f / samples.mix_density
     total_v = float(v.sum())
     # Effective sample size of the raw draws, not of the pooled atoms: each
-    # of the count_k draws behind atom k carries the weight f_k / q_k.
+    # of the count_k draws behind atom k carries the weight f_k / mix_k.
     ess = total_v**2 / float((v * v / samples.counts).sum())
     if ess < cfg.ess_floor:
         raise LowEffectiveSampleError(
@@ -266,12 +240,11 @@ def mc_decision_rows(model: GenericModel, cfg: McConfig, etas: Sequence[Any]) ->
 
 
 def make_binomial_plugin(model: BinomialModel, prior: BetaPrior) -> GenericModel:
-    """Binomial likelihood with a beta prior, proposal equal to the prior."""
+    """Binomial likelihood with a beta prior."""
     return GenericModel(
         likelihood=lambda outcomes, theta: binom_pmf(outcomes, model, float(theta)),
         sample_param=lambda rng: float(rng.beta(prior.a, prior.b)),
         sample_data=lambda rng, theta, size: rng.binomial(model.n, theta, size),
-        prior_density_ratio=lambda theta: 1.0,
     )
 
 

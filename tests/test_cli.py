@@ -54,12 +54,25 @@ class TestConstruct:
         )
 
     def test_overflowing_threshold_fails(self, tmp_path, capsys):
-        # Under Beta(1000, 1) the posterior density of low nulls exceeds the
+        # Under these priors the posterior density of low nulls exceeds the
         # double range: the command refuses to write inf instead of a number.
-        out = str(tmp_path / "extreme")
-        assert run(["construct", "--n", "1000", "--prior-a", "1000", "--prior-b", "1", "--out", out]) == 1
-        assert "error: threshold at eta 0.002000 does not fit in a double" in capsys.readouterr().err
-        assert os.listdir(out) == []
+        cases = [
+            (["--n", "1000", "--prior-a", "1000", "--prior-b", "1"], ""),
+            (["--n", "2000", "--prior-a", "1e4", "--prior-b", "1e4", "--grid-points", "49"], " (8 rows overflow)"),
+            (["--n", "3000", "--prior-a", "1e4", "--prior-b", "0.01", "--grid-points", "49"], " (41 rows overflow)"),
+        ]
+        for k, (flags, rows) in enumerate(cases):
+            out = str(tmp_path / f"extreme{k}")
+            assert run(["construct", *flags, "--out", out]) == 1
+            assert f"error: threshold at eta 0.002000 does not fit in a double{rows}" in capsys.readouterr().err
+            assert os.listdir(out) == []
+
+    def test_unreachable_coverage_target_fails(self, tmp_path, capsys):
+        # At n=1000 no row's whole support holds 1 - 1e-13 of the pmf.
+        out = str(tmp_path / "tight")
+        assert run(["construct", "--n", "1000", "--alpha", "1e-13", "--grid-points", "49", "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("error: no set of outcomes reaches the coverage target")
+        assert not os.path.exists(out)
 
 
 class TestCi:

@@ -131,6 +131,16 @@ class TestBuildDecisionRow:
             row = build_decision_row(eta, config)
             assert row.achieved_coverage >= 1.0 - config.level
 
+    def test_unreachable_target_raises(self):
+        # At n=1000 the pmf sums to about 1 - 3e-13, short of 1 - 1e-13.
+        config = small_config(n=1000, level=1e-13)
+        with pytest.raises(ValueError, match=r"coverage target 0\.9999999999999: the whole support holds 0\.99999"):
+            build_decision_row(0.5, config)
+
+    def test_tiny_level_meets_target_on_every_row(self):
+        matrix = build_decision_matrix(small_config(n=100, level=1e-12))
+        assert np.all(matrix.achieved_coverage >= 1.0 - 1e-12)
+
     def test_rejects_boundary_eta(self):
         config = small_config()
         for eta in (0.0, 1.0, -0.1, float("nan")):

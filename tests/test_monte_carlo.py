@@ -40,6 +40,10 @@ class TestMcConfig:
         with pytest.raises(ValueError):
             cfg(seed=-1)
         with pytest.raises(ValueError):
+            cfg(seed=True)
+        with pytest.raises(ValueError):
+            cfg(n_params=np.bool_(True))
+        with pytest.raises(ValueError):
             cfg(seed=2**64)
         with pytest.raises(ValueError):
             cfg(seed=1.5)
@@ -52,45 +56,28 @@ class TestMcConfig:
         with pytest.raises(ValueError):
             cfg(ess_floor=-1.0)
 
+    def test_numpy_integers_are_accepted_as_int(self):
+        config = cfg(seed=np.int64(3), n_params=np.int64(40), n_data=np.int32(5))
+        assert (config.seed, config.n_params, config.n_data_per_param) == (3, 40, 5)
+        assert all(type(v) is int for v in (config.seed, config.n_params, config.n_data_per_param))
+        plugin = binom_plugin()
+        assert mc_sample_params(plugin, config) == mc_sample_params(plugin, cfg(seed=3, n_params=40, n_data=5))
+
 
 class TestSampleParams:
     def test_reproducible(self):
         plugin = binom_plugin()
         a = mc_sample_params(plugin, cfg())
         b = mc_sample_params(plugin, cfg())
-        assert a.params == b.params
-        assert np.array_equal(a.weights, b.weights)
+        assert a == b
         c = mc_sample_params(plugin, cfg(seed=8))
-        assert a.params != c.params
-
-    def test_prior_proposal_unit_weights(self):
-        sample = mc_sample_params(binom_plugin(), cfg())
-        assert np.all(sample.weights == 1.0)
+        assert a != c
 
     def test_prior_mean_within_three_standard_errors(self):
         sample = mc_sample_params(binom_plugin(), cfg(n_params=2000))
         # Beta(0.5, 0.5): mean 1/2, variance 1/8.
         se = np.sqrt(0.125 / 2000)
-        assert abs(np.mean(sample.params) - 0.5) <= 3 * se
-
-    def test_weight_validation(self):
-        base = binom_plugin()
-        negative = GenericModel(
-            likelihood=base.likelihood,
-            sample_param=base.sample_param,
-            sample_data=base.sample_data,
-            prior_density_ratio=lambda theta: -1.0,
-        )
-        with pytest.raises(ValueError):
-            mc_sample_params(negative, cfg())
-        zero = GenericModel(
-            likelihood=base.likelihood,
-            sample_param=base.sample_param,
-            sample_data=base.sample_data,
-            prior_density_ratio=lambda theta: 0.0,
-        )
-        with pytest.raises(DegenerateWeightsError):
-            mc_sample_params(zero, cfg())
+        assert abs(np.mean(sample) - 0.5) <= 3 * se
 
 
 class TestSampleData:
@@ -100,7 +87,6 @@ class TestSampleData:
             likelihood=base.likelihood,
             sample_param=lambda rng: 0.0,
             sample_data=base.sample_data,
-            prior_density_ratio=base.prior_density_ratio,
         )
         params = mc_sample_params(at_zero, cfg(n_params=5))
         data = mc_sample_data(at_zero, params, cfg(n_params=5))
@@ -112,7 +98,6 @@ class TestSampleData:
             likelihood=plugin.likelihood,
             sample_param=lambda rng: 0.5,
             sample_data=plugin.sample_data,
-            prior_density_ratio=plugin.prior_density_ratio,
         )
         config = cfg(n_params=100, n_data=100)
         params = mc_sample_params(fixed, config)
@@ -134,7 +119,7 @@ class TestSampleData:
         data = mc_sample_data(plugin, params, config)
         assert data.draws.shape == (config.n_params, config.n_data_per_param)
         for i in (0, 1, 137, config.n_params - 1):
-            alone = plugin.sample_data(_data_rng(config, i), params.params[i], config.n_data_per_param)
+            alone = plugin.sample_data(_data_rng(config, i), params[i], config.n_data_per_param)
             assert np.array_equal(data.draws[i], alone)
 
     def test_fewer_parameters_keep_the_leading_rows(self):
@@ -150,7 +135,6 @@ class TestSampleData:
             likelihood=base.likelihood,
             sample_param=base.sample_param,
             sample_data=lambda rng, theta, size: base.sample_data(rng, theta, size - 1),
-            prior_density_ratio=base.prior_density_ratio,
         )
         config = cfg(n_params=5)
         with pytest.raises(ValueError):
@@ -176,7 +160,7 @@ class TestPooling:
         data = mc_sample_data(plugin, params, config)
         pooled = pool_samples(plugin, params, data)
         bb = beta_binom_pmf_support(BinomialModel(20), BetaPrior(0.5, 0.5))
-        lik = np.array([plugin.likelihood(pooled.outcomes, p) for p in params.params])
+        lik = np.array([plugin.likelihood(pooled.outcomes, p) for p in params])
         se = lik.std(axis=0, ddof=1) / np.sqrt(config.n_params)
         for k, x in enumerate(pooled.outcomes):
             assert abs(pooled.mix_density[k] - bb[x]) <= 3 * se[k] + 1e-12
@@ -190,7 +174,6 @@ class TestPooling:
             likelihood=lambda x, theta: np.zeros(x.shape),
             sample_param=plugin.sample_param,
             sample_data=plugin.sample_data,
-            prior_density_ratio=plugin.prior_density_ratio,
         )
         with pytest.raises(ValueError, match="zero density"):
             pool_samples(broken, params, data)
@@ -198,7 +181,6 @@ class TestPooling:
             likelihood=lambda x, theta: 0.5,
             sample_param=plugin.sample_param,
             sample_data=plugin.sample_data,
-            prior_density_ratio=plugin.prior_density_ratio,
         )
         with pytest.raises(ValueError, match="shape"):
             pool_samples(scalar, params, data)
@@ -220,8 +202,8 @@ class TestBuildRow:
             min(plugin.likelihood(x, 0.41) / pooled.mix_density[k] for k, x in enumerate(row.outcomes) if row.included[k])
         )
 
-    def test_single_point_proposal_collapses_posterior(self):
-        # Proposal concentrated at one parameter: the mixture equals the
+    def test_single_point_prior_collapses_posterior(self):
+        # Prior concentrated at one parameter: the mixture equals the
         # null likelihood, every ratio is 1, and the single tie group admits
         # every sampled outcome.
         base = binom_plugin()
@@ -229,7 +211,6 @@ class TestBuildRow:
             likelihood=base.likelihood,
             sample_param=lambda rng: 0.35,
             sample_data=base.sample_data,
-            prior_density_ratio=lambda theta: 1.0,
         )
         plugin, config, pooled = self.pooled(degenerate)
         row = mc_build_decision_row(degenerate, 0.35, pooled, config)
@@ -246,7 +227,7 @@ class TestBuildRow:
     def test_ess_is_kept_and_above_the_floor(self):
         plugin, config, pooled = self.pooled()
         row = mc_build_decision_row(plugin, 0.41, pooled, config)
-        v = pooled.counts * plugin.likelihood(pooled.outcomes, 0.41) / pooled.data_proposal
+        v = pooled.counts * plugin.likelihood(pooled.outcomes, 0.41) / pooled.mix_density
         assert row.ess == pytest.approx(v.sum() ** 2 / (v * v / pooled.counts).sum(), rel=1e-12)
         assert row.ess >= config.ess_floor
 
@@ -261,7 +242,6 @@ class TestBuildRow:
             likelihood=lambda x, theta: np.where(x == 999, 1.0, 0.0),
             sample_param=plugin.sample_param,
             sample_data=plugin.sample_data,
-            prior_density_ratio=plugin.prior_density_ratio,
         )
         with pytest.raises(DegenerateWeightsError):
             mc_build_decision_row(spiky, 0.41, pooled, config)

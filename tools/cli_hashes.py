@@ -3,8 +3,11 @@
 Runs nine subcommand invocations (``construct`` with both priors, ``ci`` at
 x = 0, n/2 and n, ``power``, ``table1``, ``compare-cp`` and ``mc-validate``)
 at four configurations, in one process through ``avgpower.cli.main``. That
-gives 13 files per configuration and 52 in all, written under ``--out DIR``
-and listed on stdout as sorted ``sha256  path`` lines, paths relative to DIR.
+gives 13 files per configuration and 52 in all, written under ``--out DIR``.
+Each invocation's stdout goes next to its files as ``stdout.txt``, with the
+invocation's ``--out`` path replaced by ``<out>`` so that listings made in
+different directories compare. All 88 files are listed on stdout as sorted
+``sha256  path`` lines, paths relative to DIR.
 
 Compare two checkouts by running it in each and diffing the listings:
 
@@ -52,14 +55,16 @@ def commands(n: int) -> list:
 
 
 def write_all(out: str) -> list:
-    """Run every invocation into ``out`` and return the written file paths."""
+    """Run every invocation into ``out`` and return the written file paths, stdout captures included."""
     for name, (n, grid) in CONFIGS.items():
         for sub, argv in commands(n):
             target = os.path.join(out, name, sub)
-            with contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stdout(io.StringIO()) as stdout:
                 code = main([*argv, "--n", str(n), *grid, "--out", target])
             if code != 0:
                 raise SystemExit(f"{name}/{sub}: exit {code}")
+            with open(os.path.join(target, "stdout.txt"), "w", encoding="utf-8") as fh:
+                fh.write(stdout.getvalue().replace(target, "<out>"))
     return sorted(
         os.path.relpath(os.path.join(root, f), out) for root, _dirs, files in os.walk(out) for f in files
     )
