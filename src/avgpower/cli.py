@@ -66,18 +66,20 @@ TABLE_ROWS = (
     "Non-informative distribution of hypotheses",
 )
 
-# Config-file keys, their parsers, and the RunConfig fields they feed.
-_CONFIG_KEYS = {
-    "n": ("n", int),
-    "alpha": ("level", float),
-    "prior_a": ("prior_a", float),
-    "prior_b": ("prior_b", float),
-    "grid_points": ("grid_points", int),
-    "grid_min": ("grid_min", float),
-    "grid_max": ("grid_max", float),
-    "seed": ("seed", int),
-    "out": ("output_dir", str),
-}
+# One entry per shared setting: (flag, RunConfig field, parser, help). The
+# config-file key is the flag without its dashes, "-" becoming "_".
+_SETTINGS = (
+    ("--n", "n", int, "number of trials"),
+    ("--alpha", "level", float, "test level"),
+    ("--prior-a", "prior_a", float, "prior shape a"),
+    ("--prior-b", "prior_b", float, "prior shape b"),
+    ("--grid-points", "grid_points", int, "grid size"),
+    ("--grid-min", "grid_min", float, "smallest grid value"),
+    ("--grid-max", "grid_max", float, "largest grid value"),
+    ("--seed", "seed", int, "random seed"),
+    ("--out", "output_dir", str, "output directory"),
+)
+_CONFIG_KEYS = {flag[2:].replace("-", "_"): (field, parse) for flag, field, parse, _help in _SETTINGS}
 
 
 @dataclass(frozen=True)
@@ -130,33 +132,38 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     merged: dict = {}
     if args.config is not None:
         merged.update(read_config_file(args.config))
-    for key, (field, _parse) in _CONFIG_KEYS.items():
-        flag_value = getattr(args, field, None)
+    for field, _parse in _CONFIG_KEYS.values():
+        flag_value = getattr(args, field)
         if flag_value is not None:
             merged[field] = flag_value
     return RunConfig(**merged)
 
 
-def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+def _emit(config: RunConfig, files: Sequence[tuple[str, str, str]]) -> None:
+    """Create the output directory, then write each (name, text, note) file and report it.
 
-
-def _out_path(config: RunConfig, name: str) -> str:
+    Callers compute every text first, so a command that fails before this call
+    creates nothing.
+    """
     os.makedirs(config.output_dir, exist_ok=True)
-    return os.path.join(config.output_dir, name)
+    for name, text, note in files:
+        path = os.path.join(config.output_dir, name)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        print(f"wrote {path}{note}")
 
 
 def cmd_construct(config: RunConfig) -> int:
     """Write the full decision matrix and the per-row summary."""
     matrix = build_decision_matrix(config.test_config())
-    matrix_path = _out_path(config, "decision_matrix.csv")
-    rows_path = _out_path(config, "decision_rows.csv")
-    _write(matrix_path, decision_matrix_to_csv(matrix))
-    _write(rows_path, rows_summary_csv(matrix))
     n_rows, n_outcomes = matrix.included.shape
-    print(f"wrote {matrix_path} ({n_rows} nulls x {n_outcomes} outcomes)")
-    print(f"wrote {rows_path}")
+    _emit(
+        config,
+        [
+            ("decision_matrix.csv", decision_matrix_to_csv(matrix), f" ({n_rows} nulls x {n_outcomes} outcomes)"),
+            ("decision_rows.csv", rows_summary_csv(matrix), ""),
+        ],
+    )
     return 0
 
 
@@ -165,9 +172,6 @@ def cmd_ci(config: RunConfig, x: int) -> int:
     test = config.test_config()
     matrix = build_decision_matrix(test)
     region = confidence_region(matrix, x)
-    flags = matrix.included[:, x].astype(int)
-    path = _out_path(config, f"ci_x{x}.csv")
-    _write(path, csv_text("eta,included", ((point(eta), str(flag)) for eta, flag in zip(test.grid.points, flags))))
     if region.is_empty:
         print(f"x={x}: empty region")
     else:
@@ -176,7 +180,9 @@ def cmd_ci(config: RunConfig, x: int) -> int:
             f"x={x}: [{region.lower:.6f}, {region.upper:.6f}], "
             f"{region.accepted.size} of {len(test.grid)} grid values accepted, {shape}"
         )
-    print(f"wrote {path}")
+    flags = matrix.included[:, x].astype(int)
+    text = csv_text("eta,included", ((point(eta), str(flag)) for eta, flag in zip(test.grid.points, flags)))
+    _emit(config, [(f"ci_x{x}.csv", text, "")])
     return 0
 
 
@@ -189,36 +195,29 @@ def cmd_power(config: RunConfig, thetas: Sequence[float]) -> int:
     test = config.test_config()
     matrix = build_decision_matrix(test)
     curves = [power_curve(matrix, theta) for theta in thetas]
-    curves_path = _out_path(config, "power_curves.csv")
-    mixed_path = _out_path(config, "mixed_power.csv")
-    avg_path = _out_path(config, "avg_power.csv")
-    _write(curves_path, power_curves_csv(curves, test.grid.points))
-    _write(mixed_path, mixed_power_csv(matrix))
-    _write(avg_path, avg_power_csv(matrix))
-    print(f"wrote {curves_path} ({len(curves)} curves)")
-    print(f"wrote {mixed_path}")
-    print(f"wrote {avg_path}")
+    _emit(
+        config,
+        [
+            ("power_curves.csv", power_curves_csv(curves, test.grid.points), f" ({len(curves)} curves)"),
+            ("mixed_power.csv", mixed_power_csv(matrix), ""),
+            ("avg_power.csv", avg_power_csv(matrix), ""),
+        ],
+    )
     return 0
 
 
-def cmd_table1(non_informative: RunConfig, informative: RunConfig) -> int:
-    """Write the 2x2 overall-average-power table crossing the two priors.
+def cmd_table1(config: RunConfig, informative_prior: BetaPrior) -> int:
+    """Write the 2x2 overall-average-power table crossing two priors.
 
-    Row and column labels assume the conventional prior roles: the second
-    config carries the informative (concentrated) prior, the first the
-    non-informative one.
+    The first test averages over config's (non-informative) prior, the
+    second over ``informative_prior``; everything else they share.
     """
-    for field in ("n", "level", "grid_points", "grid_min", "grid_max"):
-        if getattr(non_informative, field) != getattr(informative, field):
-            raise ValueError(f"the two configs must agree on {field}")
-    m_non = build_decision_matrix(non_informative.test_config())
-    m_inf = build_decision_matrix(informative.test_config())
-    p_non = BetaPrior(a=non_informative.prior_a, b=non_informative.prior_b)
-    p_inf = BetaPrior(a=informative.prior_a, b=informative.prior_b)
-    values = overall_power_grid([m_inf, m_non], [p_inf, p_non])
-    path = _out_path(non_informative, "table1.csv")
-    _write(path, power_table_csv(values, list(TABLE_ROWS), list(TABLE_COLUMNS)))
-    print(f"wrote {path}")
+    non_informative = config.test_config()
+    informative = replace(non_informative, prior=informative_prior)
+    m_non = build_decision_matrix(non_informative)
+    m_inf = build_decision_matrix(informative)
+    values = overall_power_grid([m_inf, m_non], [informative.prior, non_informative.prior])
+    _emit(config, [("table1.csv", power_table_csv(values, list(TABLE_ROWS), list(TABLE_COLUMNS)), "")])
     return 0
 
 
@@ -226,19 +225,21 @@ def cmd_compare_cp(config: RunConfig) -> int:
     """Write per-outcome endpoints of the proposed and baseline intervals."""
     matrix = build_decision_matrix(config.test_config())
     comparison = compare_lengths(matrix)
-    path = _out_path(config, "cp_comparison.csv")
-    _write(path, comparison_csv(comparison))
     print(
         f"mean length proposed {comparison.mean_proposed_length:.6f} "
         f"vs baseline {comparison.mean_cp_length:.6f} "
         f"(grid step {comparison.grid_step:.6f})"
     )
-    print(f"wrote {path}")
+    _emit(config, [("cp_comparison.csv", comparison_csv(comparison), "")])
     return 0
 
 
 def cmd_mc_validate(config: RunConfig, mc: McConfig, min_agreement: float) -> int:
-    """Compare Monte Carlo rows against the exact matrix on the same grid."""
+    """Compare Monte Carlo rows against the exact matrix on the same grid.
+
+    The agreement file is written even when agreement falls below
+    ``min_agreement``; the exit status then is 1.
+    """
     min_agreement = check_probability(min_agreement, "min_agreement")
     test = config.test_config()
     plugin = make_binomial_plugin(test.model, test.prior)
@@ -249,12 +250,10 @@ def cmd_mc_validate(config: RunConfig, mc: McConfig, min_agreement: float) -> in
         return 1
     matrix = build_decision_matrix(test)
     report = agreement_with_matrix(rows, matrix)
-    path = _out_path(config, "mc_agreement.csv")
-    _write(path, agreement_csv(report, test.grid.points))
     print(f"overall agreement {report.overall:.6f} (threshold {min_agreement:.6f})")
     lowest = min(rows, key=lambda row: row.ess)
     print(f"minimum effective sample size {lowest.ess:.1f} at eta {lowest.eta:.6f}")
-    print(f"wrote {path}")
+    _emit(config, [("mc_agreement.csv", agreement_csv(report, test.grid.points), "")])
     if report.overall < min_agreement:
         print("agreement below threshold", file=sys.stderr)
         return 1
@@ -263,15 +262,20 @@ def cmd_mc_validate(config: RunConfig, mc: McConfig, min_agreement: float) -> in
 
 def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value file; flags override its entries")
-    parser.add_argument("--n", type=int, help="number of trials (default 100)")
-    parser.add_argument("--alpha", dest="level", type=float, help="test level (default 0.05)")
-    parser.add_argument("--prior-a", dest="prior_a", type=float, help="prior shape a (default 0.5)")
-    parser.add_argument("--prior-b", dest="prior_b", type=float, help="prior shape b (default 0.5)")
-    parser.add_argument("--grid-points", dest="grid_points", type=int, help="grid size (default 499)")
-    parser.add_argument("--grid-min", dest="grid_min", type=float, help="smallest grid value (default 0.002)")
-    parser.add_argument("--grid-max", dest="grid_max", type=float, help="largest grid value (default 0.998)")
-    parser.add_argument("--seed", type=int, help="random seed (default 1729)")
-    parser.add_argument("--out", dest="output_dir", help="output directory (default current)")
+    defaults = RunConfig()
+    for flag, field, parse, text in _SETTINGS:
+        parser.add_argument(flag, dest=field, type=parse, help=f"{text} (default {getattr(defaults, field)})")
+
+
+def _run_mc_validate(config: RunConfig, args: argparse.Namespace) -> int:
+    mc = McConfig(
+        seed=config.seed,
+        n_params=args.mc_params,
+        n_data_per_param=args.mc_data_per_param,
+        level=config.level,
+        ess_floor=args.ess_floor,
+    )
+    return cmd_mc_validate(config, mc, args.min_agreement)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -283,10 +287,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build and write the decision matrix")
     _add_shared_flags(p)
+    p.set_defaults(run=lambda config, args: cmd_construct(config))
 
     p = sub.add_parser("ci", help="confidence region for one observed outcome")
     _add_shared_flags(p)
     p.add_argument("--x", type=int, required=True, help="observed number of successes")
+    p.set_defaults(run=lambda config, args: cmd_ci(config, args.x))
 
     p = sub.add_parser("power", help="power curves and averaged powers")
     _add_shared_flags(p)
@@ -296,14 +302,17 @@ def _build_parser() -> argparse.ArgumentParser:
         action="append",
         help="data-generating value; repeatable (default: 0.5 0.55 0.6)",
     )
+    p.set_defaults(run=lambda config, args: cmd_power(config, args.theta or DEFAULT_THETAS))
 
     p = sub.add_parser("table1", help="2x2 overall average power across two priors")
     _add_shared_flags(p)
-    p.add_argument("--prior-a2", dest="prior_a2", type=float, help="informative prior shape a (default 100)")
-    p.add_argument("--prior-b2", dest="prior_b2", type=float, help="informative prior shape b (default 100)")
+    p.add_argument("--prior-a2", type=float, default=100.0, help="informative prior shape a (default 100)")
+    p.add_argument("--prior-b2", type=float, default=100.0, help="informative prior shape b (default 100)")
+    p.set_defaults(run=lambda config, args: cmd_table1(config, BetaPrior(a=args.prior_a2, b=args.prior_b2)))
 
     p = sub.add_parser("compare-cp", help="interval endpoints versus the equal-tail baseline")
     _add_shared_flags(p)
+    p.set_defaults(run=lambda config, args: cmd_compare_cp(config))
 
     p = sub.add_parser("mc-validate", help="Monte Carlo construction versus the exact matrix")
     _add_shared_flags(p)
@@ -329,42 +338,17 @@ def _build_parser() -> argparse.ArgumentParser:
         default=100.0,
         help="minimum effective sample size per null (default 100)",
     )
+    p.set_defaults(run=_run_mc_validate)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = _resolve_config(args)
-        if args.command == "construct":
-            return cmd_construct(config)
-        if args.command == "ci":
-            return cmd_ci(config, args.x)
-        if args.command == "power":
-            thetas = args.theta if args.theta is not None else list(DEFAULT_THETAS)
-            return cmd_power(config, thetas)
-        if args.command == "table1":
-            informative = replace(
-                config,
-                prior_a=args.prior_a2 if args.prior_a2 is not None else 100.0,
-                prior_b=args.prior_b2 if args.prior_b2 is not None else 100.0,
-            )
-            return cmd_table1(config, informative)
-        if args.command == "compare-cp":
-            return cmd_compare_cp(config)
-        if args.command == "mc-validate":
-            mc = McConfig(
-                seed=config.seed,
-                n_params=args.mc_params,
-                n_data_per_param=args.mc_data_per_param,
-                level=config.level,
-                ess_floor=args.ess_floor,
-            )
-            return cmd_mc_validate(config, mc, args.min_agreement)
+        return args.run(_resolve_config(args), args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

@@ -194,14 +194,15 @@ class ConfidenceRegion:
         return self.accepted.size == 0
 
 
-def _admit_tie_groups(log_g: np.ndarray, mass: np.ndarray, target: float) -> np.ndarray:
+def _admit_tie_groups(log_g: np.ndarray, mass: np.ndarray, target: float, eta_label: str) -> np.ndarray:
     """Inclusion flags from admitting outcomes by descending ``log_g`` until ``mass`` reaches ``target``.
 
     Adjacent ranked values chain into one tie group while their densities
     stay within TIE_RTOL of each other (equal infinities tie), and a tie
     group is admitted or withheld as a unit.
 
-    Raises ValueError when even the whole support falls short of ``target``.
+    Raises ValueError, naming the null as ``eta_label``, when even the whole
+    support falls short of ``target``.
     """
     order = np.argsort(-log_g, kind="stable")
     ranked = log_g[order]
@@ -210,7 +211,7 @@ def _admit_tie_groups(log_g: np.ndarray, mass: np.ndarray, target: float) -> np.
     if reached[-1] < target:
         raise ValueError(
             f"no set of outcomes reaches the coverage target {target!r}: "
-            f"the whole support holds {float(reached[-1])!r}"
+            f"the whole support holds {float(reached[-1])!r} at eta {eta_label}"
         )
     # Groups enter up to and including the first that brings the mass to target.
     taken = int(np.count_nonzero(reached < target)) + 1
@@ -260,7 +261,7 @@ def build_decision_row(eta: float, config: TestConfig, *, log_mix: np.ndarray | 
     log_f = binom_log_pmf_support(config.model, eta)
     log_g = log_f - log_mix
     pmf = np.exp(log_f)
-    included = _admit_tie_groups(log_g, pmf, 1.0 - config.level)
+    included = _admit_tie_groups(log_g, pmf, 1.0 - config.level, point(eta))
     threshold, achieved = _row_summary(log_g, pmf, included)
     return DecisionRow(eta=eta, included=included, threshold=threshold, achieved_coverage=achieved)
 

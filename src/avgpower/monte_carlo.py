@@ -219,7 +219,7 @@ def mc_build_decision_row(model: GenericModel, eta: Any, samples: PooledSamples,
             f"effective sample size {ess:.1f} below floor {cfg.ess_floor:.1f} at eta {eta!r}"
         )
 
-    included = _admit_tie_groups(log_g, v, (1.0 - cfg.level) * total_v)
+    included = _admit_tie_groups(log_g, v, (1.0 - cfg.level) * total_v, repr(eta))
     threshold, covered = _row_summary(log_g, v, included)
     return McDecisionRow(
         eta=eta,

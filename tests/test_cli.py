@@ -65,13 +65,15 @@ class TestConstruct:
             out = str(tmp_path / f"extreme{k}")
             assert run(["construct", *flags, "--out", out]) == 1
             assert f"error: threshold at eta 0.002000 does not fit in a double{rows}" in capsys.readouterr().err
-            assert os.listdir(out) == []
+            assert not os.path.exists(out)
 
     def test_unreachable_coverage_target_fails(self, tmp_path, capsys):
         # At n=1000 no row's whole support holds 1 - 1e-13 of the pmf.
         out = str(tmp_path / "tight")
         assert run(["construct", "--n", "1000", "--alpha", "1e-13", "--grid-points", "49", "--out", out]) == 1
-        assert capsys.readouterr().err.startswith("error: no set of outcomes reaches the coverage target")
+        err = capsys.readouterr().err
+        assert err.startswith("error: no set of outcomes reaches the coverage target")
+        assert err.rstrip().endswith("at eta 0.002000")
         assert not os.path.exists(out)
 
 
@@ -94,6 +96,7 @@ class TestCi:
         out = str(tmp_path / "bad")
         assert run(["ci", "--x", "21", *small(out)]) == 1
         assert capsys.readouterr().err.startswith("error:")
+        assert not os.path.exists(out)
 
 
 class TestPower:
@@ -117,6 +120,7 @@ class TestPower:
         out = str(tmp_path / "p2")
         assert run(["power", "--theta", "1.5", *small(out)]) == 1
         assert "error:" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 class TestTable:
@@ -199,6 +203,7 @@ class TestMcValidate:
         out = str(tmp_path / "mc2")
         assert run([*self.mc_args(out), "--ess-floor", "1e18"]) == 1
         assert "monte carlo failure" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 class TestConfigFile:
@@ -212,6 +217,26 @@ class TestConfigFile:
         # The flag wins over alpha=0.1: every row must cover at least 0.95.
         coverages = [float(r.split(",")[2]) for r in rows[1:]]
         assert min(coverages) >= 0.95
+
+    def test_every_key_matches_its_flag(self, tmp_path):
+        # Every value differs from its default, so a key that fed the wrong field would show.
+        out = str(tmp_path / "o")
+        conf = tmp_path / "all.conf"
+        conf.write_text(
+            "n = 30\nalpha = 0.1\nprior_a = 2\nprior_b = 3\ngrid_points = 21\n"
+            f"grid_min = 0.05\ngrid_max = 0.95\nseed = 7\nout = {out}\n"
+        )
+        flags = [
+            "--n", "30", "--alpha", "0.1", "--prior-a", "2", "--prior-b", "3", "--grid-points", "21",
+            "--grid-min", "0.05", "--grid-max", "0.95", "--seed", "7", "--out", out,
+        ]  # fmt: skip
+        from_file = cli.RunConfig(**cli.read_config_file(str(conf)))
+        from_flags = cli._resolve_config(cli._build_parser().parse_args(["construct", *flags]))
+        expected = cli.RunConfig(
+            n=30, level=0.1, prior_a=2.0, prior_b=3.0, grid_points=21,
+            grid_min=0.05, grid_max=0.95, seed=7, output_dir=out,
+        )  # fmt: skip
+        assert from_file == from_flags == expected
 
     def test_unknown_key_fails(self, tmp_path, capsys):
         conf = tmp_path / "bad.conf"

@@ -134,7 +134,9 @@ class TestBuildDecisionRow:
     def test_unreachable_target_raises(self):
         # At n=1000 the pmf sums to about 1 - 3e-13, short of 1 - 1e-13.
         config = small_config(n=1000, level=1e-13)
-        with pytest.raises(ValueError, match=r"coverage target 0\.9999999999999: the whole support holds 0\.99999"):
+        with pytest.raises(
+            ValueError, match=r"coverage target 0\.9999999999999: the whole support holds 0\.99999\d* at eta 0\.500000$"
+        ):
             build_decision_row(0.5, config)
 
     def test_tiny_level_meets_target_on_every_row(self):

@@ -1,13 +1,14 @@
 """Write the CLI's contract files and print their SHA-256 digests.
 
-Runs nine subcommand invocations (``construct`` with both priors, ``ci`` at
-x = 0, n/2 and n, ``power``, ``table1``, ``compare-cp`` and ``mc-validate``)
-at four configurations, in one process through ``avgpower.cli.main``. That
-gives 13 files per configuration and 52 in all, written under ``--out DIR``.
-Each invocation's stdout goes next to its files as ``stdout.txt``, with the
-invocation's ``--out`` path replaced by ``<out>`` so that listings made in
-different directories compare. All 88 files are listed on stdout as sorted
-``sha256  path`` lines, paths relative to DIR.
+Runs eleven subcommand invocations (``construct`` with both priors, ``ci`` at
+x = 0, n/2 and n, ``power`` at its default thetas and at 0.3 and 0.7,
+``table1`` at its default second prior and at Beta(2, 8), ``compare-cp`` and
+``mc-validate``) at four configurations, in one process through
+``avgpower.cli.main``. That gives 17 files per configuration and 68 in all,
+written under ``--out DIR``. Each invocation's stdout goes next to its files
+as ``stdout.txt``, with the invocation's ``--out`` path replaced by ``<out>``
+so that listings made in different directories compare. All 112 files are
+listed on stdout as sorted ``sha256  path`` lines, paths relative to DIR.
 
 Compare two checkouts by running it in each and diffing the listings:
 
@@ -48,7 +49,9 @@ def commands(n: int) -> list:
         ("construct_inf", ["construct", "--prior-a", "100", "--prior-b", "100"]),
         *((f"ci_x{x}", ["ci", "--x", str(x)]) for x in (0, n // 2, n)),
         ("power", ["power"]),
+        ("power_thetas", ["power", "--theta", "0.3", "--theta", "0.7"]),
         ("table1", ["table1"]),
+        ("table1_prior2", ["table1", "--prior-a2", "2", "--prior-b2", "8"]),
         ("compare_cp", ["compare-cp"]),
         ("mc_validate", ["mc-validate"]),
     ]
