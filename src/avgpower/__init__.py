@@ -7,7 +7,6 @@ baseline, and a sampling-based construction path round out the package.
 """
 
 from .clopper_pearson import (
-    ComparisonRow,
     CpInterval,
     LengthComparison,
     clopper_pearson,
@@ -52,7 +51,6 @@ from .monte_carlo import (
 )
 from .power import (
     AveragePowerReport,
-    PowerCurve,
     average_power_report,
     avg_power_given_theta,
     mixed_power_given_eta,
@@ -84,7 +82,6 @@ __all__ = [
     "decision_matrix_to_csv",
     "type1_error",
     "AveragePowerReport",
-    "PowerCurve",
     "average_power_report",
     "avg_power_given_theta",
     "mixed_power_given_eta",
@@ -93,7 +90,6 @@ __all__ = [
     "power",
     "power_curve",
     "CpInterval",
-    "ComparisonRow",
     "LengthComparison",
     "clopper_pearson",
     "compare_lengths",

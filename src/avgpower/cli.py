@@ -41,7 +41,6 @@ from .power import (
     avg_power_csv,
     mixed_power_csv,
     overall_power_grid,
-    power_curve,
     power_curves_csv,
     power_table_csv,
 )
@@ -59,12 +58,6 @@ __all__ = [
 ]
 
 DEFAULT_THETAS = (0.5, 0.55, 0.6)
-
-TABLE_COLUMNS = ("Informative test", "Non-informative test")
-TABLE_ROWS = (
-    "Informative distribution of hypotheses",
-    "Non-informative distribution of hypotheses",
-)
 
 # One entry per shared setting: (flag, RunConfig field, parser, help). The
 # config-file key is the flag without its dashes, "-" becoming "_".
@@ -190,15 +183,11 @@ def cmd_power(config: RunConfig, thetas: Sequence[float]) -> int:
     """Write power curves for the given thetas plus both averaged powers."""
     if len(thetas) == 0:
         raise ValueError("at least one theta is required")
-    for theta in thetas:
-        check_probability(theta)
-    test = config.test_config()
-    matrix = build_decision_matrix(test)
-    curves = [power_curve(matrix, theta) for theta in thetas]
+    matrix = build_decision_matrix(config.test_config())
     _emit(
         config,
         [
-            ("power_curves.csv", power_curves_csv(curves, test.grid.points), f" ({len(curves)} curves)"),
+            ("power_curves.csv", power_curves_csv(matrix, thetas), f" ({len(thetas)} curves)"),
             ("mixed_power.csv", mixed_power_csv(matrix), ""),
             ("avg_power.csv", avg_power_csv(matrix), ""),
         ],
@@ -217,7 +206,7 @@ def cmd_table1(config: RunConfig, informative_prior: BetaPrior) -> int:
     m_non = build_decision_matrix(non_informative)
     m_inf = build_decision_matrix(informative)
     values = overall_power_grid([m_inf, m_non], [informative.prior, non_informative.prior])
-    _emit(config, [("table1.csv", power_table_csv(values, list(TABLE_ROWS), list(TABLE_COLUMNS)), "")])
+    _emit(config, [("table1.csv", power_table_csv(values), "")])
     return 0
 
 
@@ -253,7 +242,7 @@ def cmd_mc_validate(config: RunConfig, mc: McConfig, min_agreement: float) -> in
     print(f"overall agreement {report.overall:.6f} (threshold {min_agreement:.6f})")
     lowest = min(rows, key=lambda row: row.ess)
     print(f"minimum effective sample size {lowest.ess:.1f} at eta {lowest.eta:.6f}")
-    _emit(config, [("mc_agreement.csv", agreement_csv(report, test.grid.points), "")])
+    _emit(config, [("mc_agreement.csv", agreement_csv(report), "")])
     if report.overall < min_agreement:
         print("agreement below threshold", file=sys.stderr)
         return 1

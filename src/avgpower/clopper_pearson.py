@@ -18,7 +18,6 @@ from .distributions import BinomialModel, binom_pmf_support, check_level, check_
 __all__ = [
     "BISECTION_TOL",
     "CpInterval",
-    "ComparisonRow",
     "LengthComparison",
     "clopper_pearson",
     "cp_intervals",
@@ -39,26 +38,20 @@ class CpInterval:
 
 
 @dataclass(frozen=True)
-class ComparisonRow:
-    """Baseline and proposed interval endpoints for one outcome."""
-
-    x: int
-    cp_lower: float
-    cp_upper: float
-    prop_lower: float
-    prop_upper: float
-
-
-@dataclass(frozen=True)
 class LengthComparison:
-    """Per-outcome endpoint table plus mean lengths and the grid step.
+    """Per-outcome endpoints of both intervals plus mean lengths and the grid step.
 
-    Proposed lengths are measured on the grid (last accepted point minus
-    first), so they carry up to one grid step of resolution slack; the step
-    is reported alongside the means for that reason.
+    The four endpoint arrays have shape (n+1,) and are indexed by the
+    outcome x; an empty proposed region has NaN endpoints. Proposed lengths
+    are measured on the grid (last accepted point minus first), so they
+    carry up to one grid step of resolution slack; the step is reported
+    alongside the means for that reason.
     """
 
-    rows: list
+    cp_lower: np.ndarray
+    cp_upper: np.ndarray
+    prop_lower: np.ndarray
+    prop_upper: np.ndarray
     mean_cp_length: float
     mean_proposed_length: float
     grid_step: float
@@ -116,27 +109,19 @@ def compare_lengths(matrix: DecisionMatrix) -> LengthComparison:
     config = matrix.config
     grid_pts = config.grid.points
     step = float(np.max(np.diff(grid_pts))) if grid_pts.size > 1 else 0.0
-
-    rows = []
-    cp_lengths = []
-    prop_lengths = []
-    for x in config.model.outcomes():
-        cp = clopper_pearson(x, config.model, config.level)
-        region = confidence_region(matrix, x)
-        rows.append(
-            ComparisonRow(
-                x=x,
-                cp_lower=cp.lower,
-                cp_upper=cp.upper,
-                prop_lower=region.lower,
-                prop_upper=region.upper,
-            )
-        )
-        cp_lengths.append(cp.upper - cp.lower)
-        prop_lengths.append(0.0 if region.is_empty else region.upper - region.lower)
+    cps = cp_intervals(config.model, config.level)
+    regions = [confidence_region(matrix, x) for x in config.model.outcomes()]
+    cp_lower = np.array([cp.lower for cp in cps])
+    cp_upper = np.array([cp.upper for cp in cps])
+    prop_lower = np.array([region.lower for region in regions])
+    prop_upper = np.array([region.upper for region in regions])
+    prop_lengths = np.where(np.isnan(prop_lower), 0.0, prop_upper - prop_lower)
     return LengthComparison(
-        rows=rows,
-        mean_cp_length=float(np.mean(cp_lengths)),
+        cp_lower=cp_lower,
+        cp_upper=cp_upper,
+        prop_lower=prop_lower,
+        prop_upper=prop_upper,
+        mean_cp_length=float(np.mean(cp_upper - cp_lower)),
         mean_proposed_length=float(np.mean(prop_lengths)),
         grid_step=step,
     )
@@ -144,10 +129,8 @@ def compare_lengths(matrix: DecisionMatrix) -> LengthComparison:
 
 def comparison_csv(comparison: LengthComparison) -> str:
     """Serialize the endpoint table: x,cp_lower,cp_upper,prop_lower,prop_upper."""
+    columns = (comparison.cp_lower, comparison.cp_upper, comparison.prop_lower, comparison.prop_upper)
     return csv_text(
         "x,cp_lower,cp_upper,prop_lower,prop_upper",
-        (
-            [str(row.x), *(value(v) for v in (row.cp_lower, row.cp_upper, row.prop_lower, row.prop_upper))]
-            for row in comparison.rows
-        ),
+        ([str(x), *map(value, ends)] for x, ends in enumerate(zip(*columns))),
     )

@@ -201,24 +201,31 @@ def _admit_tie_groups(log_g: np.ndarray, mass: np.ndarray, target: float, eta_la
     stay within TIE_RTOL of each other (equal infinities tie), and a tie
     group is admitted or withheld as a unit.
 
-    Raises ValueError, naming the null as ``eta_label``, when even the whole
-    support falls short of ``target``.
+    The admitted mass reaches ``target`` as ``_row_summary`` stores it, summed
+    in outcome order. Raises ValueError, naming the null as ``eta_label``,
+    when even the whole support falls short of ``target``.
     """
     order = np.argsort(-log_g, kind="stable")
     ranked = log_g[order]
     starts = np.concatenate(([0], np.flatnonzero(ranked[1:] < ranked[:-1] - _LOG_TIE_TOL) + 1))
     reached = np.cumsum(np.add.reduceat(mass[order], starts))
-    if reached[-1] < target:
-        raise ValueError(
-            f"no set of outcomes reaches the coverage target {target!r}: "
-            f"the whole support holds {float(reached[-1])!r} at eta {eta_label}"
-        )
-    # Groups enter up to and including the first that brings the mass to target.
+    # Groups enter up to and including the first that brings the rank-order
+    # sum to target, then one more at a time while the outcome-order sum,
+    # rounded differently, is still short of it.
     taken = int(np.count_nonzero(reached < target)) + 1
-    stop = starts[taken] if taken < starts.size else order.size
     included = np.zeros(order.size, dtype=bool)
-    included[order[:stop]] = True
-    return included
+    while True:
+        stop = starts[taken] if taken < starts.size else order.size
+        included[order[:stop]] = True
+        covered = mass[included].sum()
+        if covered >= target:
+            return included
+        if stop == order.size:
+            raise ValueError(
+                f"no set of outcomes reaches the coverage target {target!r}: "
+                f"the whole support holds {float(covered)!r} at eta {eta_label}"
+            )
+        taken += 1
 
 
 def _row_summary(log_g: np.ndarray, mass: np.ndarray, included: np.ndarray) -> tuple:

@@ -140,8 +140,9 @@ class McDecisionRow:
 
 @dataclass(frozen=True)
 class AgreementReport:
-    """Cellwise agreement between MC rows and an exact matrix."""
+    """Cellwise agreement between MC rows and an exact matrix, per grid null ``etas``."""
 
+    etas: np.ndarray
     per_eta: np.ndarray
     overall: float
 
@@ -268,11 +269,9 @@ def agreement_with_matrix(mc_rows: Sequence[McDecisionRow], matrix: DecisionMatr
             raise ValueError(f"sampled {exc}") from None
         mc_full[r, outcomes] = mc_row.included
     per_eta = (mc_full == matrix.included).mean(axis=1)
-    return AgreementReport(per_eta=per_eta, overall=float(per_eta.mean()))
+    return AgreementReport(etas=grid.points, per_eta=per_eta, overall=float(per_eta.mean()))
 
 
-def agreement_csv(report: AgreementReport, grid_points: np.ndarray) -> str:
+def agreement_csv(report: AgreementReport) -> str:
     """Serialize per-null agreement: eta,agreement."""
-    if report.per_eta.size != grid_points.size:
-        raise ValueError("report length does not match the grid")
-    return csv_text("eta,agreement", ((point(eta), value(val)) for eta, val in zip(grid_points, report.per_eta)))
+    return csv_text("eta,agreement", ((point(eta), value(val)) for eta, val in zip(report.etas, report.per_eta)))

@@ -27,7 +27,6 @@ from .distributions import (
 )
 
 __all__ = [
-    "PowerCurve",
     "AveragePowerReport",
     "power",
     "power_curve",
@@ -43,14 +42,11 @@ __all__ = [
 ]
 
 TABLE_CORNER = "Average power"
-
-
-@dataclass(frozen=True)
-class PowerCurve:
-    """Rejection probability against every grid null for one fixed theta."""
-
-    theta: float
-    values: np.ndarray
+TABLE_COLUMNS = ("Informative test", "Non-informative test")
+TABLE_ROWS = (
+    "Informative distribution of hypotheses",
+    "Non-informative distribution of hypotheses",
+)
 
 
 @dataclass(frozen=True)
@@ -76,12 +72,12 @@ def _rejection(matrix: DecisionMatrix, pmf: np.ndarray) -> np.ndarray:
 def power(matrix: DecisionMatrix, theta: float, eta_index: int) -> float:
     """Probability under theta of rejecting the null at eta_index."""
     eta_index = _check_index(matrix, eta_index)
-    return float(power_curve(matrix, theta).values[eta_index])
+    return float(power_curve(matrix, theta)[eta_index])
 
 
-def power_curve(matrix: DecisionMatrix, theta: float) -> PowerCurve:
-    """Power against every grid null for draws from theta."""
-    return PowerCurve(theta=float(theta), values=_rejection(matrix, binom_pmf_support(matrix.config.model, theta)))
+def power_curve(matrix: DecisionMatrix, theta: float) -> np.ndarray:
+    """Power against every grid null for draws from theta, as a (G,) array in grid order."""
+    return _rejection(matrix, binom_pmf_support(matrix.config.model, theta))
 
 
 def _grid_measure(matrix: DecisionMatrix, prior: BetaPrior) -> np.ndarray:
@@ -152,14 +148,16 @@ def overall_power_grid(matrices: Sequence[DecisionMatrix], priors: Sequence[Beta
     return np.array([[overall_avg_power(m, p) for m in matrices] for p in priors])
 
 
-def power_curves_csv(curves: Sequence[PowerCurve], grid_points: np.ndarray) -> str:
-    """Stack curves into long form: theta,eta,power."""
-    if any(curve.values.size != grid_points.size for curve in curves):
-        raise ValueError("curve length does not match the grid")
-    etas = [point(eta) for eta in grid_points]
+def power_curves_csv(matrix: DecisionMatrix, thetas: Sequence[float]) -> str:
+    """The power curve of every theta in long form: theta,eta,power."""
+    etas = [point(eta) for eta in matrix.config.grid.points]
     return csv_text(
         "theta,eta,power",
-        ((point(curve.theta), eta_s, value(val)) for curve in curves for eta_s, val in zip(etas, curve.values)),
+        (
+            (point(theta), eta_s, value(val))
+            for theta in thetas
+            for eta_s, val in zip(etas, power_curve(matrix, theta))
+        ),
     )
 
 
@@ -176,14 +174,16 @@ def avg_power_csv(matrix: DecisionMatrix) -> str:
     return csv_text("theta,avg_power", ((point(t), value(v)) for t, v in zip(matrix.config.grid.points, values)))
 
 
-def power_table_csv(values: np.ndarray, row_labels: Sequence[str], column_labels: Sequence[str]) -> str:
-    """Render a labelled table of overall powers as CSV, TABLE_CORNER in the corner."""
+def power_table_csv(values: np.ndarray) -> str:
+    """Render the 2x2 table of overall powers as CSV.
+
+    Rows follow TABLE_ROWS (the averaging priors) and columns TABLE_COLUMNS
+    (the tests), with TABLE_CORNER in the corner.
+    """
     values = np.asarray(values, dtype=float)
-    if values.shape != (len(row_labels), len(column_labels)):
-        raise ValueError("table shape does not match the labels")
-    if any("," in lab for lab in [*row_labels, *column_labels]):
-        raise ValueError("labels must not contain commas")
+    if values.shape != (len(TABLE_ROWS), len(TABLE_COLUMNS)):
+        raise ValueError(f"table shape {values.shape} is not 2x2")
     return csv_text(
-        ",".join([TABLE_CORNER, *column_labels]),
-        ([lab, *(value(v) for v in row)] for lab, row in zip(row_labels, values)),
+        ",".join([TABLE_CORNER, *TABLE_COLUMNS]),
+        ([lab, *(value(v) for v in row)] for lab, row in zip(TABLE_ROWS, values)),
     )

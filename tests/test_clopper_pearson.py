@@ -81,29 +81,29 @@ class TestEndpoints:
 class TestCompareLengths:
     def test_non_informative_means(self, matrix_non):
         comparison = compare_lengths(matrix_non)
-        assert len(comparison.rows) == 101
+        for column in (comparison.cp_lower, comparison.cp_upper, comparison.prop_lower, comparison.prop_upper):
+            assert column.shape == (101,)
         assert comparison.grid_step == pytest.approx(0.002, abs=1e-12)
         assert comparison.mean_proposed_length <= comparison.mean_cp_length + comparison.grid_step
 
     def test_rows_match_direct_computation(self, matrix_non):
         comparison = compare_lengths(matrix_non)
-        row = comparison.rows[50]
         interval = clopper_pearson(50, matrix_non.config.model, 0.05)
         region = confidence_region(matrix_non, 50)
-        assert row.cp_lower == interval.lower and row.cp_upper == interval.upper
-        assert row.prop_lower == region.lower and row.prop_upper == region.upper
+        assert comparison.cp_lower[50] == interval.lower and comparison.cp_upper[50] == interval.upper
+        assert comparison.prop_lower[50] == region.lower and comparison.prop_upper[50] == region.upper
 
     def test_informative_center_shorter_than_baseline(self, matrix_inf):
         comparison = compare_lengths(matrix_inf)
-        row = comparison.rows[50]
-        assert row.prop_upper - row.prop_lower < row.cp_upper - row.cp_lower
+        proposed = comparison.prop_upper[50] - comparison.prop_lower[50]
+        assert proposed < comparison.cp_upper[50] - comparison.cp_lower[50]
 
     def test_full_acceptance_spans_the_grid(self, make_full_acceptance):
         # Limiting case of a degenerate level: every proposed region covers
         # the whole grid, so each proposed length equals the grid span.
         comparison = compare_lengths(make_full_acceptance(20))
-        for row in comparison.rows:
-            assert row.prop_upper - row.prop_lower == pytest.approx(0.996, abs=1e-12)
+        assert comparison.prop_upper.shape == (21,)
+        np.testing.assert_allclose(comparison.prop_upper - comparison.prop_lower, 0.996, rtol=0, atol=1e-12)
 
     def test_csv_format(self, matrix_non):
         lines = comparison_csv(compare_lengths(matrix_non)).splitlines()

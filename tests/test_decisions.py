@@ -140,8 +140,12 @@ class TestBuildDecisionRow:
             build_decision_row(0.5, config)
 
     def test_tiny_level_meets_target_on_every_row(self):
-        matrix = build_decision_matrix(small_config(n=100, level=1e-12))
-        assert np.all(matrix.achieved_coverage >= 1.0 - 1e-12)
+        # At Beta(100, 100) the rows at eta 0.426 (n=50) and 0.268 (n=200)
+        # reach the target summed in rank order but fall one ulp short of it
+        # summed in outcome order, the order the stored coverage uses.
+        for n, a, level in ((100, 0.5, 1e-12), (50, 100.0, 3e-12), (200, 100.0, 1e-12)):
+            matrix = build_decision_matrix(small_config(n=n, a=a, b=a, level=level))
+            assert np.all(matrix.achieved_coverage >= 1.0 - level), (n, a, level)
 
     def test_rejects_boundary_eta(self):
         config = small_config()

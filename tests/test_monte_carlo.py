@@ -24,7 +24,7 @@ from avgpower import (
     pool_samples,
 )
 from avgpower.distributions import beta_binom_pmf_support
-from avgpower.monte_carlo import McDecisionRow, _data_rng, agreement_csv
+from avgpower.monte_carlo import AgreementReport, McDecisionRow, _data_rng, agreement_csv
 
 
 def binom_plugin(n: int = 20, a: float = 0.5, b: float = 0.5) -> GenericModel:
@@ -284,9 +284,7 @@ class TestAgreement:
 
     def test_agreement_csv(self):
         grid = self.small_grid()
-        report_lines = agreement_csv(
-            type("R", (), {"per_eta": np.linspace(0.9, 1.0, 19), "overall": 0.95})(), grid.points
-        )
-        lines = report_lines.splitlines()
+        report = AgreementReport(etas=grid.points, per_eta=np.linspace(0.9, 1.0, 19), overall=0.95)
+        lines = agreement_csv(report).splitlines()
         assert lines[0] == "eta,agreement"
         assert len(lines) == 20

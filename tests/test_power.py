@@ -13,12 +13,16 @@ from avgpower import (
     average_power_report,
     avg_power_given_theta,
     build_decision_matrix,
+    clopper_pearson,
+    compare_lengths,
+    confidence_region,
     coverage,
     mixed_power_given_eta,
     overall_avg_power,
     power,
     power_curve,
 )
+from avgpower.clopper_pearson import comparison_csv
 from avgpower.distributions import beta_binom_pmf_support
 from avgpower.power import (
     avg_power_csv,
@@ -53,28 +57,28 @@ class TestPointwisePower:
 class TestPowerCurve:
     def test_full_acceptance_gives_zero(self, make_full_acceptance):
         curve = power_curve(make_full_acceptance(), 0.37)
-        assert np.all(curve.values == 0.0)
+        assert np.all(curve == 0.0)
 
     def test_values_in_unit_interval(self, matrix_non):
         curve = power_curve(matrix_non, 0.55)
-        assert np.all(curve.values >= 0.0) and np.all(curve.values <= 1.0)
+        assert np.all(curve >= 0.0) and np.all(curve <= 1.0)
 
     def test_symmetric_at_half(self, matrix_non):
         curve = power_curve(matrix_non, 0.5)
-        np.testing.assert_allclose(curve.values, curve.values[::-1], atol=1e-9)
+        np.testing.assert_allclose(curve, curve[::-1], atol=1e-9)
 
     def test_matches_pointwise(self, matrix_non, grid499):
         curve = power_curve(matrix_non, 0.55)
         for eta in (0.45, 0.5, 0.61):
             idx = grid499.nearest_index(eta)
-            assert curve.values[idx] == pytest.approx(power(matrix_non, 0.55, idx), abs=1e-15)
+            assert curve[idx] == pytest.approx(power(matrix_non, 0.55, idx), abs=1e-15)
 
     def test_informative_dips_between_half_and_truth(self, matrix_non, matrix_inf, grid499):
         # Nulls sitting between 0.5 and the true 0.55 are harder to reject
         # for the concentrated prior: never easier, strictly harder at
         # almost every grid point.
-        inf_curve = power_curve(matrix_inf, 0.55).values
-        non_curve = power_curve(matrix_non, 0.55).values
+        inf_curve = power_curve(matrix_inf, 0.55)
+        non_curve = power_curve(matrix_non, 0.55)
         sel = (grid499.points > 0.5) & (grid499.points < 0.55)
         assert sel.sum() >= 20
         diff = non_curve[sel] - inf_curve[sel]
@@ -96,7 +100,7 @@ class TestAvgPowerGivenTheta:
         for matrix in (matrix_non, matrix_inf):
             w = average_power_report(matrix, matrix.config.prior).weights
             for theta in [*grid499.points[::25], 0.3141]:
-                expected = w @ power_curve(matrix, float(theta)).values / w.sum()
+                expected = w @ power_curve(matrix, float(theta)) / w.sum()
                 assert avg_power_given_theta(matrix, float(theta)) == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("theta", [0.5, 0.55, 0.6])
@@ -170,19 +174,13 @@ class TestOverallAvgPower:
 
 
 class TestSerialization:
-    def test_power_curves_csv(self, matrix_non, grid499):
-        curves = [power_curve(matrix_non, t) for t in (0.5, 0.55)]
-        lines = power_curves_csv(curves, grid499.points).splitlines()
+    def test_power_curves_csv(self, matrix_non):
+        lines = power_curves_csv(matrix_non, (0.5, 0.55)).splitlines()
         assert lines[0] == "theta,eta,power"
         assert len(lines) == 1 + 2 * 499
         theta_s, eta_s, val_s = lines[1].split(",")
         assert theta_s == "0.500000" and eta_s == "0.002000"
         float(val_s)
-
-    def test_curve_grid_mismatch(self, matrix_non):
-        curve = power_curve(matrix_non, 0.5)
-        with pytest.raises(ValueError):
-            power_curves_csv([curve], np.array([0.5]))
 
     def test_mixed_and_avg_csv(self, grid499):
         config = TestConfig(level=0.05, model=BinomialModel(20), prior=BetaPrior(0.5, 0.5), grid=grid499)
@@ -204,16 +202,27 @@ class TestSerialization:
             assert mixed[j] == f"{eta:.6f},{mixed_power_given_eta(matrix, j):.12g}"
             assert avg[j] == f"{eta:.6f},{avg_power_given_theta(matrix, float(eta)):.12g}"
 
+        thetas = (0.3, 0.55)
+        curves = power_curves_csv(matrix, thetas).splitlines()[1:]
+        assert len(curves) == len(thetas) * len(grid)
+        for i, theta in enumerate(thetas):
+            values = power_curve(matrix, theta)
+            for j, eta in enumerate(grid.points):
+                assert curves[i * len(grid) + j] == f"{theta:.6f},{eta:.6f},{values[j]:.12g}"
+
+        model = matrix.config.model
+        endpoints = comparison_csv(compare_lengths(matrix)).splitlines()[1:]
+        assert len(endpoints) == model.n + 1
+        for x in model.outcomes():
+            cp = clopper_pearson(x, model, 0.05)
+            region = confidence_region(matrix, x)
+            ends = (cp.lower, cp.upper, region.lower, region.upper)
+            assert endpoints[x] == ",".join([str(x), *(f"{v:.12g}" for v in ends)])
+
     def test_power_table_csv(self):
-        text = power_table_csv(
-            np.array([[0.1, 0.2], [0.3, 0.4]]),
-            ["row one", "row two"],
-            ["col one", "col two"],
-        )
-        lines = text.splitlines()
-        assert lines[0] == "Average power,col one,col two"
-        assert lines[1] == "row one,0.1,0.2"
+        lines = power_table_csv(np.array([[0.1, 0.2], [0.3, 0.4]])).splitlines()
+        assert lines[0] == "Average power,Informative test,Non-informative test"
+        assert lines[1] == "Informative distribution of hypotheses,0.1,0.2"
+        assert lines[2] == "Non-informative distribution of hypotheses,0.3,0.4"
         with pytest.raises(ValueError):
-            power_table_csv(np.array([[0.1]]), ["a", "b"], ["c"])
-        with pytest.raises(ValueError):
-            power_table_csv(np.array([[0.1]]), ["a,bad"], ["c"])
+            power_table_csv(np.array([[0.1]]))
