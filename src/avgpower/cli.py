@@ -12,6 +12,8 @@ override file values, which override the built-in defaults.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -133,16 +135,33 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _emit(config: RunConfig, files: Sequence[tuple[str, str, str]]) -> None:
-    """Create the output directory, then write each (name, text, note) file and report it.
+    """Create the output directory, then write every (name, text, note) file and report it.
 
     Callers compute every text first, so a command that fails before this call
-    creates nothing.
+    creates nothing. Each text goes to a temporary name in the output
+    directory; the temporaries take their final names only once all of them
+    are written and no final name is a directory, and are removed otherwise.
     """
     os.makedirs(config.output_dir, exist_ok=True)
-    for name, text, note in files:
-        path = os.path.join(config.output_dir, name)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    paths = [os.path.join(config.output_dir, name) for name, _text, _note in files]
+    temps: list = []
+    try:
+        for name, text, _note in files:
+            temp = os.path.join(config.output_dir, f".{name}.{os.getpid()}.tmp")
+            with open(temp, "w", encoding="utf-8", newline="") as fh:
+                temps.append(temp)
+                fh.write(text)
+        for path in paths:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    except BaseException:
+        for temp in temps:
+            with contextlib.suppress(OSError):
+                os.remove(temp)
+        raise
+    for path, (_name, _text, note) in zip(paths, files):
         print(f"wrote {path}{note}")
 
 

@@ -194,15 +194,16 @@ class ConfidenceRegion:
         return self.accepted.size == 0
 
 
-def _admit_tie_groups(log_g: np.ndarray, mass: np.ndarray, target: float, eta_label: str) -> np.ndarray:
-    """Inclusion flags from admitting outcomes by descending ``log_g`` until ``mass`` reaches ``target``.
+def _admit_tie_groups(log_g: np.ndarray, mass: np.ndarray, target: float, eta_label: str) -> tuple:
+    """Admit outcomes by descending ``log_g`` until ``mass`` reaches ``target``.
 
     Adjacent ranked values chain into one tie group while their densities
     stay within TIE_RTOL of each other (equal infinities tie), and a tie
     group is admitted or withheld as a unit.
 
-    The admitted mass reaches ``target`` as ``_row_summary`` stores it, summed
-    in outcome order. Raises ValueError, naming the null as ``eta_label``,
+    Returns (inclusion flags, admitted mass). The mass is the sum that
+    reached ``target``, taken in outcome order as a row rebuilt from its
+    flags takes it. Raises ValueError, naming the null as ``eta_label``,
     when even the whole support falls short of ``target``.
     """
     order = np.argsort(-log_g, kind="stable")
@@ -217,27 +218,24 @@ def _admit_tie_groups(log_g: np.ndarray, mass: np.ndarray, target: float, eta_la
     while True:
         stop = starts[taken] if taken < starts.size else order.size
         included[order[:stop]] = True
-        covered = mass[included].sum()
+        covered = float(mass[included].sum())
         if covered >= target:
-            return included
+            return included, covered
         if stop == order.size:
             raise ValueError(
                 f"no set of outcomes reaches the coverage target {target!r}: "
-                f"the whole support holds {float(covered)!r} at eta {eta_label}"
+                f"the whole support holds {covered!r} at eta {eta_label}"
             )
         taken += 1
 
 
-def _row_summary(log_g: np.ndarray, mass: np.ndarray, included: np.ndarray) -> tuple:
-    """(threshold, admitted mass) of a row, from its flags alone.
+def _row_threshold(log_g: np.ndarray, included: np.ndarray) -> float:
+    """Smallest admitted density of a row, from its flags alone.
 
-    Both are taken in natural outcome order, so a row rebuilt from its
-    serialized flags is bit-identical. A threshold beyond the double range
-    comes out as inf, without a warning.
+    A threshold beyond the double range comes out as inf, without a warning.
     """
     with np.errstate(over="ignore"):
-        threshold = float(np.exp(log_g[included].min()))
-    return threshold, float(mass[included].sum())
+        return float(np.exp(log_g[included].min()))
 
 
 def build_decision_row(eta: float, config: TestConfig, *, log_mix: np.ndarray | None = None) -> DecisionRow:
@@ -268,8 +266,8 @@ def build_decision_row(eta: float, config: TestConfig, *, log_mix: np.ndarray | 
     log_f = binom_log_pmf_support(config.model, eta)
     log_g = log_f - log_mix
     pmf = np.exp(log_f)
-    included = _admit_tie_groups(log_g, pmf, 1.0 - config.level, point(eta))
-    threshold, achieved = _row_summary(log_g, pmf, included)
+    included, achieved = _admit_tie_groups(log_g, pmf, 1.0 - config.level, point(eta))
+    threshold = _row_threshold(log_g, included)
     return DecisionRow(eta=eta, included=included, threshold=threshold, achieved_coverage=achieved)
 
 
@@ -339,15 +337,18 @@ def decision_matrix_to_csv(matrix: DecisionMatrix) -> str:
     threshold is not finite.
     """
     _check_thresholds(matrix)
-    outcomes = [str(x) for x in range(matrix.config.model.n + 1)]
+    x = matrix.config.model.outcomes()
+    # "x,0" and "x,1" for every outcome, then every row's cells in one index.
+    cells = np.array([[f"{i},{flag}" for i in x.tolist()] for flag in "01"], dtype=object)
+    rows = cells[matrix.included.view(np.uint8), x].tolist()
 
-    def lines():
-        for eta, flags, thr in zip(matrix.config.grid.points, matrix.included, matrix.threshold):
+    def blocks():
+        # One row's lines in one join: the separator closes a line and opens the next.
+        for eta, thr, row in zip(matrix.config.grid.points.tolist(), matrix.threshold.tolist(), rows):
             eta_s, thr_s = point(eta), value(thr)
-            for x, flag in zip(outcomes, flags.tolist()):
-                yield eta_s, x, "01"[flag], thr_s
+            yield (f"{eta_s}," + f",{thr_s}\n{eta_s},".join(row) + f",{thr_s}",)
 
-    return csv_text("eta,x,included,threshold", lines())
+    return csv_text("eta,x,included,threshold", blocks())
 
 
 def rows_summary_csv(matrix: DecisionMatrix) -> str:
@@ -422,7 +423,8 @@ def decision_matrix_from_csv(text: str, config: TestConfig) -> DecisionMatrix:
         if not included[j].any():
             raise ValueError(f"eta {eta_s} has an empty acceptance row")
         log_f = binom_log_pmf_support(config.model, float(eta))
-        threshold[j], achieved[j] = _row_summary(log_f - log_mix, np.exp(log_f), included[j])
+        threshold[j] = _row_threshold(log_f - log_mix, included[j])
+        achieved[j] = np.exp(log_f)[included[j]].sum()
         if not math.isclose(float(file_thr[j]), threshold[j], rel_tol=1e-9, abs_tol=0.0):
             raise ValueError(
                 f"threshold mismatch for eta {eta_s}: file {float(file_thr[j])!r} vs recomputed {threshold[j]!r}"

@@ -21,6 +21,7 @@ __all__ = [
     "binom_pmf",
     "binom_log_pmf_support",
     "binom_pmf_support",
+    "binom_pmf_rows",
     "beta_pdf",
     "beta_log_pdf",
     "beta_binom_log_pmf_support",
@@ -148,13 +149,36 @@ def binom_log_pmf_support(model: BinomialModel, theta: float) -> np.ndarray:
         out = np.full(n + 1, -math.inf)
         out[0 if theta == 0.0 else n] = 0.0
         return out
+    return _binom_log_pmf_open(n, math.log(theta), math.log1p(-theta))
+
+
+def _binom_log_pmf_open(n: int, log_theta, log1m_theta) -> np.ndarray:
+    """ln C(n, x) + x ln(theta) + (n - x) ln(1 - theta) over x = 0..n.
+
+    The logs are floats, or (T, 1) columns that give one row per theta.
+    """
     x = np.arange(n + 1)
-    return _log_choose_support(n) + x * math.log(theta) + (n - x) * math.log1p(-theta)
+    return _log_choose_support(n) + x * log_theta + (n - x) * log1m_theta
 
 
 def binom_pmf_support(model: BinomialModel, theta: float) -> np.ndarray:
     """Pmf of Binomial(n, theta) over the whole support 0..n."""
     return np.exp(binom_log_pmf_support(model, theta))
+
+
+def binom_pmf_rows(model: BinomialModel, thetas: np.ndarray) -> np.ndarray:
+    """Pmf of Binomial(n, t) over 0..n for every t strictly inside (0, 1), as a (T, n+1) array.
+
+    Row i is bit-identical to ``binom_pmf_support(model, thetas[i])``: the
+    per-theta logs come from the same ``math`` calls.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 1 or not np.all((thetas > 0.0) & (thetas < 1.0)):
+        raise ValueError("thetas must be a 1-d array of values strictly inside (0, 1)")
+    ts = thetas.tolist()
+    log_theta = np.array([math.log(t) for t in ts])[:, None]
+    log1m_theta = np.array([math.log1p(-t) for t in ts])[:, None]
+    return np.exp(_binom_log_pmf_open(model.n, log_theta, log1m_theta))
 
 
 def binom_pmf(x: int | np.ndarray, model: BinomialModel, theta: float) -> float | np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 from .csvtext import csv_text, point, value
-from .decisions import DecisionMatrix, _admit_tie_groups, _row_summary
+from .decisions import DecisionMatrix, _admit_tie_groups, _row_threshold
 from .distributions import BetaPrior, BinomialModel, binom_pmf, check_level, check_outcomes
 
 __all__ = [
@@ -220,13 +220,12 @@ def mc_build_decision_row(model: GenericModel, eta: Any, samples: PooledSamples,
             f"effective sample size {ess:.1f} below floor {cfg.ess_floor:.1f} at eta {eta!r}"
         )
 
-    included = _admit_tie_groups(log_g, v, (1.0 - cfg.level) * total_v, repr(eta))
-    threshold, covered = _row_summary(log_g, v, included)
+    included, covered = _admit_tie_groups(log_g, v, (1.0 - cfg.level) * total_v, repr(eta))
     return McDecisionRow(
         eta=eta,
         outcomes=samples.outcomes,
         included=included,
-        threshold=threshold,
+        threshold=_row_threshold(log_g, included),
         estimated_coverage=covered / total_v,
         ess=ess,
     )

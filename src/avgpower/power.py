@@ -23,6 +23,7 @@ from .distributions import (
     BetaPrior,
     beta_binom_pmf_support,
     beta_log_pdf,
+    binom_pmf_rows,
     binom_pmf_support,
 )
 
@@ -129,7 +130,7 @@ def average_power_report(matrix: DecisionMatrix, averaging_prior: BetaPrior) -> 
     and per_theta, per_eta are its two partial contractions.
     """
     w = _grid_measure(matrix, averaging_prior)
-    p = np.array([binom_pmf_support(matrix.config.model, t) for t in matrix.config.grid.points])
+    p = binom_pmf_rows(matrix.config.model, matrix.config.grid.points)
     per_theta = _per_theta(matrix, w, p)
     per_eta = w.sum() - matrix.inclusion_matrix().astype(float) @ (w @ p)
     return AveragePowerReport(weights=w, per_theta=per_theta, per_eta=per_eta, overall=float(w @ per_theta))

@@ -5,7 +5,8 @@ routes deliberately different from the library's: direct arbitrary-precision
 products instead of cached log-gamma tables, true numerical integration
 instead of closed forms, and regularized-incomplete-beta tails instead of
 pmf summation. Test tolerances then measure real disagreement, not shared
-bugs.
+bugs. The one exception, ``oracle_matrix_csv``, is a plain per-line
+formatter that the whole-array CSV writer must match byte for byte.
 """
 
 from __future__ import annotations
@@ -167,3 +168,12 @@ def oracle_threshold_rows(eta: float, n: int, level: float, a: float, b: float) 
         mixed = float(1 - mp.fsum(bb[x] for x in members))
         rows.append((frozenset(members), cov, mixed))
     return rows
+
+
+def oracle_matrix_csv(points, included, threshold) -> str:
+    """The decision-matrix CSV written one line at a time with %-formatting."""
+    lines = ["eta,x,included,threshold"]
+    for eta, flags, thr in zip(points, included, threshold):
+        for x, flag in enumerate(flags):
+            lines.append("%.6f,%d,%d,%.12g" % (eta, x, 1 if flag else 0, thr))
+    return "".join(line + "\n" for line in lines)

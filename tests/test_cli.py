@@ -76,6 +76,18 @@ class TestConstruct:
         assert err.rstrip().endswith("at eta 0.002000")
         assert not os.path.exists(out)
 
+    def test_write_error_leaves_no_file_behind(self, tmp_path, capsys):
+        # decision_rows.csv is a directory, so the second file cannot be
+        # written: neither file may appear, and no temporary may remain.
+        out = tmp_path / "a"
+        (out / "decision_rows.csv").mkdir(parents=True)
+        assert run(["construct", *small(str(out))]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: [Errno 21] Is a directory" in captured.err
+        assert sorted(os.listdir(out)) == ["decision_rows.csv"]
+        assert os.listdir(out / "decision_rows.csv") == []
+
 
 class TestCi:
     def test_region_file_and_summary(self, tmp_path, capsys):

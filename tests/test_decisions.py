@@ -23,7 +23,7 @@ from avgpower import (
 )
 from avgpower.decisions import DecisionMatrix, ThresholdOverflowError, rows_summary_csv
 from avgpower.distributions import binom_pmf_support, posterior_density_support
-from oracles import oracle_greedy_row
+from oracles import oracle_greedy_row, oracle_matrix_csv
 
 
 def small_config(n: int = 20, a: float = 0.5, b: float = 0.5, level: float = 0.05) -> TestConfig:
@@ -232,6 +232,27 @@ class TestCsv:
         assert text.endswith("\n")
         first = lines[1].split(",")
         assert first[0] == "0.002000" and first[1] == "0"
+
+    @pytest.mark.parametrize(
+        "n, a, b, grid",
+        [
+            # At n=1 most rows admit both x=0 and x=n (449 of the 499 at level 0.05).
+            (1, 0.5, 0.5, ParameterGrid.regular()),
+            (20, 0.5, 0.5, ParameterGrid.regular(1, 0.3, 0.7)),
+            (100, 100.0, 100.0, ParameterGrid.regular()),
+            (1000, 0.5, 0.5, ParameterGrid.regular(49)),
+        ],
+        ids=["n1", "one-point-grid", "beta100", "n1000-g49"],
+    )
+    def test_text_matches_per_line_formatter(self, n, a, b, grid):
+        config = TestConfig(level=0.05, model=BinomialModel(n), prior=BetaPrior(a, b), grid=grid)
+        matrix = build_decision_matrix(config)
+        got = decision_matrix_to_csv(matrix).splitlines(keepends=True)
+        want = oracle_matrix_csv(grid.points, matrix.included, matrix.threshold).splitlines(keepends=True)
+        # Report the first differing line: a diff of the whole text would take minutes at n=1000.
+        first = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), min(len(got), len(want)))
+        same = got == want
+        assert same, f"line {first}: {got[first:first + 1]} != {want[first:first + 1]}"
 
     def test_round_trip_is_bit_identical(self):
         config = small_config()

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from avgpower.decisions import ParameterGrid
 from avgpower.distributions import (
     BetaPrior,
     BinomialModel,
@@ -17,6 +18,7 @@ from avgpower.distributions import (
     beta_pdf,
     binom_log_pmf_support,
     binom_pmf,
+    binom_pmf_rows,
     binom_pmf_support,
     log_beta,
     log_gamma,
@@ -129,6 +131,22 @@ class TestBinomPmf:
         left = binom_pmf_support(model, theta)
         right = binom_pmf_support(model, 1.0 - theta)[::-1]
         np.testing.assert_allclose(left, right, rtol=1e-10, atol=1e-300)
+
+
+class TestBinomPmfRows:
+    @pytest.mark.parametrize("n", [1, 20, 100, 1000])
+    @pytest.mark.parametrize("count", [49, 499, 1001])
+    def test_rows_equal_scalar_support_bit_for_bit(self, n, count):
+        model = BinomialModel(n)
+        pts = ParameterGrid.regular(count).points
+        got = binom_pmf_rows(model, pts)
+        assert got.shape == (count, n + 1)
+        assert np.array_equal(got, np.array([binom_pmf_support(model, t) for t in pts]))
+
+    @pytest.mark.parametrize("thetas", [[0.5, 0.0], [1.0], [math.nan], [[0.5]]])
+    def test_rejects_thetas_outside_open_unit_interval(self, thetas):
+        with pytest.raises(ValueError, match="strictly inside"):
+            binom_pmf_rows(BinomialModel(3), np.array(thetas))
 
 
 class TestBetaPdf:
