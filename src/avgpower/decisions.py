@@ -201,26 +201,39 @@ def _admit_tie_groups(log_g: np.ndarray, mass: np.ndarray, target: float, eta_la
     stay within TIE_RTOL of each other (equal infinities tie), and a tie
     group is admitted or withheld as a unit.
 
-    Returns (inclusion flags, admitted mass). The mass is the sum that
-    reached ``target``, taken in outcome order as a row rebuilt from its
-    flags takes it. Raises ValueError, naming the null as ``eta_label``,
-    when even the whole support falls short of ``target``.
+    Returns (inclusion flags, admitted mass, smallest admitted ``log_g``).
+    The mass is the sum that reached ``target``, taken in outcome order as a
+    row rebuilt from its flags takes it. Raises ValueError, naming the null
+    as ``eta_label``, when even the whole support falls short of ``target``.
     """
-    order = np.argsort(-log_g, kind="stable")
+    # Array methods rather than numpy functions: on a row of a hundred
+    # outcomes the function dispatch costs as much as the work.
+    order = (-log_g).argsort(kind="stable")
     ranked = log_g[order]
-    starts = np.concatenate(([0], np.flatnonzero(ranked[1:] < ranked[:-1] - _LOG_TIE_TOL) + 1))
-    reached = np.cumsum(np.add.reduceat(mass[order], starts))
+    ranked_mass = mass[order]
+    splits = ranked[1:] < ranked[:-1] - _LOG_TIE_TOL
+    if np.count_nonzero(splits) == splits.size:
+        # No ties: every group is one outcome and starts where it is ranked.
+        starts = None
+        reached = ranked_mass.cumsum()
+    else:
+        starts = np.concatenate(([0], np.flatnonzero(splits) + 1))
+        reached = np.add.reduceat(ranked_mass, starts).cumsum()
     # Groups enter up to and including the first that brings the rank-order
     # sum to target, then one more at a time while the outcome-order sum,
-    # rounded differently, is still short of it.
-    taken = int(np.count_nonzero(reached < target)) + 1
+    # rounded differently, is still short of it. The masses are nonnegative,
+    # so the running totals never decrease and a search counts those short.
+    taken = int(reached.searchsorted(target)) + 1
     included = np.zeros(order.size, dtype=bool)
     while True:
-        stop = starts[taken] if taken < starts.size else order.size
+        if taken >= reached.size:
+            stop = order.size
+        else:
+            stop = taken if starts is None else int(starts[taken])
         included[order[:stop]] = True
         covered = float(mass[included].sum())
         if covered >= target:
-            return included, covered
+            return included, covered, ranked[stop - 1]
         if stop == order.size:
             raise ValueError(
                 f"no set of outcomes reaches the coverage target {target!r}: "
@@ -229,13 +242,16 @@ def _admit_tie_groups(log_g: np.ndarray, mass: np.ndarray, target: float, eta_la
         taken += 1
 
 
-def _row_threshold(log_g: np.ndarray, included: np.ndarray) -> float:
-    """Smallest admitted density of a row, from its flags alone.
+# np.exp of a log up to this stays finite (the double range ends near 709.78).
+_EXP_SAFE_MAX = 709.0
 
-    A threshold beyond the double range comes out as inf, without a warning.
-    """
+
+def _exp_threshold(log_threshold: float) -> float:
+    """A row threshold from its log; beyond the double range it is inf, without a warning."""
+    if log_threshold <= _EXP_SAFE_MAX:
+        return float(np.exp(log_threshold))
     with np.errstate(over="ignore"):
-        return float(np.exp(log_g[included].min()))
+        return float(np.exp(log_threshold))
 
 
 def build_decision_row(eta: float, config: TestConfig, *, log_mix: np.ndarray | None = None) -> DecisionRow:
@@ -266,9 +282,8 @@ def build_decision_row(eta: float, config: TestConfig, *, log_mix: np.ndarray | 
     log_f = binom_log_pmf_support(config.model, eta)
     log_g = log_f - log_mix
     pmf = np.exp(log_f)
-    included, achieved = _admit_tie_groups(log_g, pmf, 1.0 - config.level, point(eta))
-    threshold = _row_threshold(log_g, included)
-    return DecisionRow(eta=eta, included=included, threshold=threshold, achieved_coverage=achieved)
+    included, achieved, log_threshold = _admit_tie_groups(log_g, pmf, 1.0 - config.level, point(eta))
+    return DecisionRow(eta=eta, included=included, threshold=_exp_threshold(log_threshold), achieved_coverage=achieved)
 
 
 def build_decision_matrix(config: TestConfig) -> DecisionMatrix:
@@ -423,7 +438,7 @@ def decision_matrix_from_csv(text: str, config: TestConfig) -> DecisionMatrix:
         if not included[j].any():
             raise ValueError(f"eta {eta_s} has an empty acceptance row")
         log_f = binom_log_pmf_support(config.model, float(eta))
-        threshold[j] = _row_threshold(log_f - log_mix, included[j])
+        threshold[j] = _exp_threshold((log_f - log_mix)[included[j]].min())
         achieved[j] = np.exp(log_f)[included[j]].sum()
         if not math.isclose(float(file_thr[j]), threshold[j], rel_tol=1e-9, abs_tol=0.0):
             raise ValueError(

@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "BinomialModel",
     "BetaPrior",
-    "log_gamma",
     "log_beta",
     "binom_pmf",
     "binom_log_pmf_support",
@@ -71,24 +70,28 @@ class BetaPrior:
         object.__setattr__(self, "b", b)
 
 
-def log_gamma(z: float) -> float:
-    """Natural log of the gamma function for z > 0."""
-    z = float(z)
-    if not (math.isfinite(z) and z > 0.0):
-        raise ValueError(f"log_gamma requires a positive finite argument, got {z!r}")
-    return math.lgamma(z)
-
-
 def log_beta(a: float, b: float) -> float:
-    """ln B(a, b) for positive a, b."""
-    return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
+    """ln B(a, b) for positive finite a, b."""
+    a, b = float(a), float(b)
+    if not (math.isfinite(a) and a > 0.0) or not (math.isfinite(b) and b > 0.0):
+        raise ValueError(f"log_beta requires positive finite arguments, got a={a!r}, b={b!r}")
+    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
 @lru_cache(maxsize=128)
-def _log_choose_support(n: int) -> np.ndarray:
-    """ln C(n, x) for x = 0..n. Cached per n; callers must not mutate."""
+def _support_table(n: int) -> tuple:
+    """(ln C(n, x), x, n - x) over x = 0..n, all float. Cached per n and read-only.
+
+    The counts are exact as floats (n < 2**53), so products with them round
+    as products with the integers would.
+    """
     lg = math.lgamma(n + 1)
-    return np.array([lg - math.lgamma(x + 1) - math.lgamma(n - x + 1) for x in range(n + 1)])
+    log_choose = np.array([lg - math.lgamma(x + 1) - math.lgamma(n - x + 1) for x in range(n + 1)])
+    x = np.arange(n + 1)
+    table = (log_choose, x.astype(float), (n - x).astype(float))
+    for arr in table:
+        arr.flags.writeable = False
+    return table
 
 
 def check_outcome(x: int, model: BinomialModel) -> int:
@@ -157,8 +160,8 @@ def _binom_log_pmf_open(n: int, log_theta, log1m_theta) -> np.ndarray:
 
     The logs are floats, or (T, 1) columns that give one row per theta.
     """
-    x = np.arange(n + 1)
-    return _log_choose_support(n) + x * log_theta + (n - x) * log1m_theta
+    log_choose, x, n_minus_x = _support_table(n)
+    return log_choose + x * log_theta + n_minus_x * log1m_theta
 
 
 def binom_pmf_support(model: BinomialModel, theta: float) -> np.ndarray:
@@ -219,7 +222,7 @@ def beta_binom_log_pmf_support(model: BinomialModel, prior: BetaPrior) -> np.nda
     n, a, b = model.n, prior.a, prior.b
     lb = log_beta(a, b)
     lbet = np.array([log_beta(x + a, b + n - x) for x in range(n + 1)])
-    return _log_choose_support(n) + lbet - lb
+    return _support_table(n)[0] + lbet - lb
 
 
 def beta_binom_pmf_support(model: BinomialModel, prior: BetaPrior) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 from .csvtext import csv_text, point, value
-from .decisions import DecisionMatrix, _admit_tie_groups, _row_threshold
+from .decisions import DecisionMatrix, _admit_tie_groups, _exp_threshold
 from .distributions import BetaPrior, BinomialModel, binom_pmf, check_level, check_outcomes
 
 __all__ = [
@@ -220,12 +220,12 @@ def mc_build_decision_row(model: GenericModel, eta: Any, samples: PooledSamples,
             f"effective sample size {ess:.1f} below floor {cfg.ess_floor:.1f} at eta {eta!r}"
         )
 
-    included, covered = _admit_tie_groups(log_g, v, (1.0 - cfg.level) * total_v, repr(eta))
+    included, covered, log_threshold = _admit_tie_groups(log_g, v, (1.0 - cfg.level) * total_v, repr(eta))
     return McDecisionRow(
         eta=eta,
         outcomes=samples.outcomes,
         included=included,
-        threshold=_row_threshold(log_g, included),
+        threshold=_exp_threshold(log_threshold),
         estimated_coverage=covered / total_v,
         ess=ess,
     )

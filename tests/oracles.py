@@ -5,13 +5,18 @@ routes deliberately different from the library's: direct arbitrary-precision
 products instead of cached log-gamma tables, true numerical integration
 instead of closed forms, and regularized-incomplete-beta tails instead of
 pmf summation. Test tolerances then measure real disagreement, not shared
-bugs. The one exception, ``oracle_matrix_csv``, is a plain per-line
-formatter that the whole-array CSV writer must match byte for byte.
+bugs. Two exceptions are float-exact references that the library must match
+bit for bit: ``oracle_matrix_csv``, a plain per-line formatter for the
+whole-array CSV writer, and ``oracle_admit_tie_groups``, the plain
+tie-group admission that the library's faster one must reproduce.
 """
 
 from __future__ import annotations
 
+import math
+
 import mpmath as mp
+import numpy as np
 
 mp.mp.dps = 40
 
@@ -177,3 +182,31 @@ def oracle_matrix_csv(points, included, threshold) -> str:
         for x, flag in enumerate(flags):
             lines.append("%.6f,%d,%d,%.12g" % (eta, x, 1 if flag else 0, thr))
     return "".join(line + "\n" for line in lines)
+
+
+def oracle_admit_tie_groups(log_g, mass, target: float) -> tuple:
+    """Greedy admission with every ranked group built explicitly.
+
+    Returns (inclusion flags, admitted mass summed in outcome order, smallest
+    admitted density). Groups chain while adjacent ranked log densities lie
+    within -log1p(-1e-12) of each other; they enter up to the first that
+    brings the rank-order sum to target, then one at a time while the
+    outcome-order sum is short. Raises ValueError when no set reaches target.
+    """
+    tol = -math.log1p(-1e-12)
+    order = np.argsort(-log_g, kind="stable")
+    ranked = log_g[order]
+    starts = np.concatenate(([0], np.flatnonzero(ranked[1:] < ranked[:-1] - tol) + 1))
+    reached = np.cumsum(np.add.reduceat(mass[order], starts))
+    taken = int(np.count_nonzero(reached < target)) + 1
+    included = np.zeros(order.size, dtype=bool)
+    while True:
+        stop = starts[taken] if taken < starts.size else order.size
+        included[order[:stop]] = True
+        covered = float(mass[included].sum())
+        if covered >= target:
+            with np.errstate(over="ignore"):
+                return included, covered, float(np.exp(log_g[included].min()))
+        if stop == order.size:
+            raise ValueError("no set of outcomes reaches the coverage target")
+        taken += 1

@@ -21,9 +21,22 @@ from avgpower import (
     decision_matrix_to_csv,
     type1_error,
 )
-from avgpower.decisions import DecisionMatrix, ThresholdOverflowError, rows_summary_csv
-from avgpower.distributions import binom_pmf_support, posterior_density_support
-from oracles import oracle_greedy_row, oracle_matrix_csv
+from avgpower.decisions import TIE_RTOL, DecisionMatrix, ThresholdOverflowError, rows_summary_csv
+from avgpower.distributions import (
+    beta_binom_log_pmf_support,
+    binom_log_pmf_support,
+    binom_pmf_support,
+    posterior_density_support,
+)
+from avgpower.monte_carlo import (
+    McConfig,
+    make_binomial_plugin,
+    mc_decision_rows,
+    mc_sample_data,
+    mc_sample_params,
+    pool_samples,
+)
+from oracles import oracle_admit_tie_groups, oracle_greedy_row, oracle_matrix_csv
 
 
 def small_config(n: int = 20, a: float = 0.5, b: float = 0.5, level: float = 0.05) -> TestConfig:
@@ -152,6 +165,83 @@ class TestBuildDecisionRow:
         for eta in (0.0, 1.0, -0.1, float("nan")):
             with pytest.raises(ValueError):
                 build_decision_row(eta, config)
+
+
+def has_ties(log_g: np.ndarray) -> bool:
+    """Whether two ranked log densities lie within the tie tolerance."""
+    ranked = np.sort(log_g)[::-1]
+    return bool(np.any(ranked[1:] >= ranked[:-1] + np.log1p(-TIE_RTOL)))
+
+
+class TestAdmissionReference:
+    """Rows built by the library equal the plain tie-group admission bit for bit:
+    the flags, the covered sum and the threshold."""
+
+    @staticmethod
+    def exact_inputs(config: TestConfig, eta: float) -> tuple:
+        log_f = binom_log_pmf_support(config.model, eta)
+        log_g = log_f - beta_binom_log_pmf_support(config.model, config.prior)
+        return log_g, np.exp(log_f), 1.0 - config.level
+
+    def assert_matrix_matches(self, config: TestConfig) -> tuple:
+        """Check every row of the built matrix; return it with each row's log densities."""
+        matrix = build_decision_matrix(config)
+        seen = []
+        for j, eta in enumerate(config.grid.points):
+            log_g, pmf, target = self.exact_inputs(config, float(eta))
+            included, covered, threshold = oracle_admit_tie_groups(log_g, pmf, target)
+            assert np.array_equal(matrix.included[j], included), eta
+            assert matrix.achieved_coverage[j] == covered, eta
+            assert matrix.threshold[j] == threshold, eta
+            seen.append(log_g)
+        return matrix, seen
+
+    def test_tie_free_rows(self):
+        _, seen = self.assert_matrix_matches(small_config(n=100, a=1.7, b=4.1))
+        assert not any(has_ties(log_g) for log_g in seen)
+
+    def test_one_trial(self):
+        self.assert_matrix_matches(small_config(n=1))
+
+    def test_symmetric_ties_at_half(self):
+        config = small_config(n=100)
+        log_g, pmf, target = self.exact_inputs(config, 0.5)
+        assert has_ties(log_g)
+        included, covered, threshold = oracle_admit_tie_groups(log_g, pmf, target)
+        row = build_decision_row(0.5, config)
+        assert np.array_equal(row.included, included)
+        assert (row.achieved_coverage, row.threshold) == (covered, threshold)
+
+    @pytest.mark.parametrize("n, level", [(50, 3e-12), (200, 1e-12)])
+    def test_rows_summed_short_in_outcome_order(self, n, level):
+        # Includes the row (eta 0.426 at n=50, 0.268 at n=200) that reaches
+        # the target in rank order but not in outcome order.
+        self.assert_matrix_matches(small_config(n=n, a=100.0, b=100.0, level=level))
+
+    def test_overflowing_thresholds(self):
+        config = TestConfig(0.05, BinomialModel(1000), BetaPrior(1000.0, 1.0), ParameterGrid.regular())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            matrix, _ = self.assert_matrix_matches(config)
+        assert np.isinf(matrix.threshold).any()
+
+    def test_monte_carlo_rows(self):
+        model, prior = BinomialModel(20), BetaPrior(0.5, 0.5)
+        plugin = make_binomial_plugin(model, prior)
+        cfg = McConfig(seed=7, n_params=300, n_data_per_param=20, level=0.05)
+        etas = [float(e) for e in ParameterGrid.regular(19).points]
+        params = mc_sample_params(plugin, cfg)
+        samples = pool_samples(plugin, params, mc_sample_data(plugin, params, cfg))
+        for eta, row in zip(etas, mc_decision_rows(plugin, cfg, etas)):
+            f = plugin.likelihood(samples.outcomes, eta)
+            with np.errstate(divide="ignore"):
+                log_g = np.where(f == 0.0, -np.inf, np.log(f) - np.log(samples.mix_density))
+            v = samples.counts * f / samples.mix_density
+            total_v = float(v.sum())
+            included, covered, threshold = oracle_admit_tie_groups(log_g, v, (1.0 - cfg.level) * total_v)
+            assert np.array_equal(row.included, included), eta
+            assert row.estimated_coverage == covered / total_v, eta
+            assert row.threshold == threshold, eta
 
 
 class TestMatrixAndCoverage:

@@ -13,6 +13,7 @@ from avgpower.decisions import ParameterGrid
 from avgpower.distributions import (
     BetaPrior,
     BinomialModel,
+    beta_binom_log_pmf_support,
     beta_binom_pmf_support,
     beta_log_pdf,
     beta_pdf,
@@ -21,9 +22,9 @@ from avgpower.distributions import (
     binom_pmf_rows,
     binom_pmf_support,
     log_beta,
-    log_gamma,
     posterior_density_support,
 )
+from avgpower.distributions import _support_table as support_table
 from oracles import (
     oracle_beta_binom_pmf,
     oracle_beta_pdf,
@@ -34,22 +35,32 @@ from oracles import (
 
 
 class TestLogGamma:
+    """The log-gamma terms, checked through log_beta, the one function built on them."""
+
     def test_half(self):
-        assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), abs=1e-12)
-        assert log_gamma(0.5) == pytest.approx(0.5723649429, abs=1e-9)
+        # B(1/2, 1/2) = Gamma(1/2)^2 = pi.
+        assert log_beta(0.5, 0.5) == pytest.approx(math.log(math.pi), abs=1e-12)
+        assert log_beta(0.5, 0.5) == pytest.approx(2 * 0.5723649429, abs=1e-9)
 
     def test_against_factorials(self):
+        # B(k+1, k+1) = k! k! / (2k+1)!.
         for k in range(1, 15):
-            assert log_gamma(k + 1) == pytest.approx(math.log(math.factorial(k)), rel=1e-13)
+            expected = math.log(math.factorial(k) ** 2 / math.factorial(2 * k + 1))
+            assert log_beta(k + 1, k + 1) == pytest.approx(expected, rel=1e-13)
 
     @pytest.mark.parametrize("z", [0.1, 0.5, 1.5, 7.25, 100.0, 200.5])
     def test_against_oracle(self, z):
-        assert log_gamma(z) == pytest.approx(oracle_log_gamma(z), rel=1e-12, abs=1e-12)
+        for w in (1.0, 2.75):
+            expected = oracle_log_gamma(z) + oracle_log_gamma(w) - oracle_log_gamma(z + w)
+            assert log_beta(z, w) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            assert log_beta(w, z) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("z", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_nonpositive(self, z):
         with pytest.raises(ValueError):
-            log_gamma(z)
+            log_beta(z, 1.0)
+        with pytest.raises(ValueError):
+            log_beta(1.0, z)
 
     def test_log_beta_symmetry(self):
         assert log_beta(2.5, 7.0) == pytest.approx(log_beta(7.0, 2.5), rel=1e-15)
@@ -147,6 +158,48 @@ class TestBinomPmfRows:
     def test_rejects_thetas_outside_open_unit_interval(self, thetas):
         with pytest.raises(ValueError, match="strictly inside"):
             binom_pmf_rows(BinomialModel(3), np.array(thetas))
+
+
+def fresh_log_choose(n: int) -> np.ndarray:
+    """ln C(n, x) over x = 0..n, built afresh on every call."""
+    lg = math.lgamma(n + 1)
+    return np.array([lg - math.lgamma(x + 1) - math.lgamma(n - x + 1) for x in range(n + 1)])
+
+
+def integer_support_formula(n: int, theta: float) -> np.ndarray:
+    """The binomial log pmf with an integer outcome array."""
+    x = np.arange(n + 1)
+    return fresh_log_choose(n) + x * math.log(theta) + (n - x) * math.log1p(-theta)
+
+
+class TestSupportTable:
+    THETAS = (1e-300, 1e-9, 0.002, 0.3013, 0.5, 0.75, 0.998, 1 - 1e-16)
+
+    @pytest.mark.parametrize("n", [1, 20, 100, 1000, 5000])
+    def test_log_pmf_equals_integer_formula_bit_for_bit(self, n):
+        model = BinomialModel(n)
+        expected = np.array([integer_support_formula(n, t) for t in self.THETAS])
+        for theta, row in zip(self.THETAS, expected):
+            assert np.array_equal(binom_log_pmf_support(model, theta), row), theta
+        assert np.array_equal(binom_pmf_rows(model, np.array(self.THETAS)), np.exp(expected))
+
+    @pytest.mark.parametrize("n", [1, 20, 100, 1000])
+    def test_beta_binomial_reads_the_same_coefficients(self, n):
+        prior = BetaPrior(0.5, 2.5)
+        lb = log_beta(0.5, 2.5)
+        lbet = np.array([log_beta(x + 0.5, 2.5 + n - x) for x in range(n + 1)])
+        log_choose = fresh_log_choose(n)
+        assert np.array_equal(support_table(n)[0], log_choose)
+        assert np.array_equal(beta_binom_log_pmf_support(BinomialModel(n), prior), log_choose + lbet - lb)
+
+    def test_cached_tables_are_read_only(self):
+        binom_log_pmf_support(BinomialModel(20), 0.3)
+        for arr in support_table(20):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        assert support_table(20)[1].tolist() == list(range(21))
+        assert support_table(20)[2].tolist() == list(range(20, -1, -1))
 
 
 class TestBetaPdf:

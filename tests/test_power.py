@@ -91,8 +91,12 @@ class TestAvgPowerGivenTheta:
         assert avg_power_given_theta(make_full_acceptance(), 0.3) == pytest.approx(0.0, abs=1e-15)
 
     def test_informative_minimum_at_half(self, matrix_inf, grid499):
-        values = np.array([avg_power_given_theta(matrix_inf, float(t)) for t in grid499.points])
-        assert grid499.points[int(np.argmin(values))] == 0.5
+        report = average_power_report(matrix_inf, matrix_inf.config.prior)
+        values = report.per_theta / report.weights.sum()
+        low = int(np.argmin(values))
+        assert grid499.points[low] == 0.5
+        for j in (low - 1, low, low + 1):
+            assert avg_power_given_theta(matrix_inf, float(grid499.points[j])) == pytest.approx(values[j], abs=1e-12)
 
     def test_is_the_weighted_power_curve(self, matrix_non, matrix_inf, grid499):
         # The per-theta contraction equals the definition: the power curve
