@@ -194,7 +194,7 @@ class ConfidenceRegion:
         return self.accepted.size == 0
 
 
-def _admit_tie_groups(log_g: np.ndarray, mass: np.ndarray, target: float, eta_label: str) -> tuple:
+def _admit_tie_groups(log_g: np.ndarray, mass: np.ndarray, target: float, eta, label) -> tuple:
     """Admit outcomes by descending ``log_g`` until ``mass`` reaches ``target``.
 
     Adjacent ranked values chain into one tie group while their densities
@@ -204,7 +204,8 @@ def _admit_tie_groups(log_g: np.ndarray, mass: np.ndarray, target: float, eta_la
     Returns (inclusion flags, admitted mass, smallest admitted ``log_g``).
     The mass is the sum that reached ``target``, taken in outcome order as a
     row rebuilt from its flags takes it. Raises ValueError, naming the null
-    as ``eta_label``, when even the whole support falls short of ``target``.
+    as ``label(eta)``, when even the whole support falls short of ``target``;
+    the label is formatted only then.
     """
     # Array methods rather than numpy functions: on a row of a hundred
     # outcomes the function dispatch costs as much as the work.
@@ -237,7 +238,7 @@ def _admit_tie_groups(log_g: np.ndarray, mass: np.ndarray, target: float, eta_la
         if stop == order.size:
             raise ValueError(
                 f"no set of outcomes reaches the coverage target {target!r}: "
-                f"the whole support holds {covered!r} at eta {eta_label}"
+                f"the whole support holds {covered!r} at eta {label(eta)}"
             )
         taken += 1
 
@@ -282,7 +283,7 @@ def build_decision_row(eta: float, config: TestConfig, *, log_mix: np.ndarray | 
     log_f = binom_log_pmf_support(config.model, eta)
     log_g = log_f - log_mix
     pmf = np.exp(log_f)
-    included, achieved, log_threshold = _admit_tie_groups(log_g, pmf, 1.0 - config.level, point(eta))
+    included, achieved, log_threshold = _admit_tie_groups(log_g, pmf, 1.0 - config.level, eta, point)
     return DecisionRow(eta=eta, included=included, threshold=_exp_threshold(log_threshold), achieved_coverage=achieved)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -121,6 +122,11 @@ class PooledSamples:
     counts: np.ndarray
     mix_density: np.ndarray
 
+    @cached_property
+    def _log_mix_density(self) -> np.ndarray:
+        """ln mix_density, taken once for every null built on this pool."""
+        return np.log(self.mix_density)
+
 
 @dataclass(eq=False)
 class McDecisionRow:
@@ -160,7 +166,8 @@ def _likelihood(model: GenericModel, outcomes: np.ndarray, param: Any) -> np.nda
     f = np.asarray(model.likelihood(outcomes, param), dtype=float)
     if f.shape != outcomes.shape:
         raise ValueError(f"likelihood returned shape {f.shape} for {outcomes.size} outcomes")
-    if not np.all(np.isfinite(f)) or np.any(f < 0.0):
+    # min >= 0 fails on NaN and -inf, max < inf on +inf.
+    if f.size and not (f.min() >= 0.0 and f.max() < math.inf):
         raise ValueError("likelihood values must be finite and nonnegative")
     return f
 
@@ -209,7 +216,7 @@ def mc_build_decision_row(model: GenericModel, eta: Any, samples: PooledSamples,
         raise DegenerateWeightsError(f"no sampled outcome carries likelihood mass at eta {eta!r}")
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_g = np.where(f == 0.0, -np.inf, np.log(f) - np.log(samples.mix_density))
+        log_g = np.where(f == 0.0, -np.inf, np.log(f) - samples._log_mix_density)
     v = samples.counts * f / samples.mix_density
     total_v = float(v.sum())
     # Effective sample size of the raw draws, not of the pooled atoms: each
@@ -220,7 +227,7 @@ def mc_build_decision_row(model: GenericModel, eta: Any, samples: PooledSamples,
             f"effective sample size {ess:.1f} below floor {cfg.ess_floor:.1f} at eta {eta!r}"
         )
 
-    included, covered, log_threshold = _admit_tie_groups(log_g, v, (1.0 - cfg.level) * total_v, repr(eta))
+    included, covered, log_threshold = _admit_tie_groups(log_g, v, (1.0 - cfg.level) * total_v, eta, repr)
     return McDecisionRow(
         eta=eta,
         outcomes=samples.outcomes,

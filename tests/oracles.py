@@ -5,10 +5,12 @@ routes deliberately different from the library's: direct arbitrary-precision
 products instead of cached log-gamma tables, true numerical integration
 instead of closed forms, and regularized-incomplete-beta tails instead of
 pmf summation. Test tolerances then measure real disagreement, not shared
-bugs. Two exceptions are float-exact references that the library must match
-bit for bit: ``oracle_matrix_csv``, a plain per-line formatter for the
-whole-array CSV writer, and ``oracle_admit_tie_groups``, the plain
-tie-group admission that the library's faster one must reproduce.
+bugs. Three exceptions are float-exact references that the library must
+match bit for bit: ``oracle_matrix_csv``, a plain per-line formatter for the
+whole-array CSV writer, ``oracle_admit_tie_groups``, the plain tie-group
+admission that the library's faster one must reproduce, and
+``oracle_bisect_cp``, the plain bisection whose endpoints the library's
+certified one must reproduce.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import math
 
 import mpmath as mp
 import numpy as np
+
+from avgpower.distributions import BinomialModel, binom_pmf_support
 
 mp.mp.dps = 40
 
@@ -210,3 +214,36 @@ def oracle_admit_tie_groups(log_g, mass, target: float) -> tuple:
         if stop == order.size:
             raise ValueError("no set of outcomes reaches the coverage target")
         taken += 1
+
+
+def _upper_tail(model: BinomialModel, x: int, theta: float) -> float:
+    return float(binom_pmf_support(model, theta)[x:].sum())
+
+
+def _lower_tail(model: BinomialModel, x: int, theta: float) -> float:
+    return float(binom_pmf_support(model, theta)[: x + 1].sum())
+
+
+def _bisect(predicate) -> float:
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-10:
+        mid = (lo + hi) / 2.0
+        if predicate(mid):
+            hi = mid
+        else:
+            lo = mid
+    return (lo + hi) / 2.0
+
+
+def oracle_bisect_cp(x: int, n: int, level: float) -> tuple:
+    """Equal-tail endpoints by plain bisection on the float tail sums.
+
+    Every one of the 34 midpoints is decided by its own tail sum:
+    P(X >= x) > level/2 for the lower endpoint, P(X <= x) <= level/2 for the
+    upper one, each the midpoint of its final bracket of width 1e-10.
+    """
+    model = BinomialModel(n)
+    half = level / 2.0
+    lower = 0.0 if x == 0 else _bisect(lambda t: _upper_tail(model, x, t) > half)
+    upper = 1.0 if x == n else _bisect(lambda t: _lower_tail(model, x, t) <= half)
+    return lower, upper

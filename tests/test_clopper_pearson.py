@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avgpower import (
     BetaPrior,
@@ -18,7 +22,9 @@ from avgpower import (
 )
 from avgpower.clopper_pearson import comparison_csv
 from avgpower.distributions import binom_pmf_support
-from oracles import oracle_cp_interval
+from oracles import oracle_bisect_cp, oracle_cp_interval
+
+cp_module = importlib.import_module("avgpower.clopper_pearson")
 
 
 class TestEndpoints:
@@ -76,6 +82,53 @@ class TestEndpoints:
             clopper_pearson(3, model, 0.0)
         with pytest.raises(ValueError):
             clopper_pearson(3, model, 1.0)
+
+
+class TestPlainBisectionReference:
+    """Certified midpoints must leave every endpoint equal to the plain bisection's."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 20, 100, 333])
+    @pytest.mark.parametrize("level", [0.999, 0.5, 0.05, 1e-3, 1e-6, 1e-9, 1e-300])
+    def test_every_outcome(self, n, level):
+        for interval in cp_intervals(BinomialModel(n), level):
+            assert (interval.lower, interval.upper) == oracle_bisect_cp(interval.x, n, level)
+
+    def test_every_outcome_at_n_1000(self):
+        for interval in cp_intervals(BinomialModel(1000), 0.05):
+            assert (interval.lower, interval.upper) == oracle_bisect_cp(interval.x, 1000, 0.05)
+
+    @given(n=st.integers(1, 60), share=st.floats(0.0, 1.0), exponent=st.floats(-295.0, -0.001))
+    @settings(max_examples=200, deadline=None)
+    def test_small_n_sweep(self, n, share, exponent):
+        x = round(share * n)
+        level = 10.0**exponent
+        interval = clopper_pearson(x, BinomialModel(n), level)
+        assert (interval.lower, interval.upper) == oracle_bisect_cp(x, n, level)
+
+
+class TestTailSumBudget:
+    """Tail sums per endpoint; the plain bisection spends 34 on each."""
+
+    @staticmethod
+    def tail_sums(monkeypatch, n, level) -> int:
+        calls = []
+        kernel = cp_module.binom_pmf_support
+
+        def counted(model, theta):
+            calls.append(theta)
+            return kernel(model, theta)
+
+        monkeypatch.setattr(cp_module, "binom_pmf_support", counted)
+        cp_intervals(BinomialModel(n), level)
+        return len(calls)
+
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_certified_midpoints_are_skipped(self, monkeypatch, n):
+        # x = 0 has no lower endpoint to solve and x = n no upper one.
+        assert self.tail_sums(monkeypatch, n, 0.05) <= 16 * 2 * n
+
+    def test_no_certification_below_the_subnormal_cutoff(self, monkeypatch):
+        assert self.tail_sums(monkeypatch, 20, 1e-300) == 34 * 2 * 20
 
 
 class TestCompareLengths:

@@ -186,6 +186,54 @@ class TestPooling:
             pool_samples(scalar, params, data)
 
 
+def corrupt(values: np.ndarray, fault: str) -> np.ndarray:
+    values = np.array(values, dtype=float)
+    if fault == "shape":
+        return values[:-1]
+    values[values.size // 2] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "negative": -1e-300}[fault]
+    return values
+
+
+VALUES_MESSAGE = "^likelihood values must be finite and nonnegative$"
+LIKELIHOOD_FAULTS = [
+    ("nan", VALUES_MESSAGE),
+    ("inf", VALUES_MESSAGE),
+    ("-inf", VALUES_MESSAGE),
+    ("negative", VALUES_MESSAGE),
+    ("shape", r"^likelihood returned shape \(\d+,\) for \d+ outcomes$"),
+]
+
+
+class TestLikelihoodChecks:
+    """A likelihood that returns a bad value or shape is rejected wherever it is called."""
+
+    @staticmethod
+    def broken(plugin: GenericModel, fault: str) -> GenericModel:
+        return GenericModel(
+            likelihood=lambda x, theta: corrupt(plugin.likelihood(x, theta), fault),
+            sample_param=plugin.sample_param,
+            sample_data=plugin.sample_data,
+        )
+
+    @pytest.mark.parametrize("fault,message", LIKELIHOOD_FAULTS)
+    def test_pool_samples(self, fault, message):
+        plugin = binom_plugin()
+        config = cfg(n_params=20, n_data=5)
+        params = mc_sample_params(plugin, config)
+        data = mc_sample_data(plugin, params, config)
+        with pytest.raises(ValueError, match=message):
+            pool_samples(self.broken(plugin, fault), params, data)
+
+    @pytest.mark.parametrize("fault,message", LIKELIHOOD_FAULTS)
+    def test_mc_build_decision_row(self, fault, message):
+        plugin = binom_plugin()
+        config = cfg(n_params=20, n_data=5)
+        params = mc_sample_params(plugin, config)
+        pooled = pool_samples(plugin, params, mc_sample_data(plugin, params, config))
+        with pytest.raises(ValueError, match=message):
+            mc_build_decision_row(self.broken(plugin, fault), 0.41, pooled, config)
+
+
 class TestBuildRow:
     def pooled(self, plugin=None, config=None):
         plugin = plugin or binom_plugin()
