@@ -7,7 +7,6 @@ baseline, and a sampling-based construction path round out the package.
 """
 
 from .clopper_pearson import (
-    CpInterval,
     LengthComparison,
     clopper_pearson,
     compare_lengths,
@@ -16,7 +15,6 @@ from .clopper_pearson import (
 from .decisions import (
     ConfidenceRegion,
     DecisionMatrix,
-    DecisionRow,
     ParameterGrid,
     TestConfig,
     build_decision_matrix,
@@ -40,7 +38,7 @@ from .monte_carlo import (
     GenericModel,
     LowEffectiveSampleError,
     McConfig,
-    McDecisionRow,
+    McDecisionMatrix,
     agreement_with_matrix,
     make_binomial_plugin,
     mc_build_decision_row,
@@ -71,7 +69,6 @@ __all__ = [
     "binom_pmf",
     "ConfidenceRegion",
     "DecisionMatrix",
-    "DecisionRow",
     "ParameterGrid",
     "TestConfig",
     "build_decision_matrix",
@@ -89,7 +86,6 @@ __all__ = [
     "overall_power_grid",
     "power",
     "power_curve",
-    "CpInterval",
     "LengthComparison",
     "clopper_pearson",
     "compare_lengths",
@@ -99,7 +95,7 @@ __all__ = [
     "GenericModel",
     "LowEffectiveSampleError",
     "McConfig",
-    "McDecisionRow",
+    "McDecisionMatrix",
     "agreement_with_matrix",
     "make_binomial_plugin",
     "mc_build_decision_row",

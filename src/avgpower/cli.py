@@ -259,8 +259,8 @@ def cmd_mc_validate(config: RunConfig, mc: McConfig, min_agreement: float) -> in
     matrix = build_decision_matrix(test)
     report = agreement_with_matrix(rows, matrix)
     print(f"overall agreement {report.overall:.6f} (threshold {min_agreement:.6f})")
-    lowest = min(rows, key=lambda row: row.ess)
-    print(f"minimum effective sample size {lowest.ess:.1f} at eta {lowest.eta:.6f}")
+    lowest = int(rows.ess.argmin())
+    print(f"minimum effective sample size {rows.ess[lowest]:.1f} at eta {rows.etas[lowest]:.6f}")
     _emit(config, [("mc_agreement.csv", agreement_csv(report), "")])
     if report.overall < min_agreement:
         print("agreement below threshold", file=sys.stderr)

@@ -31,7 +31,6 @@ from .distributions import BinomialModel, binom_pmf_support, check_level, check_
 
 __all__ = [
     "BISECTION_TOL",
-    "CpInterval",
     "LengthComparison",
     "clopper_pearson",
     "cp_intervals",
@@ -40,15 +39,6 @@ __all__ = [
 ]
 
 BISECTION_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class CpInterval:
-    """Equal-tail interval for one outcome; closed endpoints in [0, 1]."""
-
-    x: int
-    lower: float
-    upper: float
 
 
 @dataclass(frozen=True)
@@ -209,28 +199,30 @@ def _endpoint(model: BinomialModel, x: int, half: float, upper: bool) -> float:
     return _bisect(lambda t: t >= true_at or (t > false_at and crossed(t)))
 
 
-def clopper_pearson(x: int, model: BinomialModel, level: float) -> CpInterval:
-    """Equal-tail interval for x successes, each tail at level/2.
+def clopper_pearson(x: int, model: BinomialModel, level: float) -> tuple:
+    """Equal-tail interval (lower, upper) for x successes, each tail at level/2.
 
-    The lower endpoint is the midpoint of the final bracket of a bisection
-    on [0, 1], to width 1e-10, for the smallest theta whose upper tail
-    P(X >= x) exceeds level/2 (zero when x = 0); the upper endpoint mirrors
-    it with P(X <= x) <= level/2 (one when x = n). Midpoints beyond the two
-    points certified by a Newton search are decided without a tail sum,
-    which leaves every endpoint bit-identical to the plain bisection; see
-    the module docstring for the margin and the subnormal cut-off.
+    Both endpoints are closed and lie in [0, 1]. The lower endpoint is the
+    midpoint of the final bracket of a bisection on [0, 1], to width 1e-10,
+    for the smallest theta whose upper tail P(X >= x) exceeds level/2 (zero
+    when x = 0); the upper endpoint mirrors it with P(X <= x) <= level/2
+    (one when x = n). Midpoints beyond the two points certified by a Newton
+    search are decided without a tail sum, which leaves every endpoint
+    bit-identical to the plain bisection; see the module docstring for the
+    margin and the subnormal cut-off.
     """
     x = check_outcome(x, model)
     half = check_level(level) / 2.0
     # P(X >= x | theta) increases from 0 to 1; P(X <= x | theta) decreases from 1 to 0.
     lower = 0.0 if x == 0 else _endpoint(model, x, half, upper=True)
     upper = 1.0 if x == model.n else _endpoint(model, x, half, upper=False)
-    return CpInterval(x=x, lower=lower, upper=upper)
+    return lower, upper
 
 
-def cp_intervals(model: BinomialModel, level: float) -> list:
-    """Intervals for every outcome 0..n."""
-    return [clopper_pearson(x, model, level) for x in model.outcomes()]
+def cp_intervals(model: BinomialModel, level: float) -> tuple:
+    """(lower, upper) endpoint arrays of shape (n+1,), indexed by the outcome 0..n."""
+    lower, upper = np.array([clopper_pearson(x, model, level) for x in model.outcomes()]).T
+    return lower, upper
 
 
 def compare_lengths(matrix: DecisionMatrix) -> LengthComparison:
@@ -242,10 +234,8 @@ def compare_lengths(matrix: DecisionMatrix) -> LengthComparison:
     config = matrix.config
     grid_pts = config.grid.points
     step = float(np.max(np.diff(grid_pts))) if grid_pts.size > 1 else 0.0
-    cps = cp_intervals(config.model, config.level)
+    cp_lower, cp_upper = cp_intervals(config.model, config.level)
     regions = [confidence_region(matrix, x) for x in config.model.outcomes()]
-    cp_lower = np.array([cp.lower for cp in cps])
-    cp_upper = np.array([cp.upper for cp in cps])
     prop_lower = np.array([region.lower for region in regions])
     prop_upper = np.array([region.upper for region in regions])
     prop_lengths = np.where(np.isnan(prop_lower), 0.0, prop_upper - prop_lower)

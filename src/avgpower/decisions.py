@@ -32,7 +32,6 @@ __all__ = [
     "TIE_RTOL",
     "ParameterGrid",
     "TestConfig",
-    "DecisionRow",
     "DecisionMatrix",
     "ConfidenceRegion",
     "ThresholdOverflowError",
@@ -110,7 +109,8 @@ class ParameterGrid:
     def nearest_index(self, value: float) -> int:
         """Index of the grid point closest to value; errors beyond 1e-9."""
         idx = int(np.argmin(np.abs(self.points - value)))
-        if abs(self.points[idx] - value) > 1e-9:
+        # Written so that a NaN value fails it too.
+        if not abs(self.points[idx] - value) <= 1e-9:
             raise ValueError(f"{value!r} is not a grid point (nearest is {self.points[idx]!r})")
         return idx
 
@@ -132,29 +132,18 @@ class TestConfig:
 
 
 @dataclass(eq=False)
-class DecisionRow:
-    """Acceptance indicator over outcomes for one null value eta.
-
-    ``threshold`` is the smallest posterior density g(x) = f_eta(x) / P_mix(x)
-    among admitted outcomes, so the row equals {x : g(x) >= threshold} up to
-    tie tolerance. ``achieved_coverage`` is the exact binomial mass of the
-    admitted set under eta and always reaches at least 1 - level.
-    """
-
-    eta: float
-    included: np.ndarray
-    threshold: float
-    achieved_coverage: float
-
-
-@dataclass(eq=False)
 class DecisionMatrix:
     """Every grid null's decision row, stored as arrays in grid order.
 
     With G grid points and n trials: ``included`` is bool (G, n+1),
-    ``threshold`` and ``achieved_coverage`` are float (G,). Row j carries
-    the meaning of a DecisionRow for the null ``config.grid.points[j]``.
-    The arrays are made read-only, since consumers share them uncopied.
+    ``threshold`` and ``achieved_coverage`` are float (G,). Row j is the
+    acceptance indicator over outcomes for the null eta =
+    ``config.grid.points[j]``. Its ``threshold`` is the smallest posterior
+    density g(x) = f_eta(x) / P_mix(x) among admitted outcomes, so the row
+    equals {x : g(x) >= threshold} up to tie tolerance. Its
+    ``achieved_coverage`` is the exact binomial mass of the admitted set
+    under eta and always reaches at least 1 - level. The arrays are made
+    read-only, since consumers share them uncopied.
     """
 
     config: TestConfig
@@ -255,7 +244,7 @@ def _exp_threshold(log_threshold: float) -> float:
         return float(np.exp(log_threshold))
 
 
-def build_decision_row(eta: float, config: TestConfig, *, log_mix: np.ndarray | None = None) -> DecisionRow:
+def build_decision_row(eta: float, config: TestConfig, *, log_mix: np.ndarray | None = None) -> tuple:
     """Construct the acceptance set for one null value.
 
     Parameters
@@ -270,10 +259,11 @@ def build_decision_row(eta: float, config: TestConfig, *, log_mix: np.ndarray | 
 
     Returns
     -------
-    DecisionRow
-        Outcomes admitted in order of decreasing posterior density until the
-        exact binomial mass under eta reaches 1 - level. Outcomes are ranked
-        by log density, which stays finite where the density itself would
+    (included, threshold, achieved_coverage)
+        One row of a DecisionMatrix, with the meanings given there: outcomes
+        admitted in order of decreasing posterior density until the exact
+        binomial mass under eta reaches 1 - level. Outcomes are ranked by
+        log density, which stays finite where the density itself would
         overflow. Tie groups enter atomically; the threshold records the
         smallest admitted density.
     """
@@ -284,18 +274,16 @@ def build_decision_row(eta: float, config: TestConfig, *, log_mix: np.ndarray | 
     log_g = log_f - log_mix
     pmf = np.exp(log_f)
     included, achieved, log_threshold = _admit_tie_groups(log_g, pmf, 1.0 - config.level, eta, point)
-    return DecisionRow(eta=eta, included=included, threshold=_exp_threshold(log_threshold), achieved_coverage=achieved)
+    return included, _exp_threshold(log_threshold), achieved
 
 
 def build_decision_matrix(config: TestConfig) -> DecisionMatrix:
     """Build one decision row per grid point. Deterministic in config."""
     log_mix = beta_binom_log_pmf_support(config.model, config.prior)
-    rows = [build_decision_row(eta, config, log_mix=log_mix) for eta in config.grid.points]
+    rows = (build_decision_row(eta, config, log_mix=log_mix) for eta in config.grid.points)
+    included, threshold, achieved = zip(*rows)
     return DecisionMatrix(
-        config=config,
-        included=np.array([row.included for row in rows]),
-        threshold=np.array([row.threshold for row in rows]),
-        achieved_coverage=np.array([row.achieved_coverage for row in rows]),
+        config=config, included=np.array(included), threshold=np.array(threshold), achieved_coverage=np.array(achieved)
     )
 
 
@@ -414,7 +402,8 @@ def decision_matrix_from_csv(text: str, config: TestConfig) -> DecisionMatrix:
         if eta_s not in row_of:
             raise ValueError(f"eta {eta_s} is not a point of the config grid")
         j, x = row_of[eta_s], _parse_field(int, x_s, "x", ln)
-        _parse_field(float, thr_s, "threshold", ln)
+        if not math.isfinite(_parse_field(float, thr_s, "threshold", ln)):
+            raise ValueError(f"non-finite threshold {thr_s!r} in line {ln!r}")
         if not 0 <= x <= n:
             raise ValueError(f"outcome {x} outside support 0..{n}")
         if seen[j, x]:

@@ -35,7 +35,7 @@ __all__ = [
     "McConfig",
     "DataSample",
     "PooledSamples",
-    "McDecisionRow",
+    "McDecisionMatrix",
     "AgreementReport",
     "mc_sample_params",
     "mc_sample_data",
@@ -129,19 +129,23 @@ class PooledSamples:
 
 
 @dataclass(eq=False)
-class McDecisionRow:
-    """Acceptance decision over the sampled outcomes for one null value.
+class McDecisionMatrix:
+    """Monte Carlo decision rows for the null values ``etas``, stored as arrays.
 
-    ess is the effective sample size of the raw draws under the null's
-    coverage weights.
+    ``etas`` holds the G null values as the caller gave them, and
+    ``outcomes`` the K distinct sampled outcomes every row is over.
+    ``included`` is bool (G, K); ``threshold``, ``estimated_coverage`` and
+    ``ess`` are float (G,). Row j is the acceptance decision for the null
+    ``etas[j]``, and its ess is the effective sample size of the raw draws
+    under that null's coverage weights.
     """
 
-    eta: Any
+    etas: Sequence[Any]
     outcomes: np.ndarray
     included: np.ndarray
-    threshold: float
-    estimated_coverage: float
-    ess: float
+    threshold: np.ndarray
+    estimated_coverage: np.ndarray
+    ess: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -197,8 +201,11 @@ def pool_samples(model: GenericModel, params: Sequence[Any], data: DataSample) -
     return PooledSamples(outcomes=outcomes, counts=counts, mix_density=mix)
 
 
-def mc_build_decision_row(model: GenericModel, eta: Any, samples: PooledSamples, cfg: McConfig) -> McDecisionRow:
+def mc_build_decision_row(model: GenericModel, eta: Any, samples: PooledSamples, cfg: McConfig) -> tuple:
     """Greedy acceptance row over the sampled outcomes for one null value.
+
+    Returns (included, threshold, estimated_coverage, ess), one row of an
+    McDecisionMatrix over ``samples.outcomes``.
 
     Outcomes are ordered by the estimated posterior-to-prior density ratio
     (likelihood over estimated predictive mass), tie groups entering
@@ -215,8 +222,7 @@ def mc_build_decision_row(model: GenericModel, eta: Any, samples: PooledSamples,
     if total_f == 0.0:
         raise DegenerateWeightsError(f"no sampled outcome carries likelihood mass at eta {eta!r}")
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_g = np.where(f == 0.0, -np.inf, np.log(f) - samples._log_mix_density)
+    log_g = np.log(f, out=np.full(f.shape, -np.inf), where=f > 0.0) - samples._log_mix_density
     v = samples.counts * f / samples.mix_density
     total_v = float(v.sum())
     # Effective sample size of the raw draws, not of the pooled atoms: each
@@ -228,22 +234,20 @@ def mc_build_decision_row(model: GenericModel, eta: Any, samples: PooledSamples,
         )
 
     included, covered, log_threshold = _admit_tie_groups(log_g, v, (1.0 - cfg.level) * total_v, eta, repr)
-    return McDecisionRow(
-        eta=eta,
-        outcomes=samples.outcomes,
-        included=included,
-        threshold=_exp_threshold(log_threshold),
-        estimated_coverage=covered / total_v,
-        ess=ess,
-    )
+    return included, _exp_threshold(log_threshold), covered / total_v, ess
 
 
-def mc_decision_rows(model: GenericModel, cfg: McConfig, etas: Sequence[Any]) -> list:
+def mc_decision_rows(model: GenericModel, cfg: McConfig, etas: Sequence[Any]) -> McDecisionMatrix:
     """Run the full pipeline and build one row per requested null value."""
     params = mc_sample_params(model, cfg)
     data = mc_sample_data(model, params, cfg)
     samples = pool_samples(model, params, data)
-    return [mc_build_decision_row(model, eta, samples, cfg) for eta in etas]
+    count = len(etas)
+    included = np.zeros((count, samples.outcomes.size), dtype=bool)
+    threshold, estimated, ess = np.empty(count), np.empty(count), np.empty(count)
+    for j, eta in enumerate(etas):
+        included[j], threshold[j], estimated[j], ess[j] = mc_build_decision_row(model, eta, samples, cfg)
+    return McDecisionMatrix(etas, samples.outcomes, included, threshold, estimated, ess)
 
 
 def make_binomial_plugin(model: BinomialModel, prior: BetaPrior) -> GenericModel:
@@ -255,7 +259,7 @@ def make_binomial_plugin(model: BinomialModel, prior: BetaPrior) -> GenericModel
     )
 
 
-def agreement_with_matrix(mc_rows: Sequence[McDecisionRow], matrix: DecisionMatrix) -> AgreementReport:
+def agreement_with_matrix(mc: McDecisionMatrix, matrix: DecisionMatrix) -> AgreementReport:
     """Fraction of outcome cells where MC inclusion matches the exact rows.
 
     Rows must align with the matrix grid one-to-one, and their outcomes
@@ -263,17 +267,19 @@ def agreement_with_matrix(mc_rows: Sequence[McDecisionRow], matrix: DecisionMatr
     produced count as excluded on the MC side.
     """
     grid = matrix.config.grid
-    if len(mc_rows) != len(grid):
-        raise ValueError(f"{len(mc_rows)} MC rows against a {len(grid)}-point grid")
+    if len(mc.etas) != len(grid):
+        raise ValueError(f"{len(mc.etas)} MC rows against a {len(grid)}-point grid")
+    # Written so that a NaN null fails it too.
+    off = ~(np.abs(np.asarray(mc.etas, dtype=float) - grid.points) <= 1e-12)
+    if off.any():
+        r = int(off.argmax())
+        raise ValueError(f"row {r} null value {mc.etas[r]!r} does not match grid point {float(grid.points[r])!r}")
+    try:
+        outcomes = check_outcomes(np.asarray(mc.outcomes), matrix.config.model)
+    except ValueError as exc:
+        raise ValueError(f"sampled {exc}") from None
     mc_full = np.zeros_like(matrix.included)
-    for r, (mc_row, eta) in enumerate(zip(mc_rows, grid.points)):
-        if abs(float(mc_row.eta) - eta) > 1e-12:
-            raise ValueError(f"row {r} null value {mc_row.eta!r} does not match grid point {float(eta)!r}")
-        try:
-            outcomes = check_outcomes(np.asarray(mc_row.outcomes), matrix.config.model)
-        except ValueError as exc:
-            raise ValueError(f"sampled {exc}") from None
-        mc_full[r, outcomes] = mc_row.included
+    mc_full[:, outcomes] = mc.included
     per_eta = (mc_full == matrix.included).mean(axis=1)
     return AgreementReport(etas=grid.points, per_eta=per_eta, overall=float(per_eta.mean()))
 

@@ -124,9 +124,9 @@ def test_criterion_05_region_geometry(acceptance_log, matrix_non, matrix_inf):
 def test_criterion_06_baseline_lengths(acceptance_log, matrix_non, model100):
     comparison = compare_lengths(matrix_non)
     margin = comparison.mean_proposed_length - comparison.mean_cp_length
-    central = clopper_pearson(50, model100, LEVEL)
+    central_lower, central_upper = clopper_pearson(50, model100, LEVEL)
     lo, hi = oracle_cp_interval(50, 100, LEVEL)
-    endpoint_err = max(abs(central.lower - lo), abs(central.upper - hi))
+    endpoint_err = max(abs(central_lower - lo), abs(central_upper - hi))
     passed = margin <= 0.002 and endpoint_err <= 1e-6
     acceptance_log(
         6,

@@ -30,44 +30,42 @@ cp_module = importlib.import_module("avgpower.clopper_pearson")
 class TestEndpoints:
     def test_boundary_conventions(self):
         model = BinomialModel(100)
-        assert clopper_pearson(0, model, 0.05).lower == 0.0
-        assert clopper_pearson(100, model, 0.05).upper == 1.0
+        assert clopper_pearson(0, model, 0.05)[0] == 0.0
+        assert clopper_pearson(100, model, 0.05)[1] == 1.0
 
     def test_central_interval(self):
-        interval = clopper_pearson(50, BinomialModel(100), 0.05)
-        assert interval.lower == pytest.approx(0.3983, abs=5e-4)
-        assert interval.upper == pytest.approx(0.6017, abs=5e-4)
+        lower, upper = clopper_pearson(50, BinomialModel(100), 0.05)
+        assert lower == pytest.approx(0.3983, abs=5e-4)
+        assert upper == pytest.approx(0.6017, abs=5e-4)
 
     def test_against_incomplete_beta_oracle(self):
         model = BinomialModel(100)
         for x in (0, 1, 13, 50, 87, 100):
             lower, upper = oracle_cp_interval(x, 100, 0.05)
-            interval = clopper_pearson(x, model, 0.05)
-            assert interval.lower == pytest.approx(lower, abs=1e-6)
-            assert interval.upper == pytest.approx(upper, abs=1e-6)
+            got_lower, got_upper = clopper_pearson(x, model, 0.05)
+            assert got_lower == pytest.approx(lower, abs=1e-6)
+            assert got_upper == pytest.approx(upper, abs=1e-6)
 
     def test_reflection_symmetry(self):
         model = BinomialModel(60)
         for x in (0, 4, 17, 30):
-            a = clopper_pearson(x, model, 0.05)
-            b = clopper_pearson(60 - x, model, 0.05)
-            assert a.lower == pytest.approx(1.0 - b.upper, abs=2e-10)
-            assert a.upper == pytest.approx(1.0 - b.lower, abs=2e-10)
+            a_lower, a_upper = clopper_pearson(x, model, 0.05)
+            b_lower, b_upper = clopper_pearson(60 - x, model, 0.05)
+            assert a_lower == pytest.approx(1.0 - b_upper, abs=2e-10)
+            assert a_upper == pytest.approx(1.0 - b_lower, abs=2e-10)
 
     def test_monotone_in_x(self):
-        intervals = cp_intervals(BinomialModel(40), 0.05)
-        lowers = [iv.lower for iv in intervals]
-        uppers = [iv.upper for iv in intervals]
+        lowers, uppers = (ends.tolist() for ends in cp_intervals(BinomialModel(40), 0.05))
         assert lowers == sorted(lowers)
         assert uppers == sorted(uppers)
 
     def test_coverage_on_fine_grid(self):
         # Exact summation: the realized coverage never drops below 1 - level.
         model = BinomialModel(25)
-        intervals = cp_intervals(model, 0.05)
+        lower, upper = cp_intervals(model, 0.05)
         for theta in np.linspace(0.001, 0.999, 999):
             pmf = binom_pmf_support(model, float(theta))
-            mask = [iv.lower <= theta <= iv.upper for iv in intervals]
+            mask = (lower <= theta) & (theta <= upper)
             assert float(pmf[mask].sum()) >= 0.95 - 1e-12
 
     def test_validation(self):
@@ -90,20 +88,22 @@ class TestPlainBisectionReference:
     @pytest.mark.parametrize("n", [1, 2, 5, 20, 100, 333])
     @pytest.mark.parametrize("level", [0.999, 0.5, 0.05, 1e-3, 1e-6, 1e-9, 1e-300])
     def test_every_outcome(self, n, level):
-        for interval in cp_intervals(BinomialModel(n), level):
-            assert (interval.lower, interval.upper) == oracle_bisect_cp(interval.x, n, level)
+        lower, upper = cp_intervals(BinomialModel(n), level)
+        assert lower.shape == upper.shape == (n + 1,)
+        for x in range(n + 1):
+            assert (lower[x], upper[x]) == oracle_bisect_cp(x, n, level)
 
     def test_every_outcome_at_n_1000(self):
-        for interval in cp_intervals(BinomialModel(1000), 0.05):
-            assert (interval.lower, interval.upper) == oracle_bisect_cp(interval.x, 1000, 0.05)
+        lower, upper = cp_intervals(BinomialModel(1000), 0.05)
+        for x in range(1001):
+            assert (lower[x], upper[x]) == oracle_bisect_cp(x, 1000, 0.05)
 
     @given(n=st.integers(1, 60), share=st.floats(0.0, 1.0), exponent=st.floats(-295.0, -0.001))
     @settings(max_examples=200, deadline=None)
     def test_small_n_sweep(self, n, share, exponent):
         x = round(share * n)
         level = 10.0**exponent
-        interval = clopper_pearson(x, BinomialModel(n), level)
-        assert (interval.lower, interval.upper) == oracle_bisect_cp(x, n, level)
+        assert clopper_pearson(x, BinomialModel(n), level) == oracle_bisect_cp(x, n, level)
 
 
 class TestTailSumBudget:
@@ -141,9 +141,9 @@ class TestCompareLengths:
 
     def test_rows_match_direct_computation(self, matrix_non):
         comparison = compare_lengths(matrix_non)
-        interval = clopper_pearson(50, matrix_non.config.model, 0.05)
+        lower, upper = clopper_pearson(50, matrix_non.config.model, 0.05)
         region = confidence_region(matrix_non, 50)
-        assert comparison.cp_lower[50] == interval.lower and comparison.cp_upper[50] == interval.upper
+        assert comparison.cp_lower[50] == lower and comparison.cp_upper[50] == upper
         assert comparison.prop_lower[50] == region.lower and comparison.prop_upper[50] == region.upper
 
     def test_informative_center_shorter_than_baseline(self, matrix_inf):

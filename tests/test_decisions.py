@@ -75,8 +75,9 @@ class TestParameterGrid:
         grid = ParameterGrid.regular()
         assert grid.nearest_index(0.45) == 224
         assert grid.points[grid.nearest_index(0.45)] == pytest.approx(0.45, abs=1e-12)
-        with pytest.raises(ValueError):
-            grid.nearest_index(0.4511)
+        for off_grid in (0.4511, float("nan")):
+            with pytest.raises(ValueError):
+                grid.nearest_index(off_grid)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -100,49 +101,49 @@ class TestBuildDecisionRow:
         # n=100 at the symmetric null: a contiguous block around 50 whose
         # exact mass lands in [0.95, 0.95 + mass of the final tie pair).
         config = small_config(n=100)
-        row = build_decision_row(0.5, config)
-        inc = np.flatnonzero(row.included)
+        included, _, achieved = build_decision_row(0.5, config)
+        inc = np.flatnonzero(included)
         assert inc[0] == 40 and inc[-1] == 60
         assert inc.size == inc[-1] - inc[0] + 1
         pmf = binom_pmf_support(config.model, 0.5)
         last_group_mass = pmf[40] + pmf[60]
-        assert 0.95 <= row.achieved_coverage <= 0.95 + last_group_mass
+        assert 0.95 <= achieved <= 0.95 + last_group_mass
 
     def test_matches_independent_resort_oracle(self):
         config = small_config(n=100)
         for eta in (0.11, 0.5, 0.83):
-            row = build_decision_row(eta, config)
-            assert set(np.flatnonzero(row.included).tolist()) == set(oracle_greedy_row(eta, 100, 0.05, 0.5, 0.5))
+            included, _, _ = build_decision_row(eta, config)
+            assert set(np.flatnonzero(included).tolist()) == set(oracle_greedy_row(eta, 100, 0.05, 0.5, 0.5))
 
     def test_informative_row_against_oracle(self):
         config = small_config(n=100, a=100.0, b=100.0)
-        row = build_decision_row(0.33, config)
-        assert set(np.flatnonzero(row.included).tolist()) == set(oracle_greedy_row(0.33, 100, 0.05, 100.0, 100.0))
+        included, _, _ = build_decision_row(0.33, config)
+        assert set(np.flatnonzero(included).tolist()) == set(oracle_greedy_row(0.33, 100, 0.05, 100.0, 100.0))
 
     def test_threshold_is_minimum_included_density(self):
         config = small_config()
-        row = build_decision_row(0.37, config)
+        included, threshold, _ = build_decision_row(0.37, config)
         dens = posterior_density_support(0.37, config.model, config.prior)
-        assert row.threshold == float(dens[row.included].min())
-        recovered = dens >= row.threshold * (1.0 - 1e-9)
-        assert np.array_equal(recovered, row.included)
+        assert threshold == float(dens[included].min())
+        recovered = dens >= threshold * (1.0 - 1e-9)
+        assert np.array_equal(recovered, included)
 
     def test_symmetric_ties_admitted_atomically(self):
         config = small_config(n=100)
-        row = build_decision_row(0.5, config)
-        assert np.array_equal(row.included, row.included[::-1])
+        included, _, _ = build_decision_row(0.5, config)
+        assert np.array_equal(included, included[::-1])
 
     def test_mirrored_nulls_give_mirrored_rows(self):
         config = small_config(n=100)
-        left = build_decision_row(0.3, config)
-        right = build_decision_row(0.7, config)
-        assert np.array_equal(left.included, right.included[::-1])
+        left, _, _ = build_decision_row(0.3, config)
+        right, _, _ = build_decision_row(0.7, config)
+        assert np.array_equal(left, right[::-1])
 
     def test_coverage_constraint_met(self):
         config = small_config()
         for eta in (0.002, 0.25, 0.5, 0.998):
-            row = build_decision_row(eta, config)
-            assert row.achieved_coverage >= 1.0 - config.level
+            _, _, achieved = build_decision_row(eta, config)
+            assert achieved >= 1.0 - config.level
 
     def test_unreachable_target_raises(self):
         # At n=1000 the pmf sums to about 1 - 3e-13, short of 1 - 1e-13.
@@ -209,8 +210,8 @@ class TestAdmissionReference:
         assert has_ties(log_g)
         included, covered, threshold = oracle_admit_tie_groups(log_g, pmf, target)
         row = build_decision_row(0.5, config)
-        assert np.array_equal(row.included, included)
-        assert (row.achieved_coverage, row.threshold) == (covered, threshold)
+        assert np.array_equal(row[0], included)
+        assert row[1:] == (threshold, covered)
 
     @pytest.mark.parametrize("n, level", [(50, 3e-12), (200, 1e-12)])
     def test_rows_summed_short_in_outcome_order(self, n, level):
@@ -232,16 +233,17 @@ class TestAdmissionReference:
         etas = [float(e) for e in ParameterGrid.regular(19).points]
         params = mc_sample_params(plugin, cfg)
         samples = pool_samples(plugin, params, mc_sample_data(plugin, params, cfg))
-        for eta, row in zip(etas, mc_decision_rows(plugin, cfg, etas)):
+        rows = mc_decision_rows(plugin, cfg, etas)
+        for j, eta in enumerate(etas):
             f = plugin.likelihood(samples.outcomes, eta)
             with np.errstate(divide="ignore"):
                 log_g = np.where(f == 0.0, -np.inf, np.log(f) - np.log(samples.mix_density))
             v = samples.counts * f / samples.mix_density
             total_v = float(v.sum())
             included, covered, threshold = oracle_admit_tie_groups(log_g, v, (1.0 - cfg.level) * total_v)
-            assert np.array_equal(row.included, included), eta
-            assert row.estimated_coverage == covered / total_v, eta
-            assert row.threshold == threshold, eta
+            assert np.array_equal(rows.included[j], included), eta
+            assert rows.estimated_coverage[j] == covered / total_v, eta
+            assert rows.threshold[j] == threshold, eta
 
 
 class TestMatrixAndCoverage:
@@ -436,3 +438,14 @@ class TestExtremePrior:
         for write in (decision_matrix_to_csv, rows_summary_csv):
             with pytest.raises(ThresholdOverflowError, match="threshold at eta 0.002000 does not fit in a double"):
                 write(matrix)
+
+    def test_reader_rejects_an_inf_threshold(self):
+        # The reader recomputes each threshold and compares it with the file's;
+        # an overflowing row recomputes to inf, which alone would match "inf".
+        config = TestConfig(0.05, BinomialModel(1000), BetaPrior(1000.0, 1.0), ParameterGrid.regular(49))
+        matrix = build_decision_matrix(config)
+        assert np.isinf(matrix.threshold).any()
+        text = oracle_matrix_csv(config.grid.points, matrix.included, matrix.threshold)
+        first = next(line for line in text.splitlines() if line.endswith(",inf"))
+        with pytest.raises(ValueError, match=re.escape(f"non-finite threshold 'inf' in line '{first}'")):
+            decision_matrix_from_csv(text, config)

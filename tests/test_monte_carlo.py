@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from avgpower import (
     GenericModel,
     LowEffectiveSampleError,
     McConfig,
+    McDecisionMatrix,
     ParameterGrid,
     TestConfig,
     agreement_with_matrix,
@@ -24,7 +28,7 @@ from avgpower import (
     pool_samples,
 )
 from avgpower.distributions import beta_binom_pmf_support
-from avgpower.monte_carlo import AgreementReport, McDecisionRow, _data_rng, agreement_csv
+from avgpower.monte_carlo import AgreementReport, _data_rng, agreement_csv
 
 
 def binom_plugin(n: int = 20, a: float = 0.5, b: float = 0.5) -> GenericModel:
@@ -244,10 +248,14 @@ class TestBuildRow:
 
     def test_coverage_estimate_reaches_target(self):
         plugin, config, pooled = self.pooled()
-        row = mc_build_decision_row(plugin, 0.41, pooled, config)
-        assert row.estimated_coverage >= 1.0 - config.level
-        assert row.threshold == pytest.approx(
-            min(plugin.likelihood(x, 0.41) / pooled.mix_density[k] for k, x in enumerate(row.outcomes) if row.included[k])
+        included, threshold, estimated, _ = mc_build_decision_row(plugin, 0.41, pooled, config)
+        assert estimated >= 1.0 - config.level
+        assert threshold == pytest.approx(
+            min(
+                plugin.likelihood(x, 0.41) / pooled.mix_density[k]
+                for k, x in enumerate(pooled.outcomes)
+                if included[k]
+            )
         )
 
     def test_single_point_prior_collapses_posterior(self):
@@ -261,23 +269,23 @@ class TestBuildRow:
             sample_data=base.sample_data,
         )
         plugin, config, pooled = self.pooled(degenerate)
-        row = mc_build_decision_row(degenerate, 0.35, pooled, config)
-        assert np.all(row.included)
-        assert row.threshold == pytest.approx(1.0, rel=1e-12)
+        included, threshold, _, _ = mc_build_decision_row(degenerate, 0.35, pooled, config)
+        assert np.all(included)
+        assert threshold == pytest.approx(1.0, rel=1e-12)
 
     def test_level_near_one_keeps_single_tie_group(self):
         # Limiting behaviour of an extreme level: only the top tie group
         # survives, here a single outcome since the null is asymmetric.
         plugin, config, pooled = self.pooled()
-        row = mc_build_decision_row(plugin, 0.3, pooled, cfg(level=1.0 - 1e-12))
-        assert row.included.sum() == 1
+        included, _, _, _ = mc_build_decision_row(plugin, 0.3, pooled, cfg(level=1.0 - 1e-12))
+        assert included.sum() == 1
 
     def test_ess_is_kept_and_above_the_floor(self):
         plugin, config, pooled = self.pooled()
-        row = mc_build_decision_row(plugin, 0.41, pooled, config)
+        _, _, _, ess = mc_build_decision_row(plugin, 0.41, pooled, config)
         v = pooled.counts * plugin.likelihood(pooled.outcomes, 0.41) / pooled.mix_density
-        assert row.ess == pytest.approx(v.sum() ** 2 / (v * v / pooled.counts).sum(), rel=1e-12)
-        assert row.ess >= config.ess_floor
+        assert ess == pytest.approx(v.sum() ** 2 / (v * v / pooled.counts).sum(), rel=1e-12)
+        assert ess >= config.ess_floor
 
     def test_ess_floor_trips(self):
         plugin, config, pooled = self.pooled()
@@ -293,6 +301,28 @@ class TestBuildRow:
         )
         with pytest.raises(DegenerateWeightsError):
             mc_build_decision_row(spiky, 0.41, pooled, config)
+
+
+class TestMcDecisionMatrix:
+    # No nulls give zero rows.
+    @pytest.mark.parametrize("etas", [[0.2, 0.41, 0.6], []])
+    def test_shapes(self, etas):
+        rows = mc_decision_rows(binom_plugin(), cfg(), etas)
+        assert rows.etas == etas
+        assert rows.included.shape == (len(etas), rows.outcomes.size) and rows.included.dtype == bool
+        for column in (rows.threshold, rows.estimated_coverage, rows.ess):
+            assert column.shape == (len(etas),)
+
+    def test_rows_equal_single_row_builds(self):
+        plugin, config = binom_plugin(), cfg()
+        params = mc_sample_params(plugin, config)
+        pooled = pool_samples(plugin, params, mc_sample_data(plugin, params, config))
+        rows = mc_decision_rows(plugin, config, [0.2, 0.41])
+        assert np.array_equal(rows.outcomes, pooled.outcomes)
+        for j, eta in enumerate(rows.etas):
+            included, threshold, estimated, ess = mc_build_decision_row(plugin, eta, pooled, config)
+            assert np.array_equal(rows.included[j], included)
+            assert (rows.threshold[j], rows.estimated_coverage[j], rows.ess[j]) == (threshold, estimated, ess)
 
 
 class TestAgreement:
@@ -315,20 +345,35 @@ class TestAgreement:
         small = cfg(n_params=50, n_data=5, ess_floor=5.0)
         rows = mc_decision_rows(plugin, small, [float(e) for e in grid.points])
         exact = build_decision_matrix(TestConfig(0.05, BinomialModel(20), BetaPrior(0.5, 0.5), grid))
-        with pytest.raises(ValueError):
-            agreement_with_matrix(rows[:-1], exact)
+        short = replace(
+            rows,
+            etas=rows.etas[:-1],
+            included=rows.included[:-1],
+            threshold=rows.threshold[:-1],
+            estimated_coverage=rows.estimated_coverage[:-1],
+            ess=rows.ess[:-1],
+        )
+        with pytest.raises(ValueError, match="^18 MC rows against a 19-point grid$"):
+            agreement_with_matrix(short, exact)
         shifted = mc_decision_rows(plugin, small, [float(e) + 1e-6 for e in grid.points])
-        with pytest.raises(ValueError):
+        first = float(grid.points[0])
+        message = f"row 0 null value {first + 1e-6!r} does not match grid point {first!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             agreement_with_matrix(shifted, exact)
+        # A NaN null lies within no tolerance of a grid point.
+        not_a_number = replace(rows, etas=[*rows.etas[:3], float("nan"), *rows.etas[4:]])
+        with pytest.raises(ValueError, match="^row 3 null value nan does not match grid point"):
+            agreement_with_matrix(not_a_number, exact)
 
     def test_outcomes_outside_support_raise(self):
         grid = ParameterGrid.regular(2, 0.25, 0.75)
         exact = build_decision_matrix(TestConfig(0.05, BinomialModel(20), BetaPrior(0.5, 0.5), grid))
-        good = McDecisionRow(float(grid.points[0]), np.array([3]), np.ones(1, bool), 1.0, 1.0, 1e3)
+        etas = [float(eta) for eta in grid.points]
         for bad in (-1, 21):
-            row = McDecisionRow(float(grid.points[1]), np.array([bad, 3]), np.ones(2, bool), 1.0, 1.0, 1e3)
+            outcomes = np.array([bad, 3])
+            rows = McDecisionMatrix(etas, outcomes, np.ones((2, 2), bool), np.ones(2), np.ones(2), np.full(2, 1e3))
             with pytest.raises(ValueError, match=f"sampled outcome {bad} outside support 0..20"):
-                agreement_with_matrix([good, row], exact)
+                agreement_with_matrix(rows, exact)
 
     def test_agreement_csv(self):
         grid = self.small_grid()

@@ -218,9 +218,8 @@ class TestSerialization:
         endpoints = comparison_csv(compare_lengths(matrix)).splitlines()[1:]
         assert len(endpoints) == model.n + 1
         for x in model.outcomes():
-            cp = clopper_pearson(x, model, 0.05)
             region = confidence_region(matrix, x)
-            ends = (cp.lower, cp.upper, region.lower, region.upper)
+            ends = (*clopper_pearson(x, model, 0.05), region.lower, region.upper)
             assert endpoints[x] == ",".join([str(x), *(f"{v:.12g}" for v in ends)])
 
     def test_power_table_csv(self):
