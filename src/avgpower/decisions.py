@@ -21,6 +21,7 @@ from .distributions import (
     BetaPrior,
     BinomialModel,
     beta_binom_log_pmf_support,
+    binom_log_pmf_rows,
     binom_log_pmf_support,
     binom_pmf_support,
     check_level,
@@ -244,7 +245,9 @@ def _exp_threshold(log_threshold: float) -> float:
         return float(np.exp(log_threshold))
 
 
-def build_decision_row(eta: float, config: TestConfig, *, log_mix: np.ndarray | None = None) -> tuple:
+def build_decision_row(
+    eta: float, config: TestConfig, *, log_mix: np.ndarray | None = None, log_f: np.ndarray | None = None
+) -> tuple:
     """Construct the acceptance set for one null value.
 
     Parameters
@@ -256,6 +259,10 @@ def build_decision_row(eta: float, config: TestConfig, *, log_mix: np.ndarray | 
     log_mix : ndarray, optional
         Precomputed log beta-binomial support, to avoid recomputing it when
         building many rows against the same prior.
+    log_f : ndarray, optional
+        Precomputed log Binomial(n, eta) support, as a row of
+        ``binom_log_pmf_rows``, to avoid recomputing it when building many
+        rows over the same grid.
 
     Returns
     -------
@@ -270,7 +277,8 @@ def build_decision_row(eta: float, config: TestConfig, *, log_mix: np.ndarray | 
     eta = check_open_unit(eta)
     if log_mix is None:
         log_mix = beta_binom_log_pmf_support(config.model, config.prior)
-    log_f = binom_log_pmf_support(config.model, eta)
+    if log_f is None:
+        log_f = binom_log_pmf_support(config.model, eta)
     log_g = log_f - log_mix
     pmf = np.exp(log_f)
     included, achieved, log_threshold = _admit_tie_groups(log_g, pmf, 1.0 - config.level, eta, point)
@@ -278,9 +286,15 @@ def build_decision_row(eta: float, config: TestConfig, *, log_mix: np.ndarray | 
 
 
 def build_decision_matrix(config: TestConfig) -> DecisionMatrix:
-    """Build one decision row per grid point. Deterministic in config."""
+    """Build one decision row per grid point. Deterministic in config.
+
+    The prior's log mixture and the grid's log binomial kernel are each
+    evaluated once and shared by the rows.
+    """
+    points = config.grid.points
     log_mix = beta_binom_log_pmf_support(config.model, config.prior)
-    rows = (build_decision_row(eta, config, log_mix=log_mix) for eta in config.grid.points)
+    log_kernel = binom_log_pmf_rows(config.model, points)
+    rows = (build_decision_row(eta, config, log_mix=log_mix, log_f=log_f) for eta, log_f in zip(points, log_kernel))
     included, threshold, achieved = zip(*rows)
     return DecisionMatrix(
         config=config, included=np.array(included), threshold=np.array(threshold), achieved_coverage=np.array(achieved)
@@ -417,9 +431,10 @@ def decision_matrix_from_csv(text: str, config: TestConfig) -> DecisionMatrix:
         included[j, x] = inc_s == "1"
 
     log_mix = beta_binom_log_pmf_support(config.model, config.prior)
+    log_kernel = binom_log_pmf_rows(config.model, grid.points)
     threshold = np.empty(len(grid))
     achieved = np.empty(len(grid))
-    for j, eta in enumerate(grid.points):
+    for j, (eta, log_f) in enumerate(zip(grid.points, log_kernel)):
         eta_s = point(eta)
         if not seen[j].any():
             raise ValueError(f"grid point {eta_s} missing from CSV")
@@ -427,7 +442,6 @@ def decision_matrix_from_csv(text: str, config: TestConfig) -> DecisionMatrix:
             raise ValueError(f"eta {eta_s} is missing outcomes")
         if not included[j].any():
             raise ValueError(f"eta {eta_s} has an empty acceptance row")
-        log_f = binom_log_pmf_support(config.model, float(eta))
         threshold[j] = _exp_threshold((log_f - log_mix)[included[j]].min())
         achieved[j] = np.exp(log_f)[included[j]].sum()
         if not math.isclose(float(file_thr[j]), threshold[j], rel_tol=1e-9, abs_tol=0.0):

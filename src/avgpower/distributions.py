@@ -20,6 +20,7 @@ __all__ = [
     "binom_pmf",
     "binom_log_pmf_support",
     "binom_pmf_support",
+    "binom_log_pmf_rows",
     "binom_pmf_rows",
     "beta_pdf",
     "beta_log_pdf",
@@ -140,6 +141,14 @@ def check_probability(theta: float, name: str = "theta") -> float:
     return theta
 
 
+def _open_unit_list(values: np.ndarray, name: str) -> list:
+    """A 1-d float array's values as a list, each checked strictly inside (0, 1)."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or not np.all((values > 0.0) & (values < 1.0)):
+        raise ValueError(f"{name} must be a 1-d array of values strictly inside (0, 1)")
+    return values.tolist()
+
+
 def binom_log_pmf_support(model: BinomialModel, theta: float) -> np.ndarray:
     """Log pmf of Binomial(n, theta) over the whole support 0..n.
 
@@ -169,19 +178,24 @@ def binom_pmf_support(model: BinomialModel, theta: float) -> np.ndarray:
     return np.exp(binom_log_pmf_support(model, theta))
 
 
+def binom_log_pmf_rows(model: BinomialModel, thetas: np.ndarray) -> np.ndarray:
+    """Log pmf of Binomial(n, t) over 0..n for every t strictly inside (0, 1), as a (T, n+1) array.
+
+    Row i is bit-identical to ``binom_log_pmf_support(model, thetas[i])``:
+    the per-theta logs come from the same ``math`` calls.
+    """
+    ts = _open_unit_list(thetas, "thetas")
+    log_theta = np.array([math.log(t) for t in ts])[:, None]
+    log1m_theta = np.array([math.log1p(-t) for t in ts])[:, None]
+    return _binom_log_pmf_open(model.n, log_theta, log1m_theta)
+
+
 def binom_pmf_rows(model: BinomialModel, thetas: np.ndarray) -> np.ndarray:
     """Pmf of Binomial(n, t) over 0..n for every t strictly inside (0, 1), as a (T, n+1) array.
 
-    Row i is bit-identical to ``binom_pmf_support(model, thetas[i])``: the
-    per-theta logs come from the same ``math`` calls.
+    Row i is bit-identical to ``binom_pmf_support(model, thetas[i])``.
     """
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.ndim != 1 or not np.all((thetas > 0.0) & (thetas < 1.0)):
-        raise ValueError("thetas must be a 1-d array of values strictly inside (0, 1)")
-    ts = thetas.tolist()
-    log_theta = np.array([math.log(t) for t in ts])[:, None]
-    log1m_theta = np.array([math.log1p(-t) for t in ts])[:, None]
-    return np.exp(_binom_log_pmf_open(model.n, log_theta, log1m_theta))
+    return np.exp(binom_log_pmf_rows(model, thetas))
 
 
 def binom_pmf(x: int | np.ndarray, model: BinomialModel, theta: float) -> float | np.ndarray:
@@ -197,10 +211,22 @@ def binom_pmf(x: int | np.ndarray, model: BinomialModel, theta: float) -> float 
     return math.exp(binom_log_pmf_support(model, theta)[x])
 
 
-def beta_log_pdf(t: float, prior: BetaPrior) -> float:
-    """Log density of Beta(a, b) at t; -inf where the density vanishes."""
-    t = check_probability(t, "t")
+def beta_log_pdf(t: float | np.ndarray, prior: BetaPrior) -> float | np.ndarray:
+    """Log density of Beta(a, b) at t; -inf where the density vanishes.
+
+    t is one value in [0, 1], or a 1-d float array of values strictly inside
+    (0, 1) that gives an array. Each element equals the scalar call bit for
+    bit: it takes the same ``math`` logs, combined in the same order.
+    """
     a, b = prior.a, prior.b
+    if isinstance(t, np.ndarray):
+        ts = _open_unit_list(t, "t")
+        log_t = np.array([math.log(v) for v in ts])
+        log1m_t = np.array([math.log1p(-v) for v in ts])
+        # Python floats overflow to inf without a warning; so do these.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (a - 1.0) * log_t + (b - 1.0) * log1m_t - log_beta(a, b)
+    t = check_probability(t, "t")
     if t == 0.0 or t == 1.0:
         if a < 1.0 or b < 1.0:
             raise ValueError(f"beta density unbounded at t={t} for shapes a={a}, b={b}")

@@ -12,6 +12,7 @@ are literally the same finite double sum and agree to machine precision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -82,15 +83,30 @@ def power_curve(matrix: DecisionMatrix, theta: float) -> np.ndarray:
 
 
 def _grid_measure(matrix: DecisionMatrix, prior: BetaPrior) -> np.ndarray:
-    """Unnormalized piecewise-constant measure: prior density times cell width."""
+    """Unnormalized piecewise-constant measure: prior density times cell width.
+
+    Raises ValueError, naming the prior, when the total is not finite and
+    positive: a prior whose mass the grid misses, or whose density
+    overflows at a grid point, has no grid average.
+    """
     grid = matrix.config.grid
-    dens = np.exp(np.array([beta_log_pdf(t, prior) for t in grid.points]))
-    return dens * grid.cell_widths
+    with np.errstate(over="ignore"):
+        w = np.exp(beta_log_pdf(grid.points, prior)) * grid.cell_widths
+    z = float(w.sum())
+    if not (math.isfinite(z) and z > 0.0):
+        raise ValueError(
+            f"the grid measure of the prior Beta({prior.a!r}, {prior.b!r}) totals {z!r} on the "
+            f"{len(grid)}-point grid; averages need a finite positive total"
+        )
+    return w
 
 
-def _per_theta(matrix: DecisionMatrix, w: np.ndarray, pmfs: np.ndarray) -> np.ndarray:
-    """Power summed over the nulls under measure w, z - pmfs @ (D^T w), for each pmf."""
-    return w.sum() - pmfs @ (matrix.inclusion_matrix().astype(float).T @ w)
+def _per_theta(d: np.ndarray, w: np.ndarray, pmfs: np.ndarray) -> np.ndarray:
+    """Power summed over the nulls under measure w, z - pmfs @ (D^T w), for each pmf.
+
+    d is the inclusion matrix D as floats.
+    """
+    return w.sum() - pmfs @ (d.T @ w)
 
 
 def avg_power_given_theta(matrix: DecisionMatrix, theta: float) -> float:
@@ -101,7 +117,8 @@ def avg_power_given_theta(matrix: DecisionMatrix, theta: float) -> float:
     """
     w = _grid_measure(matrix, matrix.config.prior)
     pmf = binom_pmf_support(matrix.config.model, theta)
-    return float(np.clip(_per_theta(matrix, w, pmf) / w.sum(), 0.0, 1.0))
+    d = matrix.inclusion_matrix().astype(float)
+    return float(np.clip(_per_theta(d, w, pmf) / w.sum(), 0.0, 1.0))
 
 
 def mixed_power_given_eta(matrix: DecisionMatrix, eta_index: int) -> float:
@@ -115,7 +132,9 @@ def mixed_power_given_eta(matrix: DecisionMatrix, eta_index: int) -> float:
     return float(_rejection(matrix, bb)[eta_index])
 
 
-def average_power_report(matrix: DecisionMatrix, averaging_prior: BetaPrior) -> AveragePowerReport:
+def average_power_report(
+    matrix: DecisionMatrix, averaging_prior: BetaPrior, *, kernel: np.ndarray | None = None
+) -> AveragePowerReport:
     """Average the power over both axes with one shared grid measure.
 
     The averaging prior supplies the weights for the null values and, through
@@ -127,12 +146,17 @@ def average_power_report(matrix: DecisionMatrix, averaging_prior: BetaPrior) -> 
 
         overall = sum_t w_t * (Z - sum_x P[t, x] * (D^T w)[x]),  Z = sum(w)
 
-    and per_theta, per_eta are its two partial contractions.
+    and per_theta, per_eta are its two partial contractions. ``kernel`` is
+    P precomputed, ``binom_pmf_rows(model, grid points)``, to share it
+    between averaging priors. Raises ValueError when the prior's grid
+    measure has no finite positive total.
     """
     w = _grid_measure(matrix, averaging_prior)
-    p = binom_pmf_rows(matrix.config.model, matrix.config.grid.points)
-    per_theta = _per_theta(matrix, w, p)
-    per_eta = w.sum() - matrix.inclusion_matrix().astype(float) @ (w @ p)
+    if kernel is None:
+        kernel = binom_pmf_rows(matrix.config.model, matrix.config.grid.points)
+    d = matrix.inclusion_matrix().astype(float)
+    per_theta = _per_theta(d, w, kernel)
+    per_eta = w.sum() - d @ (w @ kernel)
     return AveragePowerReport(weights=w, per_theta=per_theta, per_eta=per_eta, overall=float(w @ per_theta))
 
 
@@ -144,9 +168,11 @@ def overall_avg_power(matrix: DecisionMatrix, averaging_prior: BetaPrior) -> flo
 def overall_power_grid(matrices: Sequence[DecisionMatrix], priors: Sequence[BetaPrior]) -> np.ndarray:
     """Overall average power for every (averaging prior, matrix) pair.
 
-    Rows follow ``priors``, columns follow ``matrices``.
+    Rows follow ``priors``, columns follow ``matrices``. Each matrix's
+    binomial kernel is evaluated once and shared by every prior.
     """
-    return np.array([[overall_avg_power(m, p) for m in matrices] for p in priors])
+    kernels = [binom_pmf_rows(m.config.model, m.config.grid.points) for m in matrices]
+    return np.array([[average_power_report(m, p, kernel=k).overall for m, k in zip(matrices, kernels)] for p in priors])
 
 
 def power_curves_csv(matrix: DecisionMatrix, thetas: Sequence[float]) -> str:

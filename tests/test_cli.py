@@ -135,7 +135,32 @@ class TestPower:
         assert not os.path.exists(out)
 
 
+    @pytest.mark.parametrize(
+        "flags, prior, total",
+        [
+            (["--prior-a", "1e6", "--prior-b", "0.01"], "Beta(1000000.0, 0.01)", "0.0"),
+            (["--grid-min", "5e-324", "--prior-a", "0.01"], "Beta(0.01, 0.5)", "inf"),
+        ],
+        ids=["mass-missed", "density-overflows"],
+    )
+    def test_measure_without_finite_positive_total_fails(self, tmp_path, capsys, flags, prior, total):
+        # Before, the first wrote NaN to every avg_power.csv line and exited 0.
+        out = str(tmp_path / "p3")
+        assert run(["power", *small(out), *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: the grid measure of the prior {prior} totals {total} on the 49-point grid")
+        assert not os.path.exists(out)
+
+
 class TestTable:
+    def test_measure_without_finite_positive_total_fails(self, tmp_path, capsys):
+        # Before, this wrote 0 to both cells of the second prior's row and exited 0.
+        out = str(tmp_path / "t3")
+        assert run(["table1", *small(out), "--prior-a2", "1e6", "--prior-b2", "0.01"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the grid measure of the prior Beta(1000000.0, 0.01) totals 0.0")
+        assert not os.path.exists(out)
+
     def test_labels_and_shape(self, tmp_path):
         out = str(tmp_path / "t")
         assert run(["table1", *small(out)]) == 0

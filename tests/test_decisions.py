@@ -254,6 +254,17 @@ class TestMatrixAndCoverage:
         assert matrix.inclusion_matrix().shape == (499, 21)
         assert matrix.inclusion_matrix() is matrix.included
 
+    @pytest.mark.parametrize("fixture", ["matrix_non", "matrix_inf"])
+    def test_rows_equal_rows_built_alone(self, fixture, request):
+        # The matrix shares one log kernel between its rows; a row built
+        # alone evaluates its own.
+        matrix = request.getfixturevalue(fixture)
+        for j, eta in enumerate(matrix.config.grid.points):
+            included, threshold, achieved = build_decision_row(eta, matrix.config)
+            assert np.array_equal(matrix.included[j], included), eta
+            assert matrix.threshold[j] == threshold, eta
+            assert matrix.achieved_coverage[j] == achieved, eta
+
     def test_coverage_is_exact_mass(self):
         config = small_config()
         matrix = build_decision_matrix(config)

@@ -17,6 +17,7 @@ from avgpower.distributions import (
     beta_binom_pmf_support,
     beta_log_pdf,
     beta_pdf,
+    binom_log_pmf_rows,
     binom_log_pmf_support,
     binom_pmf,
     binom_pmf_rows,
@@ -160,6 +161,19 @@ class TestBinomPmfRows:
             binom_pmf_rows(BinomialModel(3), np.array(thetas))
 
 
+class TestBinomLogPmfRows:
+    # From 1e-300 up to the largest double below 1.
+    THETAS = np.array([1e-300, 1e-200, 1e-16, 1e-9, 0.002, 0.3013, 0.5, 0.75, 0.998, 1 - 1e-16, 1 - 2**-53])
+
+    @pytest.mark.parametrize("n", [1, 20, 100, 1000, 5000])
+    def test_rows_equal_scalar_support_bit_for_bit(self, n):
+        model = BinomialModel(n)
+        got = binom_log_pmf_rows(model, self.THETAS)
+        assert got.shape == (self.THETAS.size, n + 1)
+        for j, theta in enumerate(self.THETAS):
+            assert np.array_equal(got[j], binom_log_pmf_support(model, theta)), theta
+
+
 def fresh_log_choose(n: int) -> np.ndarray:
     """ln C(n, x) over x = 0..n, built afresh on every call."""
     lg = math.lgamma(n + 1)
@@ -232,6 +246,22 @@ class TestBetaPdf:
             beta_pdf(1.0, BetaPrior(0.5, 0.5))
         with pytest.raises(ValueError):
             beta_pdf(-0.1, BetaPrior(2.0, 2.0))
+
+    @pytest.mark.parametrize(
+        "a,b", [(0.5, 0.5), (100.0, 100.0), (1.0, 1.0), (1.0, 3.0), (0.01, 1e4), (1e6, 0.01), (2.5, 0.5)]
+    )
+    def test_array_equals_scalar_calls_bit_for_bit(self, a, b):
+        prior = BetaPrior(a, b)
+        pts = np.concatenate([[5e-324, 1e-300, 1e-9], ParameterGrid.regular(499).points, [1 - 1e-16, 1 - 2**-53]])
+        got = beta_log_pdf(pts, prior)
+        assert got.shape == pts.shape
+        for t, value in zip(pts.tolist(), got.tolist()):
+            assert value == beta_log_pdf(t, prior), t
+
+    @pytest.mark.parametrize("t", [[0.5, 0.0], [1.0], [math.nan], [[0.5]], [0.5, -0.1]])
+    def test_array_rejects_points_outside_open_unit_interval(self, t):
+        with pytest.raises(ValueError, match="t must be a 1-d array of values strictly inside"):
+            beta_log_pdf(np.array(t), BetaPrior(2.0, 2.0))
 
     @given(t=st.floats(0.001, 0.999), shape=st.floats(0.2, 50.0))
     @settings(max_examples=40, deadline=None)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -159,6 +162,24 @@ class TestAveragePowerReport:
             assert np.all(values >= -1e-12)
             assert np.all(values <= 1.0 + 1e-9)
 
+    @pytest.mark.parametrize(
+        "prior, low, total",
+        [(BetaPrior(1e6, 0.01), 0.002, "0.0"), (BetaPrior(0.01, 0.5), 5e-324, "inf")],
+        ids=["mass-missed", "density-overflows"],
+    )
+    def test_measure_without_finite_positive_total_raises(self, prior, low, total):
+        grid = ParameterGrid.regular(49, low, 0.998)
+        config = TestConfig(level=0.05, model=BinomialModel(20), prior=BetaPrior(0.5, 0.5), grid=grid)
+        matrix = build_decision_matrix(config)
+        message = f"the grid measure of the prior Beta({prior.a!r}, {prior.b!r}) totals {total} on the 49-point grid"
+        for evaluate in (
+            lambda: average_power_report(matrix, prior),
+            lambda: overall_power_grid([matrix], [prior]),
+            lambda: avg_power_given_theta(replace(matrix, config=replace(matrix.config, prior=prior)), 0.5),
+        ):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                evaluate()
+
     def test_overall_shortcut(self, matrix_non, prior_inf):
         assert overall_avg_power(matrix_non, prior_inf) == average_power_report(matrix_non, prior_inf).overall
 
@@ -169,6 +190,15 @@ class TestOverallAvgPower:
         assert overall_avg_power(matrix_non, prior_inf) == pytest.approx(0.154, abs=0.01)
         assert overall_avg_power(matrix_inf, prior_non) == pytest.approx(0.664, abs=0.01)
         assert overall_avg_power(matrix_non, prior_non) == pytest.approx(0.798, abs=0.01)
+
+    def test_grid_equals_per_pair_values(self, matrix_non, matrix_inf, prior_non, prior_inf):
+        # The grid shares one kernel per matrix; each pair alone builds its own.
+        matrices, priors = [matrix_inf, matrix_non], [prior_inf, prior_non]
+        cells = overall_power_grid(matrices, priors)
+        assert cells.shape == (2, 2)
+        for i, prior in enumerate(priors):
+            for j, matrix in enumerate(matrices):
+                assert cells[i, j] == overall_avg_power(matrix, prior)
 
     def test_matched_prior_dominance(self, matrix_non, matrix_inf, prior_non, prior_inf):
         # Each averaging prior prefers the test built for it.
