@@ -384,68 +384,45 @@ def rows_summary_csv(matrix: DecisionMatrix) -> str:
     )
 
 
-def _parse_field(parse, token: str, column: str, line: str):
-    try:
-        return parse(token)
-    except ValueError:
-        raise ValueError(f"unreadable {column} {token!r} in line {line!r}") from None
-
-
 def decision_matrix_from_csv(text: str, config: TestConfig) -> DecisionMatrix:
-    """Rebuild a DecisionMatrix from its long-form CSV.
+    """Read back exactly what ``decision_matrix_to_csv`` writes for ``config``.
 
-    The inclusion flags are taken verbatim from the file and matched to the
-    grid of ``config`` by the printed eta strings. Coverage and threshold are
-    recomputed from the flags, which restores values bit-identical to the
-    originally built matrix; the threshold column is used as a consistency
-    check at its printed precision.
+    Line 2 + j*(n+1) + x (the header is line 1) holds grid point j and
+    outcome x; only its flag is parsed. Thresholds and coverages are
+    recomputed from the flags, which restores the built matrix bit for bit.
+    Raises ValueError for a wrong header or line count, a flag other than 0
+    or 1, a row covering less than 1 - level (an empty row covers 0), or a
+    line that differs from what the rebuilt matrix writes, naming the first
+    with its expected text. An overflowing threshold raises
+    ThresholdOverflowError, as the writer does.
     """
-    lines = [ln for ln in text.splitlines() if ln]
+    lines = text.splitlines()
     if not lines or lines[0] != "eta,x,included,threshold":
         raise ValueError("not a decision-matrix CSV: bad header")
-    grid, n = config.grid, config.model.n
-    row_of = {point(eta): j for j, eta in enumerate(grid.points)}
-    included = np.zeros((len(grid), n + 1), dtype=bool)
-    seen = np.zeros((len(grid), n + 1), dtype=bool)
-    file_thr: list = [None] * len(grid)
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 4:
-            raise ValueError(f"malformed line: {ln!r}")
-        eta_s, x_s, inc_s, thr_s = parts
-        if eta_s not in row_of:
-            raise ValueError(f"eta {eta_s} is not a point of the config grid")
-        j, x = row_of[eta_s], _parse_field(int, x_s, "x", ln)
-        if not math.isfinite(_parse_field(float, thr_s, "threshold", ln)):
-            raise ValueError(f"non-finite threshold {thr_s!r} in line {ln!r}")
-        if not 0 <= x <= n:
-            raise ValueError(f"outcome {x} outside support 0..{n}")
-        if seen[j, x]:
-            raise ValueError(f"duplicate outcome {x} for eta {eta_s}")
-        if file_thr[j] not in (None, thr_s):
-            raise ValueError(f"inconsistent threshold within eta {eta_s}")
-        seen[j, x] = True
-        file_thr[j] = thr_s
-        if inc_s not in ("0", "1"):
-            raise ValueError(f"included flag must be 0 or 1: {ln!r}")
-        included[j, x] = inc_s == "1"
+    grid, width = config.grid, config.model.n + 1
+    if len(lines) != 1 + len(grid) * width:
+        raise ValueError(
+            f"{len(lines)} lines, but {len(grid)} grid points of {width} outcomes take {1 + len(grid) * width}"
+        )
+    flags = [line.split(",")[2:3] for line in lines[1:]]
+    bad = next((i for i, flag in enumerate(flags) if flag not in (["0"], ["1"])), None)
+    if bad is not None:
+        raise ValueError(f"line {bad + 2}: included flag must be 0 or 1 in {lines[bad + 1]!r}")
+    included = np.array([flag == ["1"] for flag in flags]).reshape(len(grid), width)
 
     log_mix = beta_binom_log_pmf_support(config.model, config.prior)
     log_kernel = binom_log_pmf_rows(config.model, grid.points)
     threshold = np.empty(len(grid))
     achieved = np.empty(len(grid))
-    for j, (eta, log_f) in enumerate(zip(grid.points, log_kernel)):
-        eta_s = point(eta)
-        if not seen[j].any():
-            raise ValueError(f"grid point {eta_s} missing from CSV")
-        if not seen[j].all():
-            raise ValueError(f"eta {eta_s} is missing outcomes")
-        if not included[j].any():
-            raise ValueError(f"eta {eta_s} has an empty acceptance row")
-        threshold[j] = _exp_threshold((log_f - log_mix)[included[j]].min())
-        achieved[j] = np.exp(log_f)[included[j]].sum()
-        if not math.isclose(float(file_thr[j]), threshold[j], rel_tol=1e-9, abs_tol=0.0):
-            raise ValueError(
-                f"threshold mismatch for eta {eta_s}: file {float(file_thr[j])!r} vs recomputed {threshold[j]!r}"
-            )
-    return DecisionMatrix(config=config, included=included, threshold=threshold, achieved_coverage=achieved)
+    target = 1.0 - config.level
+    for j, (eta, log_f, row) in enumerate(zip(grid.points, log_kernel, included)):
+        achieved[j] = np.exp(log_f)[row].sum()
+        if not achieved[j] >= target:
+            raise ValueError(f"eta {point(eta)} covers {float(achieved[j])!r}, short of 1 - level = {target!r}")
+        threshold[j] = _exp_threshold((log_f - log_mix)[row].min())
+    matrix = DecisionMatrix(config=config, included=included, threshold=threshold, achieved_coverage=achieved)
+    expected = decision_matrix_to_csv(matrix).splitlines()
+    if expected != lines:
+        i = next(i for i, (want, got) in enumerate(zip(expected, lines)) if want != got)
+        raise ValueError(f"line {i + 1} is {lines[i]!r}, but the matrix it encodes writes {expected[i]!r}")
+    return matrix

@@ -72,11 +72,18 @@ class BetaPrior:
 
 
 def log_beta(a: float, b: float) -> float:
-    """ln B(a, b) for positive finite a, b."""
+    """ln B(a, b) for positive finite a, b.
+
+    Raises ValueError when a log-gamma term exceeds the double range: a, b
+    or a + b above about 2.55e305.
+    """
     a, b = float(a), float(b)
     if not (math.isfinite(a) and a > 0.0) or not (math.isfinite(b) and b > 0.0):
         raise ValueError(f"log_beta requires positive finite arguments, got a={a!r}, b={b!r}")
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    try:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    except OverflowError:
+        raise ValueError(f"log_beta overflows the double range at a={a!r}, b={b!r}") from None
 
 
 @lru_cache(maxsize=128)

@@ -193,6 +193,24 @@ class TestTable:
         assert a[1][0] == b[0][1] and a[1][1] == b[0][0]
 
 
+class TestHugePriorShape:
+    @pytest.mark.parametrize(
+        "argv, shapes",
+        [
+            (["table1", "--prior-a2", "1e306"], "a=1e+306, b=100.0"),
+            (["construct", "--prior-a", "1e306"], "a=1e+306, b=0.5"),
+            (["mc-validate", "--prior-a", "1e306"], "a=1e+306, b=0.5"),
+        ],
+        ids=["table1", "construct", "mc-validate"],
+    )
+    def test_log_beta_overflow_fails(self, tmp_path, capsys, argv, shapes):
+        # Before, math.lgamma's OverflowError escaped as a traceback.
+        out = str(tmp_path / "huge")
+        assert run([*argv, *small(out)]) == 1
+        assert capsys.readouterr().err == f"error: log_beta overflows the double range at {shapes}\n"
+        assert not os.path.exists(out)
+
+
 class TestCompareCp:
     def test_endpoints_and_means(self, tmp_path, capsys):
         out = str(tmp_path / "cp")

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from avgpower import (
     BetaPrior,
@@ -46,6 +48,17 @@ def small_config(n: int = 20, a: float = 0.5, b: float = 0.5, level: float = 0.0
         prior=BetaPrior(a=a, b=b),
         grid=ParameterGrid.regular(),
     )
+
+
+def assert_reads_back(config: TestConfig) -> None:
+    """The CSV reader restores the built matrix bit for bit, and its matrix writes the same text."""
+    matrix = build_decision_matrix(config)
+    text = decision_matrix_to_csv(matrix)
+    rebuilt = decision_matrix_from_csv(text, config)
+    assert np.array_equal(rebuilt.included, matrix.included)
+    assert np.array_equal(rebuilt.threshold, matrix.threshold)
+    assert np.array_equal(rebuilt.achieved_coverage, matrix.achieved_coverage)
+    assert decision_matrix_to_csv(rebuilt) == text
 
 
 class TestParameterGrid:
@@ -358,14 +371,7 @@ class TestCsv:
         assert same, f"line {first}: {got[first:first + 1]} != {want[first:first + 1]}"
 
     def test_round_trip_is_bit_identical(self):
-        config = small_config()
-        matrix = build_decision_matrix(config)
-        text = decision_matrix_to_csv(matrix)
-        rebuilt = decision_matrix_from_csv(text, config)
-        assert np.array_equal(rebuilt.included, matrix.included)
-        assert np.array_equal(rebuilt.threshold, matrix.threshold)
-        assert np.array_equal(rebuilt.achieved_coverage, matrix.achieved_coverage)
-        assert decision_matrix_to_csv(rebuilt) == text
+        assert_reads_back(small_config())
 
     def test_rows_summary(self):
         matrix = build_decision_matrix(small_config(n=5))
@@ -373,51 +379,94 @@ class TestCsv:
         assert lines[0] == "eta,threshold,achieved_coverage"
         assert len(lines) == 500
 
+    @given(
+        n=st.integers(1, 40),
+        count=st.integers(1, 60),
+        ends=st.tuples(st.floats(1e-6, 1.0 - 1e-6), st.floats(1e-6, 1.0 - 1e-6)).map(sorted),
+        a=st.floats(0.05, 50.0),
+        b=st.floats(0.05, 50.0),
+        level=st.floats(1e-6, 0.5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_holds_for_any_config(self, n, count, ends, a, b, level):
+        low, high = ends
+        assume(count == 1 or high - low >= 1e-3)
+        assert_reads_back(TestConfig(level, BinomialModel(n), BetaPrior(a, b), ParameterGrid.regular(count, low, high)))
+
+    def test_grid_points_that_print_alike_read_back(self):
+        # 0.5 and 0.5000001 both print as 0.500000; rows are read by position.
+        grid = ParameterGrid([0.3, 0.5, 0.5000001])
+        assert_reads_back(TestConfig(0.05, BinomialModel(20), BetaPrior(0.5, 0.5), grid))
+
+    def test_rejects_a_row_short_of_coverage(self):
+        # Dropping the mode keeps the row's threshold, so only the coverage shows it.
+        config = TestConfig(0.05, BinomialModel(20), BetaPrior(0.5, 0.5), ParameterGrid.regular(49, 0.02, 0.98))
+        lines = decision_matrix_to_csv(build_decision_matrix(config)).splitlines()
+        k = 1 + config.grid.nearest_index(0.5) * 21 + 10
+        assert lines[k] == "0.500000,10,1,1.09644687036"
+        lines[k] = "0.500000,10,0,1.09644687036"
+        with pytest.raises(ValueError, match=re.escape("eta 0.500000 covers 0.78241348266")):
+            decision_matrix_from_csv("\n".join(lines), config)
+
     def test_rejects_tampered_input(self):
         config = small_config(n=3)
         matrix = build_decision_matrix(config)
         text = decision_matrix_to_csv(matrix)
         lines = text.splitlines()
 
-        with pytest.raises(ValueError, match="bad header"):
-            decision_matrix_from_csv("\n".join(["eta,x,flag,threshold"] + lines[1:]), config)
+        def read(edited: list) -> DecisionMatrix:
+            return decision_matrix_from_csv("\n".join(edited), config)
 
-        missing = "\n".join(lines[:-1])
-        with pytest.raises(ValueError, match="missing outcomes"):
-            decision_matrix_from_csv(missing, config)
-
-        duplicated = "\n".join(lines + [lines[-1]])
-        with pytest.raises(ValueError, match="duplicate outcome"):
-            decision_matrix_from_csv(duplicated, config)
-
-        garbled = lines[:]
-        eta_s, x_s, inc_s, thr_s = garbled[1].split(",")
-        garbled[1] = ",".join([eta_s, x_s, "yes", thr_s])
-        with pytest.raises(ValueError, match="included flag must be 0 or 1"):
-            decision_matrix_from_csv("\n".join(garbled), config)
-
-        for column, name, token in ((1, "x", "one"), (3, "threshold", "abc")):
-            unreadable = lines[:]
-            parts = unreadable[1].split(",")
+        def replaced(base: list, k: int, column: int, token: str) -> list:
+            edited = base[:]
+            parts = edited[k].split(",")
             parts[column] = token
-            unreadable[1] = ",".join(parts)
-            with pytest.raises(ValueError, match=re.escape(f"unreadable {name} '{token}' in line '{unreadable[1]}'")):
-                decision_matrix_from_csv("\n".join(unreadable), config)
+            edited[k] = ",".join(parts)
+            return edited
 
-        flipped = lines[:]
-        eta_s, x_s, inc_s, thr_s = flipped[1].split(",")
-        flipped[1] = ",".join([eta_s, x_s, "0" if inc_s == "1" else "1", thr_s])
-        with pytest.raises(ValueError, match="threshold mismatch|empty acceptance"):
-            decision_matrix_from_csv("\n".join(flipped), config)
+        with pytest.raises(ValueError, match="bad header"):
+            read(["eta,x,flag,threshold"] + lines[1:])
 
-        wrong_grid = TestConfig(
-            level=config.level,
-            model=config.model,
-            prior=config.prior,
-            grid=ParameterGrid.regular(99, 0.01, 0.99),
-        )
-        with pytest.raises(ValueError, match="grid"):
-            decision_matrix_from_csv(text, wrong_grid)
+        for edited in (lines[:-1], lines + [lines[-1]], lines[:1] + [""] + lines[1:]):
+            with pytest.raises(ValueError, match=f"^{len(edited)} lines, but 499 grid points of 4 outcomes take 1997$"):
+                read(edited)
+
+        for token in ("yes", "", "01"):
+            garbled = replaced(lines, 1, 2, token)
+            with pytest.raises(ValueError, match=re.escape(f"line 2: included flag must be 0 or 1 in {garbled[1]!r}")):
+                read(garbled)
+        truncated = lines[:4] + ["0.002000,3"] + lines[5:]
+        with pytest.raises(ValueError, match=re.escape("line 5: included flag must be 0 or 1 in '0.002000,3'")):
+            read(truncated)
+
+        for column, token in ((0, "0.002"), (1, "one"), (1, "1"), (3, "abc"), (3, "inf")):
+            unreadable = replaced(lines, 1, column, token)
+            message = f"line 2 is {unreadable[1]!r}, but the matrix it encodes writes {lines[1]!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                read(unreadable)
+
+        # Withholding an admitted outcome leaves the row short of 1 - level; an
+        # empty row covers nothing. Admitting one more lowers the threshold,
+        # which the row's first line then shows.
+        j = config.grid.nearest_index(0.202)
+        row = [1 + j * 4 + x for x in range(4)]
+        assert [lines[k].split(",")[2] for k in row] == ["1", "1", "1", "0"]
+        for flips, covers in (([row[1]], "0.6"), (row[:3], "0.0")):
+            flipped = lines
+            for k in flips:
+                flipped = replaced(flipped, k, 2, "0")
+            with pytest.raises(ValueError, match=re.escape(f"eta 0.202000 covers {covers}")):
+                read(flipped)
+        with pytest.raises(ValueError, match=f"^line {row[0] + 1} is '0.202000,0,1,"):
+            read(replaced(lines, row[3], 2, "1"))
+
+        wrong_size = TestConfig(config.level, config.model, config.prior, ParameterGrid.regular(99, 0.01, 0.99))
+        with pytest.raises(ValueError, match="^1997 lines, but 99 grid points of 4 outcomes take 397$"):
+            decision_matrix_from_csv(text, wrong_size)
+        shifted = TestConfig(config.level, config.model, config.prior, ParameterGrid.regular(499, 0.0021, 0.9979))
+        message = "line 2 is '0.002000,0,1,3.1808383744', but the matrix it encodes writes '0.002100,0,1,"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            decision_matrix_from_csv(text, shifted)
 
 
 class TestExtremePrior:
@@ -451,12 +500,11 @@ class TestExtremePrior:
                 write(matrix)
 
     def test_reader_rejects_an_inf_threshold(self):
-        # The reader recomputes each threshold and compares it with the file's;
-        # an overflowing row recomputes to inf, which alone would match "inf".
+        # An overflowing row recomputes to inf, which the writer refuses to print.
         config = TestConfig(0.05, BinomialModel(1000), BetaPrior(1000.0, 1.0), ParameterGrid.regular(49))
         matrix = build_decision_matrix(config)
         assert np.isinf(matrix.threshold).any()
         text = oracle_matrix_csv(config.grid.points, matrix.included, matrix.threshold)
-        first = next(line for line in text.splitlines() if line.endswith(",inf"))
-        with pytest.raises(ValueError, match=re.escape(f"non-finite threshold 'inf' in line '{first}'")):
+        assert text.splitlines()[1].endswith(",inf")
+        with pytest.raises(ThresholdOverflowError, match="threshold at eta 0.002000 does not fit in a double"):
             decision_matrix_from_csv(text, config)

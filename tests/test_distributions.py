@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -62,6 +63,22 @@ class TestLogGamma:
             log_beta(z, 1.0)
         with pytest.raises(ValueError):
             log_beta(1.0, z)
+
+    def test_overflow_raises_value_error_naming_the_shapes(self):
+        # math.lgamma raises OverflowError above about 2.55e305.
+        prior = BetaPrior(1e306, 0.5)
+        calls = [
+            lambda: log_beta(1e306, 0.5),
+            lambda: beta_log_pdf(0.5, prior),
+            lambda: beta_log_pdf(np.array([0.25, 0.5]), prior),
+            lambda: beta_binom_log_pmf_support(BinomialModel(20), prior),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=re.escape("log_beta overflows the double range at a=1e+306, b=0.5")):
+                call()
+        with pytest.raises(ValueError, match=re.escape("at a=0.5, b=1e+306")):
+            log_beta(0.5, 1e306)
+        assert math.isfinite(log_beta(1e305, 1e305))
 
     def test_log_beta_symmetry(self):
         assert log_beta(2.5, 7.0) == pytest.approx(log_beta(7.0, 2.5), rel=1e-15)
