@@ -1,21 +1,10 @@
 """Symmetric equal-tail binomial intervals and length comparison.
 
 Endpoints are defined through the exact binomial tail sums, each side at
-half the level, and solved by a fixed bisection on [0, 1]: every midpoint is
-decided by comparing the float tail sum with level/2, and the endpoint is
-the midpoint of the final bracket. No incomplete-beta inverse is needed.
-
-Most midpoints are decided without a tail sum. A safeguarded Newton
-iteration first finds two certified points around the crossing: one whose
-computed tail lies at least ``_MARGIN`` (1e-8) of level/2 on the false side
-of the comparison, one at least that far on the true side. The float tail
-is monotone in theta to far better than that margin, so every midpoint at or
-beyond a certified point takes the decision a tail sum would give it, and
-the bisection evaluates only the midpoints that fall between the two: about
-nine tail sums per endpoint instead of 34, with bit-identical endpoints.
-Below a half level of ``_CERTIFY_MIN_HALF`` (1e-290) the tails near it can
-be subnormal and lose their relative precision, so nothing is certified and
-every midpoint is evaluated.
+half the level. No incomplete-beta inverse is needed: the lower endpoint is
+solved by a safeguarded Newton iteration on the float tail sum, about four
+sums per endpoint, and the upper endpoint is the lower one of the reflected
+outcome, since P(X <= x | theta) = P(X >= n - x | 1 - theta).
 """
 
 from __future__ import annotations
@@ -30,15 +19,12 @@ from .decisions import DecisionMatrix, confidence_region
 from .distributions import BinomialModel, binom_pmf_support, check_level, check_outcome
 
 __all__ = [
-    "BISECTION_TOL",
     "LengthComparison",
     "clopper_pearson",
     "cp_intervals",
     "compare_lengths",
     "comparison_csv",
 ]
-
-BISECTION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -61,37 +47,12 @@ class LengthComparison:
     grid_step: float
 
 
-# A computed tail this fraction of level/2 on one side of it decides every
-# theta beyond it the same way: rounding moves a tail sum by under 1e-12
-# relative at n = 1000 (against 40-digit sums), and grows with n.
-_MARGIN = 1e-8
-# Below this half level nothing is certified: tails near it may be subnormal.
-_CERTIFY_MIN_HALF = 1e-290
-# Newton stops once |ln(tail / half)| is this small; its next root estimate
-# is then good to about the square, far inside the margin.
-_NEWTON_CLOSE = 1e-5
-# The probes sit this many margins of ln(tail / half) either side of the root.
-_PROBE_SPAN = 1.25
-# Tail sums Newton may spend before its certified points are taken as they
-# are; it has needed at most 12 for n up to 2500.
-_NEWTON_MAX_EVALS = 24
-# A Newton step to a root within an ulp of one goes to the last float below it.
-_BELOW_ONE = math.nextafter(1.0, 0.0)
-
-
-def _bisect(predicate) -> float:
-    """Midpoint of the final bracket where ``predicate`` turns true on [0, 1].
-
-    ``predicate`` must be false below the crossing and true above it.
-    """
-    lo, hi = 0.0, 1.0
-    while hi - lo > BISECTION_TOL:
-        mid = (lo + hi) / 2.0
-        if predicate(mid):
-            hi = mid
-        else:
-            lo = mid
-    return (lo + hi) / 2.0
+# Newton returns its next point once |ln(tail / half)| is this small: that
+# point is then good to about the square, near the float resolution.
+_CLOSE_G = 1e-7
+# Tail sums one endpoint may spend. Newton has needed at most 14 for n up to
+# 5000 and levels down to 1e-323; bisection alone would need about 64.
+_MAX_EVALS = 64
 
 
 def _logit(t: float) -> float:
@@ -103,119 +64,78 @@ def _expit(u: float) -> float:
     return e / (1.0 + e) if u < 0.0 else 1.0 - e / (1.0 + e)
 
 
-def _wilson_start(n: int, x: int, half: float, upper: bool) -> float:
-    """Continuity-corrected Wilson score bound at tail level ``half``: Newton's first point."""
+# The search bracket: logit of the least and of the greatest float inside (0, 1).
+_LOGIT_MIN = _logit(math.ulp(0.0))
+_LOGIT_MAX = _logit(math.nextafter(1.0, 0.0))
+
+
+def _wilson_start(n: int, x: int, half: float) -> float:
+    """Continuity-corrected Wilson lower score bound at tail level ``half``: Newton's first point."""
     # Imported here: statistics adds about 2 ms to every program start, and
     # only the baseline needs it.
     from statistics import NormalDist
 
     z = -NormalDist().inv_cdf(half)
-    k = x - 0.5 if upper else x + 0.5
+    k = x - 0.5
     z2 = z * z
     center = (k + z2 / 2.0) / (n + z2)
     spread = z * math.sqrt(k * (n - k) / n + z2 / 4.0) / (n + z2)
-    t = center - spread if upper else center + spread
+    t = center - spread
     return t if 0.0 < t < 1.0 else 0.5
 
 
-def _certified_points(model: BinomialModel, x: int, half: float, upper: bool) -> list:
-    """[false_at, true_at]: thetas at or below false_at fail the endpoint's
-    predicate and thetas at or above true_at pass it, both certified by a
-    tail sum at least ``_MARGIN`` * half away from half.
+def _lower_endpoint(model: BinomialModel, x: int, half: float) -> float:
+    """The theta where P(X >= x) = ``half``, for 1 <= x <= n; zero when ``half`` is.
 
-    Safeguarded Newton on g = ±ln(tail / half), which rises with
-    u = logit(theta) and is concave or convex in it, so the iterates close in
-    from one side; a step that leaves the bracket of signs seen so far is
-    replaced by the bracket's midpoint. Once |g| is within ``_NEWTON_CLOSE``,
-    or the next step rounds to the current point, one probe on each side of
-    the estimated root pulls both points in. A
-    stalled iteration leaves them wide, which costs evaluations later but
-    never changes a decision.
+    Safeguarded Newton on g = ln(tail / half) against u = logit(theta). g
+    rises with u and is concave in it (its second derivative is the variance
+    of X given X >= x less n theta (1 - theta), and truncation shrinks the
+    variance of a log-concave law), so after one step the iterates close in
+    on the root from below. A step that leaves the bracket of signs seen so
+    far, or that a zero tail leaves undefined, is replaced by the bracket's
+    midpoint in u.
     """
-    n = model.n
-    part = slice(x, None) if upper else slice(None, x + 1)
-    margin = _MARGIN * half
-    certified = [0.0, 1.0]
-
-    def visit(t: float) -> tuple:
-        """g at t and dg/du, after recording t if its tail certifies it."""
+    if half == 0.0:
+        return 0.0
+    lo, hi = _LOGIT_MIN, _LOGIT_MAX
+    t = _wilson_start(model.n, x, half)
+    u = _logit(t)
+    for _ in range(_MAX_EVALS):
         pmf = binom_pmf_support(model, t)
-        tail = float(pmf[part].sum())
-        excess = tail - half if upper else half - tail
-        if excess <= -margin:
-            certified[0] = max(certified[0], t)
-        elif excess >= margin:
-            certified[1] = min(certified[1], t)
-        # d tail / d theta is (x / t) pmf[x] for P(X >= x) and
-        # -((n - x) / (1 - t)) pmf[x] for P(X <= x); d theta / du = t (1 - t).
-        rate = (x * (1.0 - t) if upper else (n - x) * t) * float(pmf[x])
-        ratio = tail / half
-        if ratio == 0.0 or rate == 0.0:
-            return math.copysign(math.inf, excess), math.nan
-        g = math.log(ratio)
-        return (g if upper else -g), rate / tail
-
-    lo, hi = 0.0, 1.0
-    t = _wilson_start(n, x, half, upper)
-    for _ in range(_NEWTON_MAX_EVALS):
-        g, slope = visit(t)
-        if certified[1] - certified[0] <= BISECTION_TOL:
-            break
+        tail = float(pmf[x:].sum())
+        g = math.log(tail / half) if tail > 0.0 else -math.inf
         if g < 0.0:
-            lo = t
+            lo = u
         else:
-            hi = t
-        root = _logit(t) - g / slope
-        nt = min(_expit(root), _BELOW_ONE) if math.isfinite(root) else math.nan
-        if abs(g) <= _NEWTON_CLOSE or nt == t:
-            # Where floats are coarse in theta (near one) the probes step
-            # at least two of them off the root.
-            step = max(_PROBE_SPAN * _MARGIN / slope, 2.0 * math.ulp(t) / (t * (1.0 - t)))
-            visit(_expit(root - step))
-            visit(_expit(root + step))
-            break
-        t = nt if lo < nt < hi else (lo + hi) / 2.0
-        if not lo < t < hi:
-            break
-    return certified
-
-
-def _endpoint(model: BinomialModel, x: int, half: float, upper: bool) -> float:
-    """The lower endpoint (``upper``: where P(X >= x) crosses ``half``) or the upper one (P(X <= x)).
-
-    The bisection and its predicates are the plain ones, ``P(X >= x) > half``
-    and ``P(X <= x) <= half`` on the same tail sums; a midpoint at or beyond
-    a certified point is decided without its sum.
-    """
-    part = slice(x, None) if upper else slice(None, x + 1)
-
-    def crossed(t: float) -> bool:
-        tail = float(binom_pmf_support(model, t)[part].sum())
-        return tail > half if upper else tail <= half
-
-    false_at, true_at = 0.0, 1.0
-    if half >= _CERTIFY_MIN_HALF:
-        false_at, true_at = _certified_points(model, x, half, upper)
-    return _bisect(lambda t: t >= true_at or (t > false_at and crossed(t)))
+            hi = u
+        # dg/du is (d tail / d theta) theta (1 - theta) / tail, and
+        # d tail / d theta is (x / theta) pmf[x].
+        slope = x * (1.0 - t) * float(pmf[x]) / tail if tail > 0.0 else 0.0
+        root = u - g / slope if slope > 0.0 else math.nan
+        if abs(g) <= _CLOSE_G and lo <= root <= hi:
+            return _expit(root)
+        u = root if lo < root < hi else (lo + hi) / 2.0
+        next_t = _expit(u)
+        if next_t == t:
+            return t
+        t = next_t
+    return t
 
 
 def clopper_pearson(x: int, model: BinomialModel, level: float) -> tuple:
     """Equal-tail interval (lower, upper) for x successes, each tail at level/2.
 
     Both endpoints are closed and lie in [0, 1]. The lower endpoint is the
-    midpoint of the final bracket of a bisection on [0, 1], to width 1e-10,
-    for the smallest theta whose upper tail P(X >= x) exceeds level/2 (zero
-    when x = 0); the upper endpoint mirrors it with P(X <= x) <= level/2
-    (one when x = n). Midpoints beyond the two points certified by a Newton
-    search are decided without a tail sum, which leaves every endpoint
-    bit-identical to the plain bisection; see the module docstring for the
-    margin and the subnormal cut-off.
+    theta where the upper tail P(X >= x) equals level/2 (zero when x = 0);
+    the upper endpoint is the theta where P(X <= x) equals level/2 (one when
+    x = n), taken by reflection as one minus the lower endpoint for n - x.
+    When level/2 underflows to zero the interval is its limit, [0, 1].
     """
     x = check_outcome(x, model)
     half = check_level(level) / 2.0
-    # P(X >= x | theta) increases from 0 to 1; P(X <= x | theta) decreases from 1 to 0.
-    lower = 0.0 if x == 0 else _endpoint(model, x, half, upper=True)
-    upper = 1.0 if x == model.n else _endpoint(model, x, half, upper=False)
+    n = model.n
+    lower = 0.0 if x == 0 else _lower_endpoint(model, x, half)
+    upper = 1.0 if x == n else 1.0 - _lower_endpoint(model, n - x, half)
     return lower, upper
 
 

@@ -56,20 +56,22 @@ _LOG_TIE_TOL = -math.log1p(-TIE_RTOL)
 class ParameterGrid:
     """Ordered evaluation points in (0, 1).
 
-    A grid is its points. Grid averages weight each point by its cell width
-    (``cell_widths``, from neighbour spacing) times a prior density.
+    A grid is its points, copied from the caller and made read-only. Grid
+    averages weight each point by its cell width (``cell_widths``, from
+    neighbour spacing) times a prior density.
     """
 
     points: np.ndarray
 
     def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=float)
+        pts = np.array(self.points, dtype=float)
         if pts.ndim != 1 or pts.size == 0:
             raise ValueError("grid needs at least one point")
         if not (np.all(pts > 0.0) and np.all(pts < 1.0)):
             raise ValueError("grid points must lie strictly inside (0, 1)")
         if pts.size > 1 and not np.all(np.diff(pts) > 0.0):
             raise ValueError("grid points must be strictly increasing")
+        pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
     @classmethod
@@ -79,6 +81,8 @@ class ParameterGrid:
         Points are assembled as an exact mirror image about the midpoint so
         that symmetric priors see a symmetric grid down to the last bit.
         """
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise ValueError(f"count must be an integer, got {count!r}")
         if count < 1:
             raise ValueError("count must be >= 1")
         if not (0.0 < low <= high < 1.0):
@@ -153,7 +157,16 @@ class DecisionMatrix:
     achieved_coverage: np.ndarray
 
     def __post_init__(self) -> None:
-        for arr in (self.included, self.threshold, self.achieved_coverage):
+        rows = len(self.config.grid)
+        for name, dtype, shape in (
+            ("included", np.dtype(bool), (rows, self.config.model.n + 1)),
+            ("threshold", np.dtype(float), (rows,)),
+            ("achieved_coverage", np.dtype(float), (rows,)),
+        ):
+            arr = getattr(self, name)
+            if not (isinstance(arr, np.ndarray) and arr.dtype == dtype and arr.shape == shape):
+                got = f"{arr.dtype} of shape {arr.shape}" if isinstance(arr, np.ndarray) else type(arr).__name__
+                raise ValueError(f"{name} must be a {dtype} array of shape {shape}, got {got}")
             arr.flags.writeable = False
 
     def inclusion_matrix(self) -> np.ndarray:

@@ -5,12 +5,12 @@ routes deliberately different from the library's: direct arbitrary-precision
 products instead of cached log-gamma tables, true numerical integration
 instead of closed forms, and regularized-incomplete-beta tails instead of
 pmf summation. Test tolerances then measure real disagreement, not shared
-bugs. Three exceptions are float-exact references that the library must
+bugs. Two exceptions are float-exact references that the library must
 match bit for bit: ``oracle_matrix_csv``, a plain per-line formatter for the
-whole-array CSV writer, ``oracle_admit_tie_groups``, the plain tie-group
-admission that the library's faster one must reproduce, and
-``oracle_bisect_cp``, the plain bisection whose endpoints the library's
-certified one must reproduce.
+whole-array CSV writer, and ``oracle_admit_tie_groups``, the plain tie-group
+admission that the library's faster one must reproduce. A third,
+``oracle_bisect_cp``, is the plain bisection on the same float tail sums; the
+library's endpoints must fall inside its final bracket.
 """
 
 from __future__ import annotations

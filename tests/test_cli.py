@@ -220,6 +220,13 @@ class TestCompareCp:
         assert len(lines) == 22
         assert "mean length proposed" in capsys.readouterr().out
 
+    def test_level_whose_half_underflows(self, tmp_path):
+        # level/2 rounds to zero: the baseline is its limit [0, 1] for every x.
+        out = str(tmp_path / "cp")
+        assert run(["compare-cp", "--n", "1", "--alpha", "5e-324", "--grid-points", "5", "--out", out]) == 0
+        lines = read(os.path.join(out, "cp_comparison.csv")).splitlines()
+        assert [line.split(",")[1:3] for line in lines[1:]] == [["0", "1"], ["0", "1"]]
+
 
 class TestMcValidate:
     def mc_args(self, out: str) -> list[str]:

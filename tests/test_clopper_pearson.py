@@ -39,20 +39,28 @@ class TestEndpoints:
         assert upper == pytest.approx(0.6017, abs=5e-4)
 
     def test_against_incomplete_beta_oracle(self):
-        model = BinomialModel(100)
-        for x in (0, 1, 13, 50, 87, 100):
-            lower, upper = oracle_cp_interval(x, 100, 0.05)
-            got_lower, got_upper = clopper_pearson(x, model, 0.05)
-            assert got_lower == pytest.approx(lower, abs=1e-6)
-            assert got_upper == pytest.approx(upper, abs=1e-6)
+        # The oracle bisects to 1e-12 in 40-digit arithmetic, so it is itself
+        # within 5e-13 of the endpoint.
+        cases = [
+            (100, 0.05, (0, 1, 13, 50, 87, 100)),
+            (20, 1e-9, (0, 1, 7, 13, 19, 20)),
+            (1000, 0.05, (0, 1, 2, 50, 500, 999, 1000)),
+        ]
+        for n, level, outcomes in cases:
+            model = BinomialModel(n)
+            for x in outcomes:
+                lower, upper = oracle_cp_interval(x, n, level)
+                got_lower, got_upper = clopper_pearson(x, model, level)
+                assert got_lower == pytest.approx(lower, abs=1e-12)
+                assert got_upper == pytest.approx(upper, abs=1e-12)
 
     def test_reflection_symmetry(self):
         model = BinomialModel(60)
         for x in (0, 4, 17, 30):
             a_lower, a_upper = clopper_pearson(x, model, 0.05)
             b_lower, b_upper = clopper_pearson(60 - x, model, 0.05)
-            assert a_lower == pytest.approx(1.0 - b_upper, abs=2e-10)
-            assert a_upper == pytest.approx(1.0 - b_lower, abs=2e-10)
+            assert b_upper == 1.0 - a_lower
+            assert a_upper == 1.0 - b_lower
 
     def test_monotone_in_x(self):
         lowers, uppers = (ends.tolist() for ends in cp_intervals(BinomialModel(40), 0.05))
@@ -82,8 +90,18 @@ class TestEndpoints:
             clopper_pearson(3, model, 1.0)
 
 
+# The plain bisection's final half-bracket, 2**-35 = 2.9103830e-11, plus the
+# rounding of one minus a lower endpoint.
+BISECTION_SLACK = 3e-11
+
+
+def assert_within_bisection(got: tuple, x: int, n: int, level: float) -> None:
+    for end, reference in zip(got, oracle_bisect_cp(x, n, level)):
+        assert abs(end - reference) <= BISECTION_SLACK
+
+
 class TestPlainBisectionReference:
-    """Certified midpoints must leave every endpoint equal to the plain bisection's."""
+    """Every endpoint lies inside the final bracket of the plain bisection on the same tail sums."""
 
     @pytest.mark.parametrize("n", [1, 2, 5, 20, 100, 333])
     @pytest.mark.parametrize("level", [0.999, 0.5, 0.05, 1e-3, 1e-6, 1e-9, 1e-300])
@@ -91,23 +109,43 @@ class TestPlainBisectionReference:
         lower, upper = cp_intervals(BinomialModel(n), level)
         assert lower.shape == upper.shape == (n + 1,)
         for x in range(n + 1):
-            assert (lower[x], upper[x]) == oracle_bisect_cp(x, n, level)
+            assert_within_bisection((lower[x], upper[x]), x, n, level)
 
     def test_every_outcome_at_n_1000(self):
         lower, upper = cp_intervals(BinomialModel(1000), 0.05)
         for x in range(1001):
-            assert (lower[x], upper[x]) == oracle_bisect_cp(x, 1000, 0.05)
+            assert_within_bisection((lower[x], upper[x]), x, 1000, 0.05)
+
+    def test_edge_outcomes_at_a_tiny_level_at_n_1000(self):
+        # The Wilson start lies where the tail underflows to zero, so the
+        # safeguard bisects in logit(theta); a bracket reaching past the floats
+        # inside (0, 1) rounds its midpoints to 1 and stopped there.
+        model = BinomialModel(1000)
+        for x in (*range(41), *range(960, 1001)):
+            assert_within_bisection(clopper_pearson(x, model, 1e-300), x, 1000, 1e-300)
 
     @given(n=st.integers(1, 60), share=st.floats(0.0, 1.0), exponent=st.floats(-295.0, -0.001))
     @settings(max_examples=200, deadline=None)
     def test_small_n_sweep(self, n, share, exponent):
         x = round(share * n)
         level = 10.0**exponent
-        assert clopper_pearson(x, BinomialModel(n), level) == oracle_bisect_cp(x, n, level)
+        assert_within_bisection(clopper_pearson(x, BinomialModel(n), level), x, n, level)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 20])
+    @pytest.mark.parametrize("level", [5e-324, 1e-320])
+    def test_subnormal_levels(self, n, level):
+        # Half of 5e-324 rounds to zero, where NormalDist().inv_cdf would raise.
+        lower, upper = cp_intervals(BinomialModel(n), level)
+        for x in range(n + 1):
+            assert_within_bisection((lower[x], upper[x]), x, n, level)
+
+    def test_level_whose_half_underflows_gives_the_limit_interval(self):
+        lower, upper = cp_intervals(BinomialModel(100), 5e-324)
+        assert (lower == 0.0).all() and (upper == 1.0).all()
 
 
 class TestTailSumBudget:
-    """Tail sums per endpoint; the plain bisection spends 34 on each."""
+    """Tail sums per endpoint; the plain bisection spends 34 on each, Newton about four."""
 
     @staticmethod
     def tail_sums(monkeypatch, n, level) -> int:
@@ -123,12 +161,12 @@ class TestTailSumBudget:
         return len(calls)
 
     @pytest.mark.parametrize("n", [100, 1000])
-    def test_certified_midpoints_are_skipped(self, monkeypatch, n):
+    def test_newton_budget(self, monkeypatch, n):
         # x = 0 has no lower endpoint to solve and x = n no upper one.
-        assert self.tail_sums(monkeypatch, n, 0.05) <= 16 * 2 * n
+        assert self.tail_sums(monkeypatch, n, 0.05) <= 6 * 2 * n
 
-    def test_no_certification_below_the_subnormal_cutoff(self, monkeypatch):
-        assert self.tail_sums(monkeypatch, 20, 1e-300) == 34 * 2 * 20
+    def test_newton_budget_at_a_tiny_level(self, monkeypatch):
+        assert self.tail_sums(monkeypatch, 20, 1e-300) <= 6 * 2 * 20
 
 
 class TestCompareLengths:

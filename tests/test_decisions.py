@@ -102,6 +102,21 @@ class TestParameterGrid:
         with pytest.raises(ValueError):
             ParameterGrid(points=np.array([0.2, 0.1]))
 
+    @pytest.mark.parametrize("count", [True, 2.5])
+    def test_regular_rejects_a_count_that_is_not_an_integer(self, count):
+        # Before, True built a one-point grid and 2.5 raised numpy's TypeError.
+        with pytest.raises(ValueError, match="count must be an integer"):
+            ParameterGrid.regular(count)
+
+    def test_points_are_a_read_only_copy(self):
+        source = np.array([0.1, 0.2, 0.3])
+        config = TestConfig(level=0.05, model=BinomialModel(3), prior=BetaPrior(0.5, 0.5), grid=ParameterGrid(source))
+        matrix = build_decision_matrix(config)
+        source[0] = 0.5
+        assert matrix.config.grid.points.tolist() == [0.1, 0.2, 0.3]
+        with pytest.raises(ValueError):
+            matrix.config.grid.points[0] = 0.5
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             small_config(level=0.0)
@@ -300,6 +315,27 @@ class TestMatrixAndCoverage:
             coverage(matrix, 0.5, -1)
         with pytest.raises(IndexError):
             type1_error(matrix, 2.0)
+
+
+    @pytest.mark.parametrize(
+        "field, value, got",
+        [
+            ("included", np.ones((3, 4), dtype=bool), "bool of shape (3, 4)"),
+            ("included", np.ones((5, 4)), "float64 of shape (5, 4)"),
+            ("threshold", np.ones(4), "float64 of shape (4,)"),
+            ("threshold", [1.0] * 5, "list"),
+            ("achieved_coverage", np.ones(5, dtype=np.int64), "int64 of shape (5,)"),
+        ],
+    )
+    def test_arrays_must_match_the_config(self, field, value, got):
+        # Before, a (3, 4) included array wrote a short CSV without error.
+        config = TestConfig(
+            level=0.05, model=BinomialModel(3), prior=BetaPrior(0.5, 0.5), grid=ParameterGrid.regular(5)
+        )
+        arrays = {"included": np.ones((5, 4), dtype=bool), "threshold": np.ones(5), "achieved_coverage": np.ones(5)}
+        expected = {"included": "bool array of shape (5, 4)"}.get(field, "float64 array of shape (5,)")
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be a {expected}, got {got}")):
+            DecisionMatrix(config=config, **{**arrays, field: value})
 
 
 class TestConfidenceRegion:
