@@ -171,9 +171,17 @@ def compare_lengths(matrix: DecisionMatrix) -> LengthComparison:
 
 
 def comparison_csv(comparison: LengthComparison) -> str:
-    """Serialize the endpoint table: x,cp_lower,cp_upper,prop_lower,prop_upper."""
+    """Serialize the endpoint table: x,cp_lower,cp_upper,prop_lower,prop_upper.
+
+    An empty proposed region, NaN in the comparison, leaves its two endpoint
+    fields empty.
+    """
+
+    def field(end: float) -> str:
+        return "" if math.isnan(end) else value(end)
+
     columns = (comparison.cp_lower, comparison.cp_upper, comparison.prop_lower, comparison.prop_upper)
     return csv_text(
         "x,cp_lower,cp_upper,prop_lower,prop_upper",
-        ([str(x), *map(value, ends)] for x, ends in enumerate(zip(*columns))),
+        ([str(x), *map(field, ends)] for x, ends in enumerate(zip(*columns))),
     )

@@ -141,32 +141,34 @@ class DecisionMatrix:
     """Every grid null's decision row, stored as arrays in grid order.
 
     With G grid points and n trials: ``included`` is bool (G, n+1),
-    ``threshold`` and ``achieved_coverage`` are float (G,). Row j is the
-    acceptance indicator over outcomes for the null eta =
-    ``config.grid.points[j]``. Its ``threshold`` is the smallest posterior
-    density g(x) = f_eta(x) / P_mix(x) among admitted outcomes, so the row
-    equals {x : g(x) >= threshold} up to tie tolerance. Its
-    ``achieved_coverage`` is the exact binomial mass of the admitted set
-    under eta and always reaches at least 1 - level. The arrays are made
-    read-only, since consumers share them uncopied.
+    ``log_threshold`` and ``achieved_coverage`` are finite float (G,). Row j
+    is the acceptance indicator over outcomes for the null eta =
+    ``config.grid.points[j]``. Its ``log_threshold`` is the smallest ln g(x)
+    = ln f_eta(x) - ln P_mix(x) among admitted outcomes, so the row equals
+    {x : ln g(x) >= log_threshold} up to tie tolerance; only the CSV writers
+    exponentiate it. Its ``achieved_coverage`` is the exact binomial mass of
+    the admitted set under eta and always reaches at least 1 - level. The
+    arrays are made read-only, since consumers share them uncopied.
     """
 
     config: TestConfig
     included: np.ndarray
-    threshold: np.ndarray
+    log_threshold: np.ndarray
     achieved_coverage: np.ndarray
 
     def __post_init__(self) -> None:
         rows = len(self.config.grid)
         for name, dtype, shape in (
             ("included", np.dtype(bool), (rows, self.config.model.n + 1)),
-            ("threshold", np.dtype(float), (rows,)),
+            ("log_threshold", np.dtype(float), (rows,)),
             ("achieved_coverage", np.dtype(float), (rows,)),
         ):
             arr = getattr(self, name)
             if not (isinstance(arr, np.ndarray) and arr.dtype == dtype and arr.shape == shape):
                 got = f"{arr.dtype} of shape {arr.shape}" if isinstance(arr, np.ndarray) else type(arr).__name__
                 raise ValueError(f"{name} must be a {dtype} array of shape {shape}, got {got}")
+            if dtype == float and not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite, got {float(arr[~np.isfinite(arr)][0])!r}")
             arr.flags.writeable = False
 
     def inclusion_matrix(self) -> np.ndarray:
@@ -246,18 +248,6 @@ def _admit_tie_groups(log_g: np.ndarray, mass: np.ndarray, target: float, eta, l
         taken += 1
 
 
-# np.exp of a log up to this stays finite (the double range ends near 709.78).
-_EXP_SAFE_MAX = 709.0
-
-
-def _exp_threshold(log_threshold: float) -> float:
-    """A row threshold from its log; beyond the double range it is inf, without a warning."""
-    if log_threshold <= _EXP_SAFE_MAX:
-        return float(np.exp(log_threshold))
-    with np.errstate(over="ignore"):
-        return float(np.exp(log_threshold))
-
-
 def build_decision_row(
     eta: float, config: TestConfig, *, log_mix: np.ndarray | None = None, log_f: np.ndarray | None = None
 ) -> tuple:
@@ -279,13 +269,13 @@ def build_decision_row(
 
     Returns
     -------
-    (included, threshold, achieved_coverage)
+    (included, log_threshold, achieved_coverage)
         One row of a DecisionMatrix, with the meanings given there: outcomes
         admitted in order of decreasing posterior density until the exact
         binomial mass under eta reaches 1 - level. Outcomes are ranked by
         log density, which stays finite where the density itself would
-        overflow. Tie groups enter atomically; the threshold records the
-        smallest admitted density.
+        overflow. Tie groups enter atomically; the log threshold records the
+        smallest admitted log density.
     """
     eta = check_open_unit(eta)
     if log_mix is None:
@@ -295,7 +285,7 @@ def build_decision_row(
     log_g = log_f - log_mix
     pmf = np.exp(log_f)
     included, achieved, log_threshold = _admit_tie_groups(log_g, pmf, 1.0 - config.level, eta, point)
-    return included, _exp_threshold(log_threshold), achieved
+    return included, log_threshold, achieved
 
 
 def build_decision_matrix(config: TestConfig) -> DecisionMatrix:
@@ -308,10 +298,7 @@ def build_decision_matrix(config: TestConfig) -> DecisionMatrix:
     log_mix = beta_binom_log_pmf_support(config.model, config.prior)
     log_kernel = binom_log_pmf_rows(config.model, points)
     rows = (build_decision_row(eta, config, log_mix=log_mix, log_f=log_f) for eta, log_f in zip(points, log_kernel))
-    included, threshold, achieved = zip(*rows)
-    return DecisionMatrix(
-        config=config, included=np.array(included), threshold=np.array(threshold), achieved_coverage=np.array(achieved)
-    )
+    return DecisionMatrix(config, *map(np.array, zip(*rows)))
 
 
 def _check_index(matrix: DecisionMatrix, eta_index: int) -> int:
@@ -331,9 +318,8 @@ def coverage(matrix: DecisionMatrix, theta: float, eta_index: int) -> float:
 
 
 def type1_error(matrix: DecisionMatrix, eta_index: int) -> float:
-    """1 - coverage(eta, eta): the exact rejection rate under the null itself."""
-    eta_index = _check_index(matrix, eta_index)
-    return 1.0 - coverage(matrix, matrix.config.grid.points[eta_index], eta_index)
+    """The exact rejection rate under the row's own null: 1 - its achieved coverage."""
+    return 1.0 - float(matrix.achieved_coverage[_check_index(matrix, eta_index)])
 
 
 def confidence_region(matrix: DecisionMatrix, x_observed: int) -> ConfidenceRegion:
@@ -353,11 +339,15 @@ def confidence_region(matrix: DecisionMatrix, x_observed: int) -> ConfidenceRegi
     )
 
 
-def _check_thresholds(matrix: DecisionMatrix) -> None:
-    bad = np.flatnonzero(~np.isfinite(matrix.threshold))
+def _thresholds(matrix: DecisionMatrix) -> np.ndarray:
+    """Every row's threshold, exponentiated for the writers; raises ThresholdOverflowError past a double."""
+    with np.errstate(over="ignore"):
+        threshold = np.exp(matrix.log_threshold)
+    bad = np.flatnonzero(~np.isfinite(threshold))
     if bad.size:
         eta = point(matrix.config.grid.points[bad[0]])
         raise ThresholdOverflowError(f"threshold at eta {eta} does not fit in a double ({bad.size} rows overflow)")
+    return threshold
 
 
 def decision_matrix_to_csv(matrix: DecisionMatrix) -> str:
@@ -365,9 +355,9 @@ def decision_matrix_to_csv(matrix: DecisionMatrix) -> str:
 
     eta carries 6 decimal places and the row threshold 12 significant digits,
     repeated on every line of the row. Raises ThresholdOverflowError when a
-    threshold is not finite.
+    threshold does not fit in a double.
     """
-    _check_thresholds(matrix)
+    threshold = _thresholds(matrix)
     x = matrix.config.model.outcomes()
     # "x,0" and "x,1" for every outcome, then every row's cells in one index.
     cells = np.array([[f"{i},{flag}" for i in x.tolist()] for flag in "01"], dtype=object)
@@ -375,7 +365,7 @@ def decision_matrix_to_csv(matrix: DecisionMatrix) -> str:
 
     def blocks():
         # One row's lines in one join: the separator closes a line and opens the next.
-        for eta, thr, row in zip(matrix.config.grid.points.tolist(), matrix.threshold.tolist(), rows):
+        for eta, thr, row in zip(matrix.config.grid.points.tolist(), threshold.tolist(), rows):
             eta_s, thr_s = point(eta), value(thr)
             yield (f"{eta_s}," + f",{thr_s}\n{eta_s},".join(row) + f",{thr_s}",)
 
@@ -385,14 +375,14 @@ def decision_matrix_to_csv(matrix: DecisionMatrix) -> str:
 def rows_summary_csv(matrix: DecisionMatrix) -> str:
     """Per-row summary: eta, threshold, achieved coverage.
 
-    Raises ThresholdOverflowError when a threshold is not finite.
+    Raises ThresholdOverflowError when a threshold does not fit in a double.
     """
-    _check_thresholds(matrix)
+    threshold = _thresholds(matrix)
     return csv_text(
         "eta,threshold,achieved_coverage",
         (
             (point(eta), value(thr), value(cov))
-            for eta, thr, cov in zip(matrix.config.grid.points, matrix.threshold, matrix.achieved_coverage)
+            for eta, thr, cov in zip(matrix.config.grid.points, threshold, matrix.achieved_coverage)
         ),
     )
 
@@ -401,7 +391,7 @@ def decision_matrix_from_csv(text: str, config: TestConfig) -> DecisionMatrix:
     """Read back exactly what ``decision_matrix_to_csv`` writes for ``config``.
 
     Line 2 + j*(n+1) + x (the header is line 1) holds grid point j and
-    outcome x; only its flag is parsed. Thresholds and coverages are
+    outcome x; only its flag is parsed. Log thresholds and coverages are
     recomputed from the flags, which restores the built matrix bit for bit.
     Raises ValueError for a wrong header or line count, a flag other than 0
     or 1, a row covering less than 1 - level (an empty row covers 0), or a
@@ -425,15 +415,14 @@ def decision_matrix_from_csv(text: str, config: TestConfig) -> DecisionMatrix:
 
     log_mix = beta_binom_log_pmf_support(config.model, config.prior)
     log_kernel = binom_log_pmf_rows(config.model, grid.points)
-    threshold = np.empty(len(grid))
     achieved = np.empty(len(grid))
     target = 1.0 - config.level
     for j, (eta, log_f, row) in enumerate(zip(grid.points, log_kernel, included)):
         achieved[j] = np.exp(log_f)[row].sum()
         if not achieved[j] >= target:
             raise ValueError(f"eta {point(eta)} covers {float(achieved[j])!r}, short of 1 - level = {target!r}")
-        threshold[j] = _exp_threshold((log_f - log_mix)[row].min())
-    matrix = DecisionMatrix(config=config, included=included, threshold=threshold, achieved_coverage=achieved)
+    log_threshold = np.where(included, log_kernel - log_mix, np.inf).min(axis=1)
+    matrix = DecisionMatrix(config=config, included=included, log_threshold=log_threshold, achieved_coverage=achieved)
     expected = decision_matrix_to_csv(matrix).splitlines()
     if expected != lines:
         i = next(i for i, (want, got) in enumerate(zip(expected, lines)) if want != got)

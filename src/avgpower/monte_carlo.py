@@ -25,7 +25,7 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 from .csvtext import csv_text, point, value
-from .decisions import DecisionMatrix, _admit_tie_groups, _exp_threshold
+from .decisions import DecisionMatrix, _admit_tie_groups
 from .distributions import BetaPrior, BinomialModel, binom_pmf, check_level, check_outcomes
 
 __all__ = [
@@ -134,16 +134,17 @@ class McDecisionMatrix:
 
     ``etas`` holds the G null values as the caller gave them, and
     ``outcomes`` the K distinct sampled outcomes every row is over.
-    ``included`` is bool (G, K); ``threshold``, ``estimated_coverage`` and
-    ``ess`` are float (G,). Row j is the acceptance decision for the null
-    ``etas[j]``, and its ess is the effective sample size of the raw draws
-    under that null's coverage weights.
+    ``included`` is bool (G, K); ``log_threshold``, ``estimated_coverage``
+    and ``ess`` are float (G,). Row j is the acceptance decision for the null
+    ``etas[j]``, its log threshold the smallest admitted log density ratio,
+    and its ess the effective sample size of the raw draws under that null's
+    coverage weights.
     """
 
     etas: Sequence[Any]
     outcomes: np.ndarray
     included: np.ndarray
-    threshold: np.ndarray
+    log_threshold: np.ndarray
     estimated_coverage: np.ndarray
     ess: np.ndarray
 
@@ -204,7 +205,7 @@ def pool_samples(model: GenericModel, params: Sequence[Any], data: DataSample) -
 def mc_build_decision_row(model: GenericModel, eta: Any, samples: PooledSamples, cfg: McConfig) -> tuple:
     """Greedy acceptance row over the sampled outcomes for one null value.
 
-    Returns (included, threshold, estimated_coverage, ess), one row of an
+    Returns (included, log_threshold, estimated_coverage, ess), one row of an
     McDecisionMatrix over ``samples.outcomes``.
 
     Outcomes are ordered by the estimated posterior-to-prior density ratio
@@ -234,7 +235,7 @@ def mc_build_decision_row(model: GenericModel, eta: Any, samples: PooledSamples,
         )
 
     included, covered, log_threshold = _admit_tie_groups(log_g, v, (1.0 - cfg.level) * total_v, eta, repr)
-    return included, _exp_threshold(log_threshold), covered / total_v, ess
+    return included, log_threshold, covered / total_v, ess
 
 
 def mc_decision_rows(model: GenericModel, cfg: McConfig, etas: Sequence[Any]) -> McDecisionMatrix:
@@ -244,10 +245,10 @@ def mc_decision_rows(model: GenericModel, cfg: McConfig, etas: Sequence[Any]) ->
     samples = pool_samples(model, params, data)
     count = len(etas)
     included = np.zeros((count, samples.outcomes.size), dtype=bool)
-    threshold, estimated, ess = np.empty(count), np.empty(count), np.empty(count)
+    log_threshold, estimated, ess = np.empty(count), np.empty(count), np.empty(count)
     for j, eta in enumerate(etas):
-        included[j], threshold[j], estimated[j], ess[j] = mc_build_decision_row(model, eta, samples, cfg)
-    return McDecisionMatrix(etas, samples.outcomes, included, threshold, estimated, ess)
+        included[j], log_threshold[j], estimated[j], ess[j] = mc_build_decision_row(model, eta, samples, cfg)
+    return McDecisionMatrix(etas, samples.outcomes, included, log_threshold, estimated, ess)
 
 
 def make_binomial_plugin(model: BinomialModel, prior: BetaPrior) -> GenericModel:

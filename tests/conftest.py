@@ -30,11 +30,24 @@ def make_full_acceptance():
         return DecisionMatrix(
             config=config,
             included=np.ones((g, n + 1), dtype=bool),
-            threshold=np.zeros(g),
+            log_threshold=np.zeros(g),
             achieved_coverage=np.ones(g),
         )
 
     return build
+
+
+@pytest.fixture(scope="session")
+def full_rejection() -> DecisionMatrix:
+    """The n=2 matrix whose rows reject every outcome, so every region is empty."""
+    config = TestConfig(level=0.05, model=BinomialModel(2), prior=BetaPrior(0.5, 0.5), grid=ParameterGrid.regular())
+    g = len(config.grid)
+    return DecisionMatrix(
+        config=config,
+        included=np.zeros((g, 3), dtype=bool),
+        log_threshold=np.zeros(g),
+        achieved_coverage=np.zeros(g),
+    )
 
 
 @pytest.fixture(scope="session")

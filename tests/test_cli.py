@@ -227,6 +227,14 @@ class TestCompareCp:
         lines = read(os.path.join(out, "cp_comparison.csv")).splitlines()
         assert [line.split(",")[1:3] for line in lines[1:]] == [["0", "1"], ["0", "1"]]
 
+    def test_empty_regions_write_empty_fields(self, tmp_path):
+        # On a two-point grid no row accepts x = 1..9, so those regions are empty.
+        out = str(tmp_path / "cp")
+        assert run(["compare-cp", "--n", "10", "--grid-points", "2", "--out", out]) == 0
+        lines = read(os.path.join(out, "cp_comparison.csv")).splitlines()
+        assert not any(re.search(r"(^|,)(nan|-?inf)(,|$)", line) for line in lines)
+        assert [x for x, line in enumerate(lines[1:]) if line.endswith(",,")] == list(range(1, 10))
+
 
 class TestMcValidate:
     def mc_args(self, out: str) -> list[str]:

@@ -21,6 +21,7 @@ from avgpower import (
     cp_intervals,
 )
 from avgpower.clopper_pearson import comparison_csv
+from avgpower.csvtext import value
 from avgpower.distributions import binom_pmf_support
 from oracles import oracle_bisect_cp, oracle_cp_interval
 
@@ -202,3 +203,11 @@ class TestCompareLengths:
         assert len(lines) == 102
         fields = lines[1].split(",")
         assert fields[0] == "0" and fields[1] == "0"
+
+    def test_empty_regions_write_empty_fields(self, full_rejection):
+        # The comparison keeps NaN for an empty region; the CSV leaves its fields empty.
+        comparison = compare_lengths(full_rejection)
+        assert np.isnan(comparison.prop_lower).all() and np.isnan(comparison.prop_upper).all()
+        lines = comparison_csv(comparison).splitlines()
+        cp_lower, cp_upper = cp_intervals(full_rejection.config.model, 0.05)
+        assert lines[1:] == [f"{x},{value(lo)},{value(hi)},," for x, (lo, hi) in enumerate(zip(cp_lower, cp_upper))]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -38,7 +39,7 @@ from avgpower.monte_carlo import (
     mc_sample_params,
     pool_samples,
 )
-from oracles import oracle_admit_tie_groups, oracle_greedy_row, oracle_matrix_csv
+from oracles import _posterior_values, oracle_admit_tie_groups, oracle_greedy_row, oracle_matrix_csv
 
 
 def small_config(n: int = 20, a: float = 0.5, b: float = 0.5, level: float = 0.05) -> TestConfig:
@@ -56,7 +57,7 @@ def assert_reads_back(config: TestConfig) -> None:
     text = decision_matrix_to_csv(matrix)
     rebuilt = decision_matrix_from_csv(text, config)
     assert np.array_equal(rebuilt.included, matrix.included)
-    assert np.array_equal(rebuilt.threshold, matrix.threshold)
+    assert np.array_equal(rebuilt.log_threshold, matrix.log_threshold)
     assert np.array_equal(rebuilt.achieved_coverage, matrix.achieved_coverage)
     assert decision_matrix_to_csv(rebuilt) == text
 
@@ -150,10 +151,10 @@ class TestBuildDecisionRow:
 
     def test_threshold_is_minimum_included_density(self):
         config = small_config()
-        included, threshold, _ = build_decision_row(0.37, config)
+        included, log_threshold, _ = build_decision_row(0.37, config)
         dens = posterior_density_support(0.37, config.model, config.prior)
-        assert threshold == float(dens[included].min())
-        recovered = dens >= threshold * (1.0 - 1e-9)
+        assert np.exp(log_threshold) == float(dens[included].min())
+        recovered = dens >= np.exp(log_threshold) * (1.0 - 1e-9)
         assert np.array_equal(recovered, included)
 
     def test_symmetric_ties_admitted_atomically(self):
@@ -196,6 +197,19 @@ class TestBuildDecisionRow:
                 build_decision_row(eta, config)
 
 
+def assert_log_threshold_overflows_and_matches_mpmath(matrix: DecisionMatrix, eta: float) -> None:
+    """The row nearest eta has a log threshold past the double range, within
+    1e-11 of the smallest admitted ln g computed in mpmath."""
+    config = matrix.config
+    j = config.grid.nearest_index(eta)
+    g = _posterior_values(float(config.grid.points[j]), config.model.n, config.prior.a, config.prior.b)
+    exact = min(mp.log(g[x]) for x in np.flatnonzero(matrix.included[j]))
+    log_threshold = matrix.log_threshold[j]
+    assert abs(log_threshold - float(exact)) <= 1e-11, (eta, log_threshold, exact)
+    with np.errstate(over="ignore"):
+        assert np.exp(log_threshold) == np.inf, eta
+
+
 def has_ties(log_g: np.ndarray) -> bool:
     """Whether two ranked log densities lie within the tie tolerance."""
     ranked = np.sort(log_g)[::-1]
@@ -204,7 +218,8 @@ def has_ties(log_g: np.ndarray) -> bool:
 
 class TestAdmissionReference:
     """Rows built by the library equal the plain tie-group admission bit for bit:
-    the flags, the covered sum and the threshold."""
+    the flags, the covered sum and the threshold, exponentiated as the
+    writers do."""
 
     @staticmethod
     def exact_inputs(config: TestConfig, eta: float) -> tuple:
@@ -215,13 +230,15 @@ class TestAdmissionReference:
     def assert_matrix_matches(self, config: TestConfig) -> tuple:
         """Check every row of the built matrix; return it with each row's log densities."""
         matrix = build_decision_matrix(config)
+        with np.errstate(over="ignore"):
+            written = np.exp(matrix.log_threshold)
         seen = []
         for j, eta in enumerate(config.grid.points):
             log_g, pmf, target = self.exact_inputs(config, float(eta))
             included, covered, threshold = oracle_admit_tie_groups(log_g, pmf, target)
             assert np.array_equal(matrix.included[j], included), eta
             assert matrix.achieved_coverage[j] == covered, eta
-            assert matrix.threshold[j] == threshold, eta
+            assert written[j] == threshold, eta
             seen.append(log_g)
         return matrix, seen
 
@@ -239,7 +256,7 @@ class TestAdmissionReference:
         included, covered, threshold = oracle_admit_tie_groups(log_g, pmf, target)
         row = build_decision_row(0.5, config)
         assert np.array_equal(row[0], included)
-        assert row[1:] == (threshold, covered)
+        assert (np.exp(row[1]), row[2]) == (threshold, covered)
 
     @pytest.mark.parametrize("n, level", [(50, 3e-12), (200, 1e-12)])
     def test_rows_summed_short_in_outcome_order(self, n, level):
@@ -252,7 +269,8 @@ class TestAdmissionReference:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             matrix, _ = self.assert_matrix_matches(config)
-        assert np.isinf(matrix.threshold).any()
+        for eta in (0.002, 0.256):
+            assert_log_threshold_overflows_and_matches_mpmath(matrix, eta)
 
     def test_monte_carlo_rows(self):
         model, prior = BinomialModel(20), BetaPrior(0.5, 0.5)
@@ -271,14 +289,14 @@ class TestAdmissionReference:
             included, covered, threshold = oracle_admit_tie_groups(log_g, v, (1.0 - cfg.level) * total_v)
             assert np.array_equal(rows.included[j], included), eta
             assert rows.estimated_coverage[j] == covered / total_v, eta
-            assert rows.threshold[j] == threshold, eta
+            assert np.exp(rows.log_threshold[j]) == threshold, eta
 
 
 class TestMatrixAndCoverage:
     def test_matrix_rows_follow_grid(self):
         config = small_config()
         matrix = build_decision_matrix(config)
-        assert matrix.threshold.shape == matrix.achieved_coverage.shape == (499,)
+        assert matrix.log_threshold.shape == matrix.achieved_coverage.shape == (499,)
         assert matrix.inclusion_matrix().shape == (499, 21)
         assert matrix.inclusion_matrix() is matrix.included
 
@@ -288,9 +306,9 @@ class TestMatrixAndCoverage:
         # alone evaluates its own.
         matrix = request.getfixturevalue(fixture)
         for j, eta in enumerate(matrix.config.grid.points):
-            included, threshold, achieved = build_decision_row(eta, matrix.config)
+            included, log_threshold, achieved = build_decision_row(eta, matrix.config)
             assert np.array_equal(matrix.included[j], included), eta
-            assert matrix.threshold[j] == threshold, eta
+            assert matrix.log_threshold[j] == log_threshold, eta
             assert matrix.achieved_coverage[j] == achieved, eta
 
     def test_coverage_is_exact_mass(self):
@@ -300,12 +318,11 @@ class TestMatrixAndCoverage:
         expected = float(pmf[matrix.included[100]].sum())
         assert coverage(matrix, 0.4, 100) == expected
 
-    def test_type1_error_complements_own_coverage(self):
-        config = small_config()
-        matrix = build_decision_matrix(config)
-        idx = config.grid.nearest_index(0.5)
-        assert type1_error(matrix, idx) == pytest.approx(1.0 - matrix.achieved_coverage[idx], abs=1e-15)
-        assert type1_error(matrix, idx) <= config.level
+    def test_type1_error_complements_own_coverage(self, matrix_non, matrix_inf):
+        for matrix in (matrix_non, matrix_inf):
+            for j in range(len(matrix.config.grid)):
+                assert type1_error(matrix, j) == 1.0 - matrix.achieved_coverage[j], j
+                assert type1_error(matrix, j) <= matrix.config.level, j
 
     def test_index_validation(self):
         matrix = build_decision_matrix(small_config())
@@ -322,9 +339,14 @@ class TestMatrixAndCoverage:
         [
             ("included", np.ones((3, 4), dtype=bool), "bool of shape (3, 4)"),
             ("included", np.ones((5, 4)), "float64 of shape (5, 4)"),
-            ("threshold", np.ones(4), "float64 of shape (4,)"),
-            ("threshold", [1.0] * 5, "list"),
+            ("log_threshold", np.ones(4), "float64 of shape (4,)"),
+            ("log_threshold", [1.0] * 5, "list"),
             ("achieved_coverage", np.ones(5, dtype=np.int64), "int64 of shape (5,)"),
+            *(
+                (field, np.array([1.0, 1.0, bad, 1.0, 1.0]), repr(bad))
+                for field in ("log_threshold", "achieved_coverage")
+                for bad in (np.nan, np.inf, -np.inf)
+            ),
         ],
     )
     def test_arrays_must_match_the_config(self, field, value, got):
@@ -332,9 +354,11 @@ class TestMatrixAndCoverage:
         config = TestConfig(
             level=0.05, model=BinomialModel(3), prior=BetaPrior(0.5, 0.5), grid=ParameterGrid.regular(5)
         )
-        arrays = {"included": np.ones((5, 4), dtype=bool), "threshold": np.ones(5), "achieved_coverage": np.ones(5)}
-        expected = {"included": "bool array of shape (5, 4)"}.get(field, "float64 array of shape (5,)")
-        with pytest.raises(ValueError, match=re.escape(f"{field} must be a {expected}, got {got}")):
+        arrays = {"included": np.ones((5, 4), dtype=bool), "log_threshold": np.ones(5), "achieved_coverage": np.ones(5)}
+        expected = {"included": "a bool array of shape (5, 4)"}.get(field, "a float64 array of shape (5,)")
+        if got in ("nan", "inf", "-inf"):
+            expected = "finite"
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{field} must be {expected}, got {got}')}$"):
             DecisionMatrix(config=config, **{**arrays, field: value})
 
 
@@ -359,16 +383,8 @@ class TestConfidenceRegion:
         with pytest.raises(ValueError):
             confidence_region(matrix_non, 50.0)
 
-    def test_empty_region_is_representable(self):
-        config = small_config(n=2)
-        matrix = build_decision_matrix(config)
-        rejects_all = DecisionMatrix(
-            config=config,
-            included=np.zeros_like(matrix.included),
-            threshold=np.zeros_like(matrix.threshold),
-            achieved_coverage=np.zeros_like(matrix.achieved_coverage),
-        )
-        empty = confidence_region(rejects_all, 1)
+    def test_empty_region_is_representable(self, full_rejection):
+        empty = confidence_region(full_rejection, 1)
         assert empty.is_empty
         assert np.isnan(empty.lower) and np.isnan(empty.upper)
         assert empty.contiguous
@@ -400,7 +416,7 @@ class TestCsv:
         config = TestConfig(level=0.05, model=BinomialModel(n), prior=BetaPrior(a, b), grid=grid)
         matrix = build_decision_matrix(config)
         got = decision_matrix_to_csv(matrix).splitlines(keepends=True)
-        want = oracle_matrix_csv(grid.points, matrix.included, matrix.threshold).splitlines(keepends=True)
+        want = oracle_matrix_csv(grid.points, matrix.included, np.exp(matrix.log_threshold)).splitlines(keepends=True)
         # Report the first differing line: a diff of the whole text would take minutes at n=1000.
         first = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), min(len(got), len(want)))
         same = got == want
@@ -527,7 +543,8 @@ class TestExtremePrior:
         j = grid.nearest_index(0.256)
         expected = oracle_greedy_row(float(grid.points[j]), 1000, 0.05, 1000.0, 1.0)
         assert set(np.flatnonzero(matrix.included[j]).tolist()) == set(expected)
-        assert np.isinf(matrix.threshold[j])
+        for eta in (0.002, 0.256):
+            assert_log_threshold_overflows_and_matches_mpmath(matrix, eta)
 
     def test_csv_writers_name_the_first_overflowing_eta(self, built):
         matrix, _ = built
@@ -536,11 +553,14 @@ class TestExtremePrior:
                 write(matrix)
 
     def test_reader_rejects_an_inf_threshold(self):
-        # An overflowing row recomputes to inf, which the writer refuses to print.
+        # An overflowing row recomputes its finite log threshold, which the
+        # writer refuses to exponentiate.
         config = TestConfig(0.05, BinomialModel(1000), BetaPrior(1000.0, 1.0), ParameterGrid.regular(49))
         matrix = build_decision_matrix(config)
-        assert np.isinf(matrix.threshold).any()
-        text = oracle_matrix_csv(config.grid.points, matrix.included, matrix.threshold)
+        with np.errstate(over="ignore"):
+            threshold = np.exp(matrix.log_threshold)
+        assert np.isinf(threshold).any()
+        text = oracle_matrix_csv(config.grid.points, matrix.included, threshold)
         assert text.splitlines()[1].endswith(",inf")
         with pytest.raises(ThresholdOverflowError, match="threshold at eta 0.002000 does not fit in a double"):
             decision_matrix_from_csv(text, config)

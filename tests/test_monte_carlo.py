@@ -248,9 +248,9 @@ class TestBuildRow:
 
     def test_coverage_estimate_reaches_target(self):
         plugin, config, pooled = self.pooled()
-        included, threshold, estimated, _ = mc_build_decision_row(plugin, 0.41, pooled, config)
+        included, log_threshold, estimated, _ = mc_build_decision_row(plugin, 0.41, pooled, config)
         assert estimated >= 1.0 - config.level
-        assert threshold == pytest.approx(
+        assert np.exp(log_threshold) == pytest.approx(
             min(
                 plugin.likelihood(x, 0.41) / pooled.mix_density[k]
                 for k, x in enumerate(pooled.outcomes)
@@ -269,9 +269,9 @@ class TestBuildRow:
             sample_data=base.sample_data,
         )
         plugin, config, pooled = self.pooled(degenerate)
-        included, threshold, _, _ = mc_build_decision_row(degenerate, 0.35, pooled, config)
+        included, log_threshold, _, _ = mc_build_decision_row(degenerate, 0.35, pooled, config)
         assert np.all(included)
-        assert threshold == pytest.approx(1.0, rel=1e-12)
+        assert np.exp(log_threshold) == pytest.approx(1.0, rel=1e-12)
 
     def test_level_near_one_keeps_single_tie_group(self):
         # Limiting behaviour of an extreme level: only the top tie group
@@ -310,7 +310,7 @@ class TestMcDecisionMatrix:
         rows = mc_decision_rows(binom_plugin(), cfg(), etas)
         assert rows.etas == etas
         assert rows.included.shape == (len(etas), rows.outcomes.size) and rows.included.dtype == bool
-        for column in (rows.threshold, rows.estimated_coverage, rows.ess):
+        for column in (rows.log_threshold, rows.estimated_coverage, rows.ess):
             assert column.shape == (len(etas),)
 
     def test_rows_equal_single_row_builds(self):
@@ -320,9 +320,9 @@ class TestMcDecisionMatrix:
         rows = mc_decision_rows(plugin, config, [0.2, 0.41])
         assert np.array_equal(rows.outcomes, pooled.outcomes)
         for j, eta in enumerate(rows.etas):
-            included, threshold, estimated, ess = mc_build_decision_row(plugin, eta, pooled, config)
+            included, log_threshold, estimated, ess = mc_build_decision_row(plugin, eta, pooled, config)
             assert np.array_equal(rows.included[j], included)
-            assert (rows.threshold[j], rows.estimated_coverage[j], rows.ess[j]) == (threshold, estimated, ess)
+            assert (rows.log_threshold[j], rows.estimated_coverage[j], rows.ess[j]) == (log_threshold, estimated, ess)
 
 
 class TestAgreement:
@@ -349,7 +349,7 @@ class TestAgreement:
             rows,
             etas=rows.etas[:-1],
             included=rows.included[:-1],
-            threshold=rows.threshold[:-1],
+            log_threshold=rows.log_threshold[:-1],
             estimated_coverage=rows.estimated_coverage[:-1],
             ess=rows.ess[:-1],
         )
