@@ -192,8 +192,8 @@ def cmd_ci(config: RunConfig, x: int) -> int:
             f"x={x}: [{region.lower:.6f}, {region.upper:.6f}], "
             f"{region.accepted.size} of {len(test.grid)} grid values accepted, {shape}"
         )
-    flags = matrix.included[:, x].astype(int)
-    text = csv_text("eta,included", ((point(eta), str(flag)) for eta, flag in zip(test.grid.points, flags)))
+    flags = matrix.included[:, x].astype(int).tolist()
+    text = csv_text("eta,included", ((point(eta), str(flag)) for eta, flag in zip(test.grid.points.tolist(), flags)))
     _emit(config, [(f"ci_x{x}.csv", text, "")])
     return 0
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvtext import csv_text, value
-from .decisions import DecisionMatrix, confidence_region
+from .decisions import DecisionMatrix
 from .distributions import BinomialModel, binom_pmf_support, check_level, check_outcome
 
 __all__ = [
@@ -155,9 +155,12 @@ def compare_lengths(matrix: DecisionMatrix) -> LengthComparison:
     grid_pts = config.grid.points
     step = float(np.max(np.diff(grid_pts))) if grid_pts.size > 1 else 0.0
     cp_lower, cp_upper = cp_intervals(config.model, config.level)
-    regions = [confidence_region(matrix, x) for x in config.model.outcomes()]
-    prop_lower = np.array([region.lower for region in regions])
-    prop_upper = np.array([region.upper for region in regions])
+    # Each outcome's region runs from the first to the last grid row that
+    # accepts it, as confidence_region reads its column.
+    accepts = matrix.included
+    empty = ~accepts.any(axis=0)
+    prop_lower = np.where(empty, math.nan, grid_pts[accepts.argmax(axis=0)])
+    prop_upper = np.where(empty, math.nan, grid_pts[::-1][accepts[::-1].argmax(axis=0)])
     prop_lengths = np.where(np.isnan(prop_lower), 0.0, prop_upper - prop_lower)
     return LengthComparison(
         cp_lower=cp_lower,
@@ -180,7 +183,10 @@ def comparison_csv(comparison: LengthComparison) -> str:
     def field(end: float) -> str:
         return "" if math.isnan(end) else value(end)
 
-    columns = (comparison.cp_lower, comparison.cp_upper, comparison.prop_lower, comparison.prop_upper)
+    columns = [
+        column.tolist()
+        for column in (comparison.cp_lower, comparison.cp_upper, comparison.prop_lower, comparison.prop_upper)
+    ]
     return csv_text(
         "x,cp_lower,cp_upper,prop_lower,prop_upper",
         ([str(x), *map(field, ends)] for x, ends in enumerate(zip(*columns))),

@@ -25,7 +25,7 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 from .csvtext import csv_text, point, value
-from .decisions import DecisionMatrix, _admit_tie_groups
+from .decisions import DecisionMatrix, _admit, _rank
 from .distributions import BetaPrior, BinomialModel, binom_pmf, check_level, check_outcomes
 
 __all__ = [
@@ -234,7 +234,8 @@ def mc_build_decision_row(model: GenericModel, eta: Any, samples: PooledSamples,
             f"effective sample size {ess:.1f} below floor {cfg.ess_floor:.1f} at eta {eta!r}"
         )
 
-    included, covered, log_threshold = _admit_tie_groups(log_g, v, (1.0 - cfg.level) * total_v, eta, repr)
+    target = (1.0 - cfg.level) * total_v
+    included, covered, log_threshold = _admit(_rank(log_g, v, target), target, eta, repr)
     return included, log_threshold, covered / total_v, ess
 
 
@@ -287,4 +288,6 @@ def agreement_with_matrix(mc: McDecisionMatrix, matrix: DecisionMatrix) -> Agree
 
 def agreement_csv(report: AgreementReport) -> str:
     """Serialize per-null agreement: eta,agreement."""
-    return csv_text("eta,agreement", ((point(eta), value(val)) for eta, val in zip(report.etas, report.per_eta)))
+    return csv_text(
+        "eta,agreement", ((point(eta), value(val)) for eta, val in zip(report.etas.tolist(), report.per_eta.tolist()))
+    )

@@ -177,28 +177,30 @@ def overall_power_grid(matrices: Sequence[DecisionMatrix], priors: Sequence[Beta
 
 def power_curves_csv(matrix: DecisionMatrix, thetas: Sequence[float]) -> str:
     """The power curve of every theta in long form: theta,eta,power."""
-    etas = [point(eta) for eta in matrix.config.grid.points]
-    return csv_text(
-        "theta,eta,power",
-        (
-            (point(theta), eta_s, value(val))
-            for theta in thetas
-            for eta_s, val in zip(etas, power_curve(matrix, theta))
-        ),
-    )
+    etas = [point(eta) for eta in matrix.config.grid.points.tolist()]
+
+    def lines():
+        for theta in thetas:
+            theta_s = point(theta)
+            for eta_s, val in zip(etas, power_curve(matrix, theta).tolist()):
+                yield theta_s, eta_s, value(val)
+
+    return csv_text("theta,eta,power", lines())
 
 
 def mixed_power_csv(matrix: DecisionMatrix) -> str:
     """Mixed power at every grid null: eta,mixed_power."""
     values = _rejection(matrix, beta_binom_pmf_support(matrix.config.model, matrix.config.prior))
-    return csv_text("eta,mixed_power", ((point(eta), value(v)) for eta, v in zip(matrix.config.grid.points, values)))
+    etas = matrix.config.grid.points.tolist()
+    return csv_text("eta,mixed_power", ((point(eta), value(v)) for eta, v in zip(etas, values.tolist())))
 
 
 def avg_power_csv(matrix: DecisionMatrix) -> str:
     """Per-theta average power at every grid point, under the matrix's prior: theta,avg_power."""
     report = average_power_report(matrix, matrix.config.prior)
     values = np.clip(report.per_theta / report.weights.sum(), 0.0, 1.0)
-    return csv_text("theta,avg_power", ((point(t), value(v)) for t, v in zip(matrix.config.grid.points, values)))
+    thetas = matrix.config.grid.points.tolist()
+    return csv_text("theta,avg_power", ((point(t), value(v)) for t, v in zip(thetas, values.tolist())))
 
 
 def power_table_csv(values: np.ndarray) -> str:

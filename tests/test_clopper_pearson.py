@@ -185,6 +185,26 @@ class TestCompareLengths:
         assert comparison.cp_lower[50] == lower and comparison.cp_upper[50] == upper
         assert comparison.prop_lower[50] == region.lower and comparison.prop_upper[50] == region.upper
 
+    @pytest.mark.parametrize(
+        "n, prior, level, count",
+        [
+            (100, BetaPrior(0.5, 0.5), 0.05, 499),
+            # Regions with gaps: 11 of the 101 columns accept grid points that are not adjacent.
+            (100, BetaPrior(0.01, 0.01), 1e-9, 499),
+            # Two grid points leave most outcomes with an empty region.
+            (10, BetaPrior(0.5, 0.5), 0.05, 2),
+        ],
+    )
+    def test_endpoints_equal_confidence_regions(self, n, prior, level, count):
+        matrix = build_decision_matrix(TestConfig(level, BinomialModel(n), prior, ParameterGrid.regular(count)))
+        comparison = compare_lengths(matrix)
+        regions = [confidence_region(matrix, x) for x in range(n + 1)]
+        # assert_array_equal compares exactly and counts NaN equal to NaN.
+        np.testing.assert_array_equal(comparison.prop_lower, [region.lower for region in regions])
+        np.testing.assert_array_equal(comparison.prop_upper, [region.upper for region in regions])
+        if count == 2:
+            assert sum(region.is_empty for region in regions) == 9
+
     def test_informative_center_shorter_than_baseline(self, matrix_inf):
         comparison = compare_lengths(matrix_inf)
         proposed = comparison.prop_upper[50] - comparison.prop_lower[50]

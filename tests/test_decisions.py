@@ -292,6 +292,49 @@ class TestAdmissionReference:
             assert np.exp(rows.log_threshold[j]) == threshold, eta
 
 
+def assert_rows_equal_rows_built_alone(matrix: DecisionMatrix) -> None:
+    """Every row of the matrix, ranked with a block of rows, equals the same row ranked alone."""
+    for j, eta in enumerate(matrix.config.grid.points):
+        included, log_threshold, achieved = build_decision_row(eta, matrix.config)
+        assert np.array_equal(matrix.included[j], included), eta
+        assert matrix.log_threshold[j] == log_threshold, eta
+        assert matrix.achieved_coverage[j] == achieved, eta
+
+
+class TestBatchedRanking:
+    """The build ranks many rows in one array pass; each row must come out as it does alone."""
+
+    def test_tie_row_at_half(self):
+        config = small_config(n=100)
+        log_g, _, _ = TestAdmissionReference.exact_inputs(config, 0.5)
+        assert has_ties(log_g)
+        assert_rows_equal_rows_built_alone(build_decision_matrix(config))
+
+    @pytest.mark.parametrize("n, level", [(50, 3e-12), (200, 1e-12)])
+    def test_rows_summed_short_in_outcome_order(self, n, level):
+        assert_rows_equal_rows_built_alone(build_decision_matrix(small_config(n=n, a=100.0, b=100.0, level=level)))
+
+    def test_one_trial(self):
+        assert_rows_equal_rows_built_alone(build_decision_matrix(small_config(n=1)))
+
+    def test_large_n_spans_many_blocks(self):
+        # 1001 outcomes a row: each ranking pass holds a few rows, so a row's
+        # gather must find its own block row.
+        assert_rows_equal_rows_built_alone(build_decision_matrix(small_config(n=1000)))
+
+    @given(
+        n=st.integers(1, 40),
+        count=st.integers(1, 60),
+        a=st.floats(0.05, 50.0),
+        b=st.floats(0.05, 50.0),
+        level=st.floats(1e-6, 0.5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_small_config(self, n, count, a, b, level):
+        config = TestConfig(level, BinomialModel(n), BetaPrior(a, b), ParameterGrid.regular(count))
+        assert_rows_equal_rows_built_alone(build_decision_matrix(config))
+
+
 class TestMatrixAndCoverage:
     def test_matrix_rows_follow_grid(self):
         config = small_config()
@@ -304,12 +347,7 @@ class TestMatrixAndCoverage:
     def test_rows_equal_rows_built_alone(self, fixture, request):
         # The matrix shares one log kernel between its rows; a row built
         # alone evaluates its own.
-        matrix = request.getfixturevalue(fixture)
-        for j, eta in enumerate(matrix.config.grid.points):
-            included, log_threshold, achieved = build_decision_row(eta, matrix.config)
-            assert np.array_equal(matrix.included[j], included), eta
-            assert matrix.log_threshold[j] == log_threshold, eta
-            assert matrix.achieved_coverage[j] == achieved, eta
+        assert_rows_equal_rows_built_alone(request.getfixturevalue(fixture))
 
     def test_coverage_is_exact_mass(self):
         config = small_config()

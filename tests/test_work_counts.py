@@ -1,4 +1,5 @@
-"""How often each quantity is evaluated: the binomial kernel once per grid, the prior measure once per average.
+"""How often each quantity is evaluated: the binomial kernel once per grid, the ranking once per block of
+rows, the prior measure once per average.
 
 Counters wrap the module bindings that the callers read, so a call made
 through any of them is counted.
@@ -61,6 +62,26 @@ def test_build_evaluates_the_kernel_once(monkeypatch, support_calls, prior):
     assert len(rows) == 1
     assert len(row_builds) == len(GRID)
     assert support_calls == ([], [])
+
+
+@pytest.mark.parametrize("prior", PRIORS)
+def test_build_ranks_every_row_in_one_pass(monkeypatch, prior):
+    ranks = counter(monkeypatch, decisions, "_rank")
+    row_builds = counter(monkeypatch, decisions, "build_decision_row")
+    build_decision_matrix(config(prior))
+    assert len(ranks) == 1
+    assert len(row_builds) == len(GRID)
+
+
+def test_large_supports_rank_a_block_of_rows_per_pass(monkeypatch):
+    # At n=1000 a pass holds the rows that fit in _RANK_BLOCK outcomes.
+    ranks = counter(monkeypatch, decisions, "_rank")
+    row_builds = counter(monkeypatch, decisions, "build_decision_row")
+    build_decision_matrix(TestConfig(level=0.05, model=BinomialModel(1000), prior=PRIORS[1], grid=GRID))
+    per_pass = decisions._RANK_BLOCK // 1001
+    assert 1 < per_pass < len(GRID)
+    assert len(ranks) == -(-len(GRID) // per_pass)
+    assert len(row_builds) == len(GRID)
 
 
 def test_csv_reader_evaluates_the_kernel_once(monkeypatch, support_calls, matrices):
