@@ -21,9 +21,7 @@ from .csvtext import csv_text, point, value
 from .distributions import (
     BetaPrior,
     BinomialModel,
-    beta_binom_log_pmf_support,
-    binom_log_pmf_rows,
-    binom_log_pmf_support,
+    _log_f_and_g,
     binom_pmf_support,
     check_level,
     check_open_unit,
@@ -301,7 +299,7 @@ def build_decision_row(eta: float, config: TestConfig, *, ranking: _Ranking | No
     ranking : optional
         This row's slice of the ranking that ``build_decision_matrix`` takes
         of many rows at once: log g and the Binomial(n, eta) pmf over the
-        support, ranked against 1 - level. A row built alone ranks itself.
+        support, ranked against 1 - level. A row built alone is a block of one.
 
     Returns
     -------
@@ -316,30 +314,27 @@ def build_decision_row(eta: float, config: TestConfig, *, ranking: _Ranking | No
     eta = check_open_unit(eta)
     target = 1.0 - config.level
     if ranking is None:
-        log_f = binom_log_pmf_support(config.model, eta)
-        log_mix = beta_binom_log_pmf_support(config.model, config.prior)
-        ranking = _rank(log_f - log_mix, np.exp(log_f), target)
+        (ranking,) = _rankings(config, np.array([eta]))
     included, achieved, log_threshold = _admit(ranking, target, eta, point)
     return included, log_threshold, achieved
+
+
+def _rankings(config: TestConfig, etas: np.ndarray):
+    """Yield each null's ranking: ln f and ln g are evaluated once for all ``etas``, then ranked a block per pass."""
+    log_f, log_g = _log_f_and_g(config.model, config.prior, etas)
+    step = max(1, _RANK_BLOCK // log_f.shape[1])
+    for i in range(0, len(etas), step):
+        ranking = _rank(log_g[i : i + step], np.exp(log_f[i : i + step]), 1.0 - config.level)
+        yield from map(_Ranking._make, zip(*ranking))
 
 
 def build_decision_matrix(config: TestConfig) -> DecisionMatrix:
     """Build one decision row per grid point. Deterministic in config.
 
-    The prior's log mixture and the grid's log binomial kernel are each
-    evaluated once. Rows are ranked a block at a time in one array pass,
-    and each row is then admitted from its own slice of its block's ranking.
+    Each row is admitted from its own slice of its block's ranking (``_rankings``).
     """
     points = config.grid.points
-    log_mix = beta_binom_log_pmf_support(config.model, config.prior)
-    log_kernel = binom_log_pmf_rows(config.model, points)
-    target = 1.0 - config.level
-    step = max(1, _RANK_BLOCK // log_kernel.shape[1])
-    rows: list = []
-    for block in (slice(i, i + step) for i in range(0, len(points), step)):
-        log_f = log_kernel[block]
-        ranking = _rank(log_f - log_mix, np.exp(log_f), target)
-        rows += (build_decision_row(eta, config, ranking=_Ranking(*row)) for eta, *row in zip(points[block], *ranking))
+    rows = [build_decision_row(eta, config, ranking=r) for eta, r in zip(points, _rankings(config, points))]
     return DecisionMatrix(config, *map(np.array, zip(*rows)))
 
 
@@ -457,8 +452,7 @@ def decision_matrix_from_csv(text: str, config: TestConfig) -> DecisionMatrix:
         raise ValueError(f"line {bad + 2}: included flag must be 0 or 1 in {lines[bad + 1]!r}")
     included = np.array([flag == ["1"] for flag in flags]).reshape(len(grid), width)
 
-    log_mix = beta_binom_log_pmf_support(config.model, config.prior)
-    log_kernel = binom_log_pmf_rows(config.model, grid.points)
+    log_kernel, log_g = _log_f_and_g(config.model, config.prior, grid.points)
     pmf = np.exp(log_kernel)
     achieved = np.empty(len(grid))
     target = 1.0 - config.level
@@ -466,7 +460,7 @@ def decision_matrix_from_csv(text: str, config: TestConfig) -> DecisionMatrix:
         achieved[j] = pmf_row[row].sum()
         if not achieved[j] >= target:
             raise ValueError(f"eta {point(eta)} covers {float(achieved[j])!r}, short of 1 - level = {target!r}")
-    log_threshold = np.where(included, log_kernel - log_mix, np.inf).min(axis=1)
+    log_threshold = np.where(included, log_g, np.inf).min(axis=1)
     matrix = DecisionMatrix(config=config, included=included, log_threshold=log_threshold, achieved_coverage=achieved)
     expected = decision_matrix_to_csv(matrix).splitlines()
     if expected != lines:

@@ -246,15 +246,24 @@ def beta_log_pdf(t: float | np.ndarray, prior: BetaPrior) -> float | np.ndarray:
 
 
 def beta_pdf(t: float, prior: BetaPrior) -> float:
-    """Density of Beta(a, b) at t in [0, 1]."""
-    return math.exp(beta_log_pdf(t, prior))
+    """Density of Beta(a, b) at t in [0, 1].
+
+    Raises ValueError when the density exceeds the double range.
+    """
+    log_pdf = beta_log_pdf(t, prior)
+    try:
+        return math.exp(log_pdf)
+    except OverflowError:
+        raise ValueError(
+            f"beta density at t={t!r} overflows a double for shapes a={prior.a!r}, b={prior.b!r}"
+        ) from None
 
 
 def beta_binom_log_pmf_support(model: BinomialModel, prior: BetaPrior) -> np.ndarray:
     """Log pmf of the beta-binomial mixture marginal over outcomes 0..n."""
     n, a, b = model.n, prior.a, prior.b
     lb = log_beta(a, b)
-    lbet = np.array([log_beta(x + a, b + n - x) for x in range(n + 1)])
+    lbet = np.array([log_beta(x + a, b + (n - x)) for x in range(n + 1)])
     return _support_table(n)[0] + lbet - lb
 
 
@@ -263,11 +272,26 @@ def beta_binom_pmf_support(model: BinomialModel, prior: BetaPrior) -> np.ndarray
     return np.exp(beta_binom_log_pmf_support(model, prior))
 
 
+def _log_f_and_g(model: BinomialModel, prior: BetaPrior, etas: np.ndarray) -> tuple:
+    """ln f_eta and ln g = ln f_eta - ln P_mix over 0..n, as (T, n+1) arrays with one row per null in ``etas``."""
+    log_f = binom_log_pmf_rows(model, etas)
+    return log_f, log_f - beta_binom_log_pmf_support(model, prior)
+
+
 def posterior_density_support(eta: float, model: BinomialModel, prior: BetaPrior) -> np.ndarray:
     """Posterior density of eta relative to the prior, for every outcome 0..n.
 
     f_eta(x) / P_mix(x), where P_mix is the beta-binomial marginal; this
     equals the ratio of beta densities Beta(eta; a+x, b+n-x) / Beta(eta; a, b).
+    Raises ValueError when a density exceeds the double range.
     """
     eta = check_open_unit(eta)
-    return np.exp(binom_log_pmf_support(model, eta) - beta_binom_log_pmf_support(model, prior))
+    with np.errstate(over="ignore"):
+        density = np.exp(_log_f_and_g(model, prior, np.array([eta]))[1][0])
+    over = np.flatnonzero(np.isinf(density))
+    if over.size:
+        raise ValueError(
+            f"posterior density at eta={eta!r} overflows a double at x={over[0]} "
+            f"for shapes a={prior.a!r}, b={prior.b!r}"
+        )
+    return density

@@ -59,6 +59,12 @@ def oracle_beta_binom_pmf(x: int, n: int, a: float, b: float) -> float:
     return float(mp.quad(integrand, [0, mp.mpf("0.5"), 1]) / mp.beta(a, b))
 
 
+def oracle_beta_binom_log_pmf(x: int, n: int, a: float, b: float) -> float:
+    """ln of the prior predictive mass from the closed form C(n, x) B(x + a, n - x + b) / B(a, b)."""
+    a, b = mp.mpf(a), mp.mpf(b)
+    return float(mp.log(mp.binomial(n, x)) + mp.log(mp.beta(x + a, (n - x) + b)) - mp.log(mp.beta(a, b)))
+
+
 def oracle_mixed_power(included, n: int, a: float, b: float) -> float:
     """1 minus the true integral of the accepted-set coverage against the prior."""
     a, b = mp.mpf(a), mp.mpf(b)

@@ -211,6 +211,15 @@ class TestHugePriorShape:
         assert not os.path.exists(out)
 
 
+class TestTinyPriorShape:
+    @pytest.mark.parametrize("command", ["construct", "power"])
+    def test_shapes_far_below_n_succeed(self, tmp_path, capsys, command):
+        # Before, b + n - x lost b = 1e-300 at x = n, and the command failed naming b=0.0.
+        out = str(tmp_path / "tiny")
+        assert run([command, "--n", "5", "--prior-a", "1e-300", "--prior-b", "1e-300", "--out", out]) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestCompareCp:
     def test_endpoints_and_means(self, tmp_path, capsys):
         out = str(tmp_path / "cp")

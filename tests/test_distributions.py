@@ -28,6 +28,7 @@ from avgpower.distributions import (
 )
 from avgpower.distributions import _support_table as support_table
 from oracles import (
+    oracle_beta_binom_log_pmf,
     oracle_beta_binom_pmf,
     oracle_beta_pdf,
     oracle_binom_pmf,
@@ -264,6 +265,12 @@ class TestBetaPdf:
         with pytest.raises(ValueError):
             beta_pdf(-0.1, BetaPrior(2.0, 2.0))
 
+    def test_overflow_raises_value_error_naming_t_and_shapes(self):
+        # Before, math.exp raised an untyped OverflowError.
+        message = "beta density at t=1e-320 overflows a double for shapes a=0.01, b=1.0"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            beta_pdf(1e-320, BetaPrior(0.01, 1.0))
+
     @pytest.mark.parametrize(
         "a,b", [(0.5, 0.5), (100.0, 100.0), (1.0, 1.0), (1.0, 3.0), (0.01, 1e4), (1e6, 0.01), (2.5, 0.5)]
     )
@@ -308,6 +315,20 @@ class TestBetaBinomial:
         pmf = beta_binom_pmf_support(BinomialModel(31), BetaPrior(0.5, 0.5))
         np.testing.assert_allclose(pmf, pmf[::-1], rtol=1e-12)
 
+    @pytest.mark.parametrize("b", [1e-3, 1e-9, 1e-14, 1e-300])
+    def test_small_shape_against_oracle_over_support(self, b):
+        # b + n - x taken as (b + n) - x would lose b at x = n: 0.35 off at b = 1e-14.
+        got = beta_binom_log_pmf_support(BinomialModel(100), BetaPrior(0.5, b))
+        want = [oracle_beta_binom_log_pmf(x, 100, 0.5, b) for x in range(101)]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=2e-13)
+
+    @pytest.mark.parametrize("b", [1e-3, 1e-9, 1e-14, 1e-300])
+    def test_swapped_shapes_reverse_the_support(self, b):
+        model = BinomialModel(100)
+        got = beta_binom_log_pmf_support(model, BetaPrior(b, 0.5))
+        want = beta_binom_log_pmf_support(model, BetaPrior(0.5, b))[::-1]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+
 
 class TestPosteriorDensity:
     def test_matches_explicit_ratio(self):
@@ -337,3 +358,10 @@ class TestPosteriorDensity:
             posterior_density_support(0.0, model, prior)
         with pytest.raises(ValueError):
             posterior_density_support(1.0, model, prior)
+
+    @pytest.mark.parametrize("eta", [0.002, 0.1])
+    def test_overflow_raises_value_error_naming_eta_and_shapes(self, eta):
+        # Before, exp overflowed with a RuntimeWarning and returned inf.
+        message = f"posterior density at eta={eta!r} overflows a double at x=0 for shapes a=1000.0, b=1.0"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            posterior_density_support(eta, BinomialModel(1000), BetaPrior(1000.0, 1.0))

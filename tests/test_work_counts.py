@@ -1,5 +1,5 @@
-"""How often each quantity is evaluated: the binomial kernel once per grid, the ranking once per block of
-rows, the prior measure once per average.
+"""How often each quantity is evaluated: ln f and ln g once per grid, the ranking once per block of rows,
+the prior measure once per average.
 
 Counters wrap the module bindings that the callers read, so a call made
 through any of them is counted.
@@ -12,7 +12,13 @@ import importlib
 import pytest
 
 from avgpower import BetaPrior, BinomialModel, ParameterGrid, TestConfig
-from avgpower.decisions import build_decision_matrix, decision_matrix_from_csv, decision_matrix_to_csv
+from avgpower.decisions import (
+    build_decision_matrix,
+    build_decision_row,
+    decision_matrix_from_csv,
+    decision_matrix_to_csv,
+)
+from avgpower.distributions import posterior_density_support
 from avgpower.power import average_power_report, avg_power_csv, overall_power_grid
 
 # The package exports a function named power, which hides the module of that name.
@@ -43,10 +49,18 @@ def counter(monkeypatch, module, name: str) -> list:
 
 @pytest.fixture
 def support_calls(monkeypatch):
-    """Scalar kernel calls from the decisions module and from inside distributions."""
-    calls = counter(monkeypatch, decisions, "binom_log_pmf_support")
-    calls_inside = counter(monkeypatch, distributions, "binom_log_pmf_support")
-    return calls, calls_inside
+    """Scalar kernel calls, made through the distributions module (decisions does not import the kernel)."""
+    return counter(monkeypatch, distributions, "binom_log_pmf_support")
+
+
+@pytest.fixture
+def ln_g_calls(monkeypatch):
+    """Evaluations of ln f and ln g, and of the kernel rows and the mixture they are made from."""
+    return (
+        counter(monkeypatch, decisions, "_log_f_and_g"),
+        counter(monkeypatch, distributions, "binom_log_pmf_rows"),
+        counter(monkeypatch, distributions, "beta_binom_log_pmf_support"),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -55,13 +69,25 @@ def matrices():
 
 
 @pytest.mark.parametrize("prior", PRIORS)
-def test_build_evaluates_the_kernel_once(monkeypatch, support_calls, prior):
-    rows = counter(monkeypatch, decisions, "binom_log_pmf_rows")
+def test_build_evaluates_the_kernel_once(monkeypatch, support_calls, ln_g_calls, prior):
     row_builds = counter(monkeypatch, decisions, "build_decision_row")
     build_decision_matrix(config(prior))
-    assert len(rows) == 1
+    assert list(map(len, ln_g_calls)) == [1, 1, 1]
     assert len(row_builds) == len(GRID)
-    assert support_calls == ([], [])
+    assert support_calls == []
+
+
+def test_a_row_built_alone_evaluates_ln_g_once(support_calls, ln_g_calls):
+    build_decision_row(0.3, config(PRIORS[1]))
+    assert list(map(len, ln_g_calls)) == [1, 1, 1]
+    assert support_calls == []
+
+
+def test_posterior_density_is_exp_of_the_same_ln_g(monkeypatch, support_calls):
+    calls = counter(monkeypatch, distributions, "_log_f_and_g")
+    posterior_density_support(0.3, BinomialModel(20), PRIORS[1])
+    assert len(calls) == 1
+    assert support_calls == []
 
 
 @pytest.mark.parametrize("prior", PRIORS)
@@ -73,8 +99,8 @@ def test_build_ranks_every_row_in_one_pass(monkeypatch, prior):
     assert len(row_builds) == len(GRID)
 
 
-def test_large_supports_rank_a_block_of_rows_per_pass(monkeypatch):
-    # At n=1000 a pass holds the rows that fit in _RANK_BLOCK outcomes.
+def test_large_supports_rank_a_block_of_rows_per_pass(monkeypatch, ln_g_calls):
+    # At n=1000 a pass holds the rows that fit in _RANK_BLOCK outcomes; ln g is still evaluated once.
     ranks = counter(monkeypatch, decisions, "_rank")
     row_builds = counter(monkeypatch, decisions, "build_decision_row")
     build_decision_matrix(TestConfig(level=0.05, model=BinomialModel(1000), prior=PRIORS[1], grid=GRID))
@@ -82,14 +108,14 @@ def test_large_supports_rank_a_block_of_rows_per_pass(monkeypatch):
     assert 1 < per_pass < len(GRID)
     assert len(ranks) == -(-len(GRID) // per_pass)
     assert len(row_builds) == len(GRID)
+    assert list(map(len, ln_g_calls)) == [1, 1, 1]
 
 
-def test_csv_reader_evaluates_the_kernel_once(monkeypatch, support_calls, matrices):
+def test_csv_reader_evaluates_the_kernel_once(support_calls, ln_g_calls, matrices):
     text = decision_matrix_to_csv(matrices[0])
-    rows = counter(monkeypatch, decisions, "binom_log_pmf_rows")
     decision_matrix_from_csv(text, matrices[0].config)
-    assert len(rows) == 1
-    assert support_calls == ([], [])
+    assert list(map(len, ln_g_calls)) == [1, 1, 1]
+    assert support_calls == []
 
 
 def test_power_grid_evaluates_one_kernel_per_matrix(monkeypatch, matrices):
