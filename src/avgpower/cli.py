@@ -20,10 +20,10 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .clopper_pearson import compare_lengths, comparison_csv
-from .csvtext import csv_text, point
 from .decisions import (
     ParameterGrid,
     TestConfig,
+    _region_csv,
     build_decision_matrix,
     confidence_region,
     decision_matrix_to_csv,
@@ -192,9 +192,7 @@ def cmd_ci(config: RunConfig, x: int) -> int:
             f"x={x}: [{region.lower:.6f}, {region.upper:.6f}], "
             f"{region.accepted.size} of {len(test.grid)} grid values accepted, {shape}"
         )
-    flags = matrix.included[:, x].astype(int).tolist()
-    text = csv_text("eta,included", ((point(eta), str(flag)) for eta, flag in zip(test.grid.points.tolist(), flags)))
-    _emit(config, [(f"ci_x{x}.csv", text, "")])
+    _emit(config, [(f"ci_x{x}.csv", _region_csv(matrix, x), "")])
     return 0
 
 

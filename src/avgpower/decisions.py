@@ -17,12 +17,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .csvtext import csv_text, point, value
+from .csvtext import csv_text, grid_csv, point, value
 from .distributions import (
     BetaPrior,
     BinomialModel,
     _log_f_and_g,
     binom_pmf_support,
+    check_integer,
     check_level,
     check_open_unit,
     check_outcome,
@@ -84,8 +85,7 @@ class ParameterGrid:
         Points are assembled as an exact mirror image about the midpoint so
         that symmetric priors see a symmetric grid down to the last bit.
         """
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-            raise ValueError(f"count must be an integer, got {count!r}")
+        count = check_integer(count, "count")
         if count < 1:
             raise ValueError("count must be >= 1")
         if not (0.0 < low <= high < 1.0):
@@ -244,7 +244,7 @@ def _admit(ranking: _Ranking, target: float, eta, label) -> tuple:
     stay within TIE_RTOL of each other (equal infinities tie), and a tie
     group is admitted or withheld as a unit.
 
-    Returns (inclusion flags, admitted mass, smallest admitted log g). The
+    Returns (inclusion flags, smallest admitted log g, admitted mass). The
     mass is the sum that reached ``target``, taken in outcome order as a
     row rebuilt from its flags takes it. Raises ValueError, naming the null
     as ``label(eta)``, when even the whole support falls short of
@@ -278,7 +278,7 @@ def _admit(ranking: _Ranking, target: float, eta, label) -> tuple:
         included[order[:stop]] = True
         covered = float(mass[included].sum())
         if covered >= target:
-            return included, covered, log_g[order[stop - 1]]
+            return included, log_g[order[stop - 1]], covered
         if stop == order.size:
             raise ValueError(
                 f"no set of outcomes reaches the coverage target {target!r}: "
@@ -315,8 +315,7 @@ def build_decision_row(eta: float, config: TestConfig, *, ranking: _Ranking | No
     target = 1.0 - config.level
     if ranking is None:
         (ranking,) = _rankings(config, np.array([eta]))
-    included, achieved, log_threshold = _admit(ranking, target, eta, point)
-    return included, log_threshold, achieved
+    return _admit(ranking, target, eta, point)
 
 
 def _rankings(config: TestConfig, etas: np.ndarray):
@@ -414,16 +413,14 @@ def rows_summary_csv(matrix: DecisionMatrix) -> str:
 
     Raises ThresholdOverflowError when a threshold does not fit in a double.
     """
-    threshold = _thresholds(matrix)
-    return csv_text(
-        "eta,threshold,achieved_coverage",
-        (
-            (point(eta), value(thr), value(cov))
-            for eta, thr, cov in zip(
-                matrix.config.grid.points.tolist(), threshold.tolist(), matrix.achieved_coverage.tolist()
-            )
-        ),
+    return grid_csv(
+        "eta,threshold,achieved_coverage", matrix.config.grid.points, _thresholds(matrix), matrix.achieved_coverage
     )
+
+
+def _region_csv(matrix: DecisionMatrix, x_observed: int) -> str:
+    """Whether each grid null accepts the observed outcome: eta,included."""
+    return grid_csv("eta,included", matrix.config.grid.points, matrix.included[:, x_observed].astype(int))
 
 
 def decision_matrix_from_csv(text: str, config: TestConfig) -> DecisionMatrix:

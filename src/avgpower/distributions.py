@@ -27,6 +27,7 @@ __all__ = [
     "beta_binom_log_pmf_support",
     "beta_binom_pmf_support",
     "posterior_density_support",
+    "check_integer",
     "check_outcome",
     "check_outcomes",
     "check_probability",
@@ -45,11 +46,10 @@ class BinomialModel:
     n: int
 
     def __post_init__(self) -> None:
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
-            raise ValueError(f"trial count must be an integer, got {self.n!r}")
-        if self.n < 1:
-            raise ValueError(f"trial count must be >= 1, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
+        n = check_integer(self.n, "trial count")
+        if n < 1:
+            raise ValueError(f"trial count must be >= 1, got {n}")
+        object.__setattr__(self, "n", n)
 
     def outcomes(self) -> np.ndarray:
         """All outcomes 0..n as an integer array."""
@@ -102,13 +102,19 @@ def _support_table(n: int) -> tuple:
     return table
 
 
+def check_integer(value: int, what: str) -> int:
+    """A Python or numpy integer, not a bool, as a Python int; ``what`` names it in the error."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def check_outcome(x: int, model: BinomialModel) -> int:
     """An observed outcome: an integer in 0..n."""
-    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-        raise ValueError(f"outcome must be an integer, got {x!r}")
+    x = check_integer(x, "outcome")
     if not 0 <= x <= model.n:
         raise ValueError(f"outcome {x} outside support 0..{model.n}")
-    return int(x)
+    return x
 
 
 def check_outcomes(x: np.ndarray, model: BinomialModel) -> np.ndarray:
@@ -222,27 +228,28 @@ def beta_log_pdf(t: float | np.ndarray, prior: BetaPrior) -> float | np.ndarray:
     """Log density of Beta(a, b) at t; -inf where the density vanishes.
 
     t is one value in [0, 1], or a 1-d float array of values strictly inside
-    (0, 1) that gives an array. Each element equals the scalar call bit for
-    bit: it takes the same ``math`` logs, combined in the same order.
+    (0, 1) that gives an array. A scalar inside (0, 1) is evaluated as a
+    one-element array, so each element equals the scalar call bit for bit.
     """
     a, b = prior.a, prior.b
-    if isinstance(t, np.ndarray):
-        ts = _open_unit_list(t, "t")
-        log_t = np.array([math.log(v) for v in ts])
-        log1m_t = np.array([math.log1p(-v) for v in ts])
-        # Python floats overflow to inf without a warning; so do these.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return (a - 1.0) * log_t + (b - 1.0) * log1m_t - log_beta(a, b)
-    t = check_probability(t, "t")
-    if t == 0.0 or t == 1.0:
-        if a < 1.0 or b < 1.0:
-            raise ValueError(f"beta density unbounded at t={t} for shapes a={a}, b={b}")
-        edge_shape = a if t == 0.0 else b
-        if edge_shape > 1.0:
-            return -math.inf
-        # shape exactly 1 at this endpoint: density limit is the other shape
-        return math.log(b if t == 0.0 else a)
-    return (a - 1.0) * math.log(t) + (b - 1.0) * math.log1p(-t) - log_beta(a, b)
+    scalar = not isinstance(t, np.ndarray)
+    if scalar:
+        t = check_probability(t, "t")
+        if t == 0.0 or t == 1.0:
+            if a < 1.0 or b < 1.0:
+                raise ValueError(f"beta density unbounded at t={t} for shapes a={a}, b={b}")
+            edge_shape = a if t == 0.0 else b
+            if edge_shape > 1.0:
+                return -math.inf
+            # shape exactly 1 at this endpoint: density limit is the other shape
+            return math.log(b if t == 0.0 else a)
+    ts = [t] if scalar else _open_unit_list(t, "t")
+    log_t = np.array([math.log(v) for v in ts])
+    log1m_t = np.array([math.log1p(-v) for v in ts])
+    # Python floats overflow to inf without a warning; so do these.
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_pdf = (a - 1.0) * log_t + (b - 1.0) * log1m_t - log_beta(a, b)
+    return float(log_pdf[0]) if scalar else log_pdf
 
 
 def beta_pdf(t: float, prior: BetaPrior) -> float:

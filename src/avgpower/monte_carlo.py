@@ -18,15 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Any, Callable, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .csvtext import csv_text, point, value
+from .csvtext import grid_csv
 from .decisions import DecisionMatrix, _admit, _rank
-from .distributions import BetaPrior, BinomialModel, binom_pmf, check_level, check_outcomes
+from .distributions import BetaPrior, BinomialModel, binom_pmf, check_integer, check_level, check_outcomes
 
 __all__ = [
     "DegenerateWeightsError",
@@ -85,16 +84,14 @@ class McConfig:
     ess_floor: float = 100.0
 
     def __post_init__(self) -> None:
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", check_integer(self.seed, "seed"))
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
         for name in ("n_params", "n_data_per_param"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            value = check_integer(getattr(self, name), name)
+            if value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "level", check_level(self.level))
         floor = float(self.ess_floor)
         if not (math.isfinite(floor) and floor >= 0.0):
@@ -115,17 +112,13 @@ class PooledSamples:
 
     mix_density is the mean of the sampled likelihoods at each outcome: the
     estimate of its prior predictive mass, and the density under which the
-    pooled data were generated.
+    pooled data were generated. log_mix_density is its log, shared by all rows.
     """
 
     outcomes: np.ndarray
     counts: np.ndarray
     mix_density: np.ndarray
-
-    @cached_property
-    def _log_mix_density(self) -> np.ndarray:
-        """ln mix_density, taken once for every null built on this pool."""
-        return np.log(self.mix_density)
+    log_mix_density: np.ndarray
 
 
 @dataclass(eq=False)
@@ -199,7 +192,7 @@ def pool_samples(model: GenericModel, params: Sequence[Any], data: DataSample) -
     if np.any(mix == 0.0):
         bad = outcomes[int(np.argmax(mix == 0.0))]
         raise ValueError(f"likelihood assigns zero density to sampled outcome {bad}")
-    return PooledSamples(outcomes=outcomes, counts=counts, mix_density=mix)
+    return PooledSamples(outcomes=outcomes, counts=counts, mix_density=mix, log_mix_density=np.log(mix))
 
 
 def mc_build_decision_row(model: GenericModel, eta: Any, samples: PooledSamples, cfg: McConfig) -> tuple:
@@ -223,7 +216,7 @@ def mc_build_decision_row(model: GenericModel, eta: Any, samples: PooledSamples,
     if total_f == 0.0:
         raise DegenerateWeightsError(f"no sampled outcome carries likelihood mass at eta {eta!r}")
 
-    log_g = np.log(f, out=np.full(f.shape, -np.inf), where=f > 0.0) - samples._log_mix_density
+    log_g = np.log(f, out=np.full(f.shape, -np.inf), where=f > 0.0) - samples.log_mix_density
     v = samples.counts * f / samples.mix_density
     total_v = float(v.sum())
     # Effective sample size of the raw draws, not of the pooled atoms: each
@@ -235,7 +228,7 @@ def mc_build_decision_row(model: GenericModel, eta: Any, samples: PooledSamples,
         )
 
     target = (1.0 - cfg.level) * total_v
-    included, covered, log_threshold = _admit(_rank(log_g, v, target), target, eta, repr)
+    included, log_threshold, covered = _admit(_rank(log_g, v, target), target, eta, repr)
     return included, log_threshold, covered / total_v, ess
 
 
@@ -288,6 +281,4 @@ def agreement_with_matrix(mc: McDecisionMatrix, matrix: DecisionMatrix) -> Agree
 
 def agreement_csv(report: AgreementReport) -> str:
     """Serialize per-null agreement: eta,agreement."""
-    return csv_text(
-        "eta,agreement", ((point(eta), value(val)) for eta, val in zip(report.etas.tolist(), report.per_eta.tolist()))
-    )
+    return grid_csv("eta,agreement", report.etas, report.per_eta)

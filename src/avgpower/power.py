@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .csvtext import csv_text, point, value
+from .csvtext import csv_text, grid_csv, point, value
 from .decisions import DecisionMatrix, _check_index
 from .distributions import (
     BetaPrior,
@@ -191,16 +191,14 @@ def power_curves_csv(matrix: DecisionMatrix, thetas: Sequence[float]) -> str:
 def mixed_power_csv(matrix: DecisionMatrix) -> str:
     """Mixed power at every grid null: eta,mixed_power."""
     values = _rejection(matrix, beta_binom_pmf_support(matrix.config.model, matrix.config.prior))
-    etas = matrix.config.grid.points.tolist()
-    return csv_text("eta,mixed_power", ((point(eta), value(v)) for eta, v in zip(etas, values.tolist())))
+    return grid_csv("eta,mixed_power", matrix.config.grid.points, values)
 
 
 def avg_power_csv(matrix: DecisionMatrix) -> str:
     """Per-theta average power at every grid point, under the matrix's prior: theta,avg_power."""
     report = average_power_report(matrix, matrix.config.prior)
     values = np.clip(report.per_theta / report.weights.sum(), 0.0, 1.0)
-    thetas = matrix.config.grid.points.tolist()
-    return csv_text("theta,avg_power", ((point(t), value(v)) for t, v in zip(thetas, values.tolist())))
+    return grid_csv("theta,avg_power", matrix.config.grid.points, values)
 
 
 def power_table_csv(values: np.ndarray) -> str:

@@ -104,6 +104,12 @@ class TestCi:
         run(["ci", "--x", "0", *small(out)])
         assert "[0.020000," in capsys.readouterr().out
 
+    def test_empty_region(self, tmp_path, capsys):
+        out = str(tmp_path / "empty")
+        assert run(["ci", "--x", "0", "--grid-points", "1", "--out", out]) == 0
+        assert "x=0: empty region" in capsys.readouterr().out
+        assert read(os.path.join(out, "ci_x0.csv")) == "eta,included\n0.500000,0\n"
+
     def test_outcome_off_support_fails(self, tmp_path, capsys):
         out = str(tmp_path / "bad")
         assert run(["ci", "--x", "21", *small(out)]) == 1
@@ -127,6 +133,10 @@ class TestPower:
         curves = read(os.path.join(out, "power_curves.csv")).splitlines()
         assert len(curves) == 1 + 49
         assert curves[1].startswith("0.700000,")
+
+    def test_no_theta_fails(self, tmp_path):
+        with pytest.raises(ValueError, match="at least one theta is required"):
+            cli.cmd_power(cli.RunConfig(output_dir=str(tmp_path / "p0")), [])
 
     def test_theta_outside_unit_interval_fails(self, tmp_path, capsys):
         out = str(tmp_path / "p2")
@@ -329,6 +339,14 @@ class TestConfigFile:
         conf.write_text("n 20\n")
         assert run(["construct", "--config", str(conf), "--out", str(tmp_path / "x")]) == 1
         assert "bad2.conf:1" in capsys.readouterr().err
+
+    def test_unparsable_value_fails(self, tmp_path, capsys):
+        conf = tmp_path / "bad3.conf"
+        conf.write_text("n=abc\n")
+        out = str(tmp_path / "x")
+        assert run(["construct", "--config", str(conf), "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: {conf}:1: bad value for 'n': 'abc'\n"
+        assert not os.path.exists(out)
 
     def test_missing_file_fails(self, tmp_path, capsys):
         assert run(["construct", "--config", str(tmp_path / "nope.conf"), "--out", str(tmp_path / "x")]) == 1

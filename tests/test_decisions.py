@@ -103,6 +103,22 @@ class TestParameterGrid:
         with pytest.raises(ValueError):
             ParameterGrid(points=np.array([0.2, 0.1]))
 
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            ([[0.2, 0.4]], "grid needs at least one point"),
+            ([0.2, float("nan")], "grid points must lie strictly inside"),
+            ([0.2, 1.0], "grid points must lie strictly inside"),
+        ],
+    )
+    def test_points_that_are_not_a_grid_fail(self, points, message):
+        with pytest.raises(ValueError, match=message):
+            ParameterGrid(points=np.array(points))
+
+    def test_regular_needs_a_range_for_more_than_one_point(self):
+        with pytest.raises(ValueError, match="low < high required for more than one point"):
+            ParameterGrid.regular(3, 0.5, 0.5)
+
     @pytest.mark.parametrize("count", [True, 2.5])
     def test_regular_rejects_a_count_that_is_not_an_integer(self, count):
         # Before, True built a one-point grid and 2.5 raised numpy's TypeError.

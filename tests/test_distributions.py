@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from avgpower.clopper_pearson import clopper_pearson
 from avgpower.decisions import ParameterGrid
 from avgpower.distributions import (
     BetaPrior,
@@ -27,6 +28,7 @@ from avgpower.distributions import (
     posterior_density_support,
 )
 from avgpower.distributions import _support_table as support_table
+from avgpower.monte_carlo import McConfig
 from oracles import (
     oracle_beta_binom_log_pmf,
     oracle_beta_binom_pmf,
@@ -97,6 +99,28 @@ class TestBinomialModel:
 
     def test_outcomes(self):
         assert list(BinomialModel(n=3).outcomes()) == [0, 1, 2, 3]
+
+
+# Every check_integer call site, keyed by the name its error gives: each maps
+# an integer argument to what the call stores or returns.
+INTEGER_SITES = {
+    "trial count": lambda v: BinomialModel(v).n,
+    "count": lambda v: ParameterGrid.regular(v, 0.2, 0.8).points.tolist(),
+    "seed": lambda v: McConfig(seed=v, n_params=1, n_data_per_param=1, level=0.05).seed,
+    "n_params": lambda v: McConfig(seed=1, n_params=v, n_data_per_param=1, level=0.05).n_params,
+    "n_data_per_param": lambda v: McConfig(seed=1, n_params=1, n_data_per_param=v, level=0.05).n_data_per_param,
+    "outcome": lambda v: clopper_pearson(v, BinomialModel(5), 0.05),
+}
+
+
+@pytest.mark.parametrize("what", list(INTEGER_SITES))
+def test_integer_arguments_are_checked_alike(what):
+    site = INTEGER_SITES[what]
+    for not_integer in (True, 2.0, np.float64(2)):
+        with pytest.raises(ValueError, match=f"^{what} must be an integer, got "):
+            site(not_integer)
+    got, want = site(np.int64(2)), site(2)
+    assert got == want and type(got) is type(want)
 
 
 class TestBinomPmf:
