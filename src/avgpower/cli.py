@@ -266,13 +266,6 @@ def cmd_mc_validate(config: RunConfig, mc: McConfig, min_agreement: float) -> in
     return 0
 
 
-def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key=value file; flags override its entries")
-    defaults = RunConfig()
-    for flag, field, parse, text in _SETTINGS:
-        parser.add_argument(flag, dest=field, type=parse, help=f"{text} (default {getattr(defaults, field)})")
-
-
 def _run_mc_validate(config: RunConfig, args: argparse.Namespace) -> int:
     mc = McConfig(
         seed=config.seed,
@@ -289,19 +282,21 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="avgpower",
         description="Binomial confidence regions with maximal prior-averaged power.",
     )
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", help="key=value file; flags override its entries")
+    defaults = RunConfig()
+    for flag, field, parse, text in _SETTINGS:
+        shared.add_argument(flag, dest=field, type=parse, help=f"{text} (default {getattr(defaults, field)})")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("construct", help="build and write the decision matrix")
-    _add_shared_flags(p)
+    p = sub.add_parser("construct", parents=[shared], help="build and write the decision matrix")
     p.set_defaults(run=lambda config, args: cmd_construct(config))
 
-    p = sub.add_parser("ci", help="confidence region for one observed outcome")
-    _add_shared_flags(p)
+    p = sub.add_parser("ci", parents=[shared], help="confidence region for one observed outcome")
     p.add_argument("--x", type=int, required=True, help="observed number of successes")
     p.set_defaults(run=lambda config, args: cmd_ci(config, args.x))
 
-    p = sub.add_parser("power", help="power curves and averaged powers")
-    _add_shared_flags(p)
+    p = sub.add_parser("power", parents=[shared], help="power curves and averaged powers")
     p.add_argument(
         "--theta",
         type=float,
@@ -310,18 +305,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(run=lambda config, args: cmd_power(config, args.theta or DEFAULT_THETAS))
 
-    p = sub.add_parser("table1", help="2x2 overall average power across two priors")
-    _add_shared_flags(p)
+    p = sub.add_parser("table1", parents=[shared], help="2x2 overall average power across two priors")
     p.add_argument("--prior-a2", type=float, default=100.0, help="informative prior shape a (default 100)")
     p.add_argument("--prior-b2", type=float, default=100.0, help="informative prior shape b (default 100)")
     p.set_defaults(run=lambda config, args: cmd_table1(config, BetaPrior(a=args.prior_a2, b=args.prior_b2)))
 
-    p = sub.add_parser("compare-cp", help="interval endpoints versus the equal-tail baseline")
-    _add_shared_flags(p)
+    p = sub.add_parser("compare-cp", parents=[shared], help="interval endpoints versus the equal-tail baseline")
     p.set_defaults(run=lambda config, args: cmd_compare_cp(config))
 
-    p = sub.add_parser("mc-validate", help="Monte Carlo construction versus the exact matrix")
-    _add_shared_flags(p)
+    p = sub.add_parser("mc-validate", parents=[shared], help="Monte Carlo construction versus the exact matrix")
     p.add_argument("--mc-params", dest="mc_params", type=int, default=1000, help="parameter draws (default 1000)")
     p.add_argument(
         "--mc-data-per-param",
@@ -341,8 +333,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--ess-floor",
         dest="ess_floor",
         type=float,
-        default=100.0,
-        help="minimum effective sample size per null (default 100)",
+        default=McConfig.ess_floor,
+        help=f"minimum effective sample size per null (default {McConfig.ess_floor:g})",
     )
     p.set_defaults(run=_run_mc_validate)
     return parser

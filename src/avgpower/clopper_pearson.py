@@ -16,7 +16,7 @@ import numpy as np
 
 from .csvtext import csv_text, value
 from .decisions import DecisionMatrix
-from .distributions import BinomialModel, binom_pmf_support, check_level, check_outcome
+from .distributions import BinomialModel, binom_pmf_support, check_open_unit, check_outcome
 
 __all__ = [
     "LengthComparison",
@@ -132,7 +132,7 @@ def clopper_pearson(x: int, model: BinomialModel, level: float) -> tuple:
     When level/2 underflows to zero the interval is its limit, [0, 1].
     """
     x = check_outcome(x, model)
-    half = check_level(level) / 2.0
+    half = check_open_unit(level, "level") / 2.0
     n = model.n
     lower = 0.0 if x == 0 else _lower_endpoint(model, x, half)
     upper = 1.0 if x == n else 1.0 - _lower_endpoint(model, n - x, half)

@@ -23,8 +23,7 @@ from .distributions import (
     BinomialModel,
     _log_f_and_g,
     binom_pmf_support,
-    check_integer,
-    check_level,
+    check_count,
     check_open_unit,
     check_outcome,
 )
@@ -85,22 +84,15 @@ class ParameterGrid:
         Points are assembled as an exact mirror image about the midpoint so
         that symmetric priors see a symmetric grid down to the last bit.
         """
-        count = check_integer(count, "count")
-        if count < 1:
-            raise ValueError("count must be >= 1")
+        count = check_count(count, "count")
         if not (0.0 < low <= high < 1.0):
             raise ValueError("grid range must satisfy 0 < low <= high < 1")
         if count > 1 and low == high:
             raise ValueError("low < high required for more than one point")
-        if count == 1:
-            pts = np.array([(low + high) / 2.0])
-        else:
-            base = np.linspace(low, high, count)
-            half = base[: count // 2]
-            upper = (low + high) - half[::-1]
-            middle = [np.array([(low + high) / 2.0])] if count % 2 else []
-            pts = np.concatenate([half, *middle, upper])
-        return cls(points=pts)
+        half = np.linspace(low, high, count)[: count // 2]
+        upper = (low + high) - half[::-1]
+        middle = [np.array([(low + high) / 2.0])] if count % 2 else []
+        return cls(points=np.concatenate([half, *middle, upper]))
 
     @property
     def cell_widths(self) -> np.ndarray:
@@ -136,7 +128,7 @@ class TestConfig:
     grid: ParameterGrid
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "level", check_level(self.level))
+        object.__setattr__(self, "level", check_open_unit(self.level, "level"))
 
 
 @dataclass(eq=False)
@@ -311,7 +303,7 @@ def build_decision_row(eta: float, config: TestConfig, *, ranking: _Ranking | No
         overflow. Tie groups enter atomically; the log threshold records the
         smallest admitted log density.
     """
-    eta = check_open_unit(eta)
+    eta = check_open_unit(eta, "eta")
     target = 1.0 - config.level
     if ranking is None:
         (ranking,) = _rankings(config, np.array([eta]))

@@ -28,10 +28,10 @@ __all__ = [
     "beta_binom_pmf_support",
     "posterior_density_support",
     "check_integer",
+    "check_count",
     "check_outcome",
     "check_outcomes",
     "check_probability",
-    "check_level",
     "check_open_unit",
 ]
 
@@ -46,10 +46,7 @@ class BinomialModel:
     n: int
 
     def __post_init__(self) -> None:
-        n = check_integer(self.n, "trial count")
-        if n < 1:
-            raise ValueError(f"trial count must be >= 1, got {n}")
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", check_count(self.n, "trial count"))
 
     def outcomes(self) -> np.ndarray:
         """All outcomes 0..n as an integer array."""
@@ -109,6 +106,14 @@ def check_integer(value: int, what: str) -> int:
     return int(value)
 
 
+def check_count(value: int, what: str) -> int:
+    """An integer of at least 1, as a Python int; ``what`` names it in the error."""
+    value = check_integer(value, what)
+    if value < 1:
+        raise ValueError(f"{what} must be a positive integer, got {value!r}")
+    return value
+
+
 def check_outcome(x: int, model: BinomialModel) -> int:
     """An observed outcome: an integer in 0..n."""
     x = check_integer(x, "outcome")
@@ -130,20 +135,12 @@ def check_outcomes(x: np.ndarray, model: BinomialModel) -> np.ndarray:
     return x
 
 
-def check_level(level: float) -> float:
-    """A test level, strictly inside (0, 1)."""
-    value = float(level)
+def check_open_unit(value: float, name: str) -> float:
+    """A level or a null value, strictly inside (0, 1), as a float; ``name`` names it in the error."""
+    value = float(value)
     if not (math.isfinite(value) and 0.0 < value < 1.0):
-        raise ValueError(f"level must lie in (0, 1), got {level!r}")
+        raise ValueError(f"{name} must lie strictly inside (0, 1), got {value!r}")
     return value
-
-
-def check_open_unit(eta: float) -> float:
-    """A null value, strictly inside (0, 1)."""
-    eta = float(eta)
-    if not (math.isfinite(eta) and 0.0 < eta < 1.0):
-        raise ValueError(f"eta must lie strictly inside (0, 1), got {eta!r}")
-    return eta
 
 
 def check_probability(theta: float, name: str = "theta") -> float:
@@ -154,12 +151,17 @@ def check_probability(theta: float, name: str = "theta") -> float:
     return theta
 
 
-def _open_unit_list(values: np.ndarray, name: str) -> list:
-    """A 1-d float array's values as a list, each checked strictly inside (0, 1)."""
+def _open_unit_logs(values: np.ndarray, name: str) -> tuple:
+    """(ln v, ln(1 - v)) arrays for a 1-d array of values each strictly inside (0, 1).
+
+    Each log comes from a per-value ``math`` call, so an element equals the
+    scalar log bit for bit.
+    """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or not np.all((values > 0.0) & (values < 1.0)):
         raise ValueError(f"{name} must be a 1-d array of values strictly inside (0, 1)")
-    return values.tolist()
+    vs = values.tolist()
+    return np.array([math.log(v) for v in vs]), np.array([math.log1p(-v) for v in vs])
 
 
 def binom_log_pmf_support(model: BinomialModel, theta: float) -> np.ndarray:
@@ -197,10 +199,8 @@ def binom_log_pmf_rows(model: BinomialModel, thetas: np.ndarray) -> np.ndarray:
     Row i is bit-identical to ``binom_log_pmf_support(model, thetas[i])``:
     the per-theta logs come from the same ``math`` calls.
     """
-    ts = _open_unit_list(thetas, "thetas")
-    log_theta = np.array([math.log(t) for t in ts])[:, None]
-    log1m_theta = np.array([math.log1p(-t) for t in ts])[:, None]
-    return _binom_log_pmf_open(model.n, log_theta, log1m_theta)
+    log_theta, log1m_theta = _open_unit_logs(thetas, "thetas")
+    return _binom_log_pmf_open(model.n, log_theta[:, None], log1m_theta[:, None])
 
 
 def binom_pmf_rows(model: BinomialModel, thetas: np.ndarray) -> np.ndarray:
@@ -243,9 +243,7 @@ def beta_log_pdf(t: float | np.ndarray, prior: BetaPrior) -> float | np.ndarray:
                 return -math.inf
             # shape exactly 1 at this endpoint: density limit is the other shape
             return math.log(b if t == 0.0 else a)
-    ts = [t] if scalar else _open_unit_list(t, "t")
-    log_t = np.array([math.log(v) for v in ts])
-    log1m_t = np.array([math.log1p(-v) for v in ts])
+    log_t, log1m_t = _open_unit_logs(np.array([t]) if scalar else t, "t")
     # Python floats overflow to inf without a warning; so do these.
     with np.errstate(over="ignore", invalid="ignore"):
         log_pdf = (a - 1.0) * log_t + (b - 1.0) * log1m_t - log_beta(a, b)
@@ -292,7 +290,7 @@ def posterior_density_support(eta: float, model: BinomialModel, prior: BetaPrior
     equals the ratio of beta densities Beta(eta; a+x, b+n-x) / Beta(eta; a, b).
     Raises ValueError when a density exceeds the double range.
     """
-    eta = check_open_unit(eta)
+    eta = check_open_unit(eta, "eta")
     with np.errstate(over="ignore"):
         density = np.exp(_log_f_and_g(model, prior, np.array([eta]))[1][0])
     over = np.flatnonzero(np.isinf(density))

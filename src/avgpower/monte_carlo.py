@@ -25,7 +25,15 @@ from numpy.random import Generator, Philox, SeedSequence
 
 from .csvtext import grid_csv
 from .decisions import DecisionMatrix, _admit, _rank
-from .distributions import BetaPrior, BinomialModel, binom_pmf, check_integer, check_level, check_outcomes
+from .distributions import (
+    BetaPrior,
+    BinomialModel,
+    binom_pmf,
+    check_count,
+    check_integer,
+    check_open_unit,
+    check_outcomes,
+)
 
 __all__ = [
     "DegenerateWeightsError",
@@ -88,11 +96,8 @@ class McConfig:
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
         for name in ("n_params", "n_data_per_param"):
-            value = check_integer(getattr(self, name), name)
-            if value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "level", check_level(self.level))
+            object.__setattr__(self, name, check_count(getattr(self, name), name))
+        object.__setattr__(self, "level", check_open_unit(self.level, "level"))
         floor = float(self.ess_floor)
         if not (math.isfinite(floor) and floor >= 0.0):
             raise ValueError(f"ess_floor must be finite and nonnegative, got {self.ess_floor!r}")

@@ -49,6 +49,12 @@ def oracle_beta_pdf(t: float, a: float, b: float) -> float:
     return float(t ** (a - 1) * (1 - t) ** (b - 1) / mp.beta(a, b))
 
 
+def oracle_beta_log_pdf(t: float, a: float, b: float) -> float:
+    """ln of the Beta(a, b) density at t, from mpmath's own logs and beta function."""
+    t, a, b = mp.mpf(t), mp.mpf(a), mp.mpf(b)
+    return float((a - 1) * mp.log(t) + (b - 1) * mp.log1p(-t) - mp.log(mp.beta(a, b)))
+
+
 def oracle_beta_binom_pmf(x: int, n: int, a: float, b: float) -> float:
     """Prior predictive mass by true quadrature of the binomial-beta product."""
     a, b = mp.mpf(a), mp.mpf(b)

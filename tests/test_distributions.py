@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avgpower.clopper_pearson import clopper_pearson
-from avgpower.decisions import ParameterGrid
+from avgpower.decisions import ParameterGrid, TestConfig, build_decision_row
 from avgpower.distributions import (
     BetaPrior,
     BinomialModel,
@@ -32,6 +32,7 @@ from avgpower.monte_carlo import McConfig
 from oracles import (
     oracle_beta_binom_log_pmf,
     oracle_beta_binom_pmf,
+    oracle_beta_log_pdf,
     oracle_beta_pdf,
     oracle_binom_pmf,
     oracle_log_gamma,
@@ -116,11 +117,41 @@ INTEGER_SITES = {
 @pytest.mark.parametrize("what", list(INTEGER_SITES))
 def test_integer_arguments_are_checked_alike(what):
     site = INTEGER_SITES[what]
-    for not_integer in (True, 2.0, np.float64(2)):
+    for not_integer in (True, 2.0, 2.5, np.float64(2)):
         with pytest.raises(ValueError, match=f"^{what} must be an integer, got "):
             site(not_integer)
     got, want = site(np.int64(2)), site(2)
     assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize("what", ["trial count", "count", "n_params", "n_data_per_param"])
+def test_counts_are_checked_alike(what):
+    for not_positive in (0, -1):
+        with pytest.raises(ValueError, match=f"^{what} must be a positive integer, got "):
+            INTEGER_SITES[what](not_positive)
+
+
+def _test_config(level: float) -> TestConfig:
+    return TestConfig(level=level, model=BinomialModel(5), prior=BetaPrior(0.5, 0.5), grid=ParameterGrid.regular(3))
+
+
+# Every check_open_unit call site: (the name its error gives, a call taking the value).
+OPEN_UNIT_SITES = {
+    "TestConfig": ("level", lambda v: _test_config(v).level),
+    "McConfig": ("level", lambda v: McConfig(seed=1, n_params=1, n_data_per_param=1, level=v).level),
+    "clopper_pearson": ("level", lambda v: clopper_pearson(2, BinomialModel(5), v)),
+    "build_decision_row": ("eta", lambda v: build_decision_row(v, _test_config(0.05))),
+    "posterior_density_support": ("eta", lambda v: posterior_density_support(v, BinomialModel(5), BetaPrior(0.5, 0.5))),
+}
+
+
+@pytest.mark.parametrize("site", list(OPEN_UNIT_SITES))
+def test_open_unit_arguments_are_checked_alike(site):
+    name, call = OPEN_UNIT_SITES[site]
+    for outside in (0.0, 1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=rf"^{name} must lie strictly inside \(0, 1\), got "):
+            call(outside)
+    call(0.5)
 
 
 class TestBinomPmf:
@@ -298,13 +329,15 @@ class TestBetaPdf:
     @pytest.mark.parametrize(
         "a,b", [(0.5, 0.5), (100.0, 100.0), (1.0, 1.0), (1.0, 3.0), (0.01, 1e4), (1e6, 0.01), (2.5, 0.5)]
     )
-    def test_array_equals_scalar_calls_bit_for_bit(self, a, b):
-        prior = BetaPrior(a, b)
+    def test_array_matches_oracle_log_density(self, a, b):
+        # The largest error measured here is 1.31e-12 of max(|ln p|, 1), under
+        # Beta(1e6, 0.01) at t = 1 - 2**-53, where ln B(a, b) cancels two
+        # log-gamma values near 1.3e7; 2e-12 leaves a margin of 1.5.
         pts = np.concatenate([[5e-324, 1e-300, 1e-9], ParameterGrid.regular(499).points, [1 - 1e-16, 1 - 2**-53]])
-        got = beta_log_pdf(pts, prior)
+        got = beta_log_pdf(pts, BetaPrior(a, b))
         assert got.shape == pts.shape
         for t, value in zip(pts.tolist(), got.tolist()):
-            assert value == beta_log_pdf(t, prior), t
+            assert value == pytest.approx(oracle_beta_log_pdf(t, a, b), rel=2e-12, abs=2e-12), t
 
     @pytest.mark.parametrize("t", [[0.5, 0.0], [1.0], [math.nan], [[0.5]], [0.5, -0.1]])
     def test_array_rejects_points_outside_open_unit_interval(self, t):
