@@ -49,9 +49,9 @@ __all__ = [
 TIE_RTOL = 1e-12
 # The same tolerance as a gap between log densities.
 _LOG_TIE_TOL = -math.log1p(-TIE_RTOL)
-# Outcomes per block of rows that build_decision_matrix ranks together: a
-# block's temporaries then stay in cache. One pass over the whole grid took
-# about twice as long at n=1000 and G=499.
+# Outcomes per block of rows that one _rank pass takes, exact and Monte Carlo
+# rows alike: a block's temporaries then stay in cache. One pass over the
+# whole grid took about twice as long at n=1000 and G=499.
 _RANK_BLOCK = 1 << 13
 
 
@@ -195,7 +195,7 @@ class ConfidenceRegion:
 
 
 class _Ranking(NamedTuple):
-    """A row, or a stack of rows, of outcomes ranked by descending log g against a coverage target.
+    """A stack of rows, or one row of it, of outcomes ranked by descending log g against a coverage target.
 
     ``log_g`` and ``mass`` are the inputs in outcome order and ``order`` is
     their stable descending argsort along the last axis. ``tie_free`` holds
@@ -211,21 +211,21 @@ class _Ranking(NamedTuple):
     short: np.ndarray
 
 
-def _rank(log_g: np.ndarray, mass: np.ndarray, target: float) -> _Ranking:
-    """Rank one row, or every row of a 2-d stack, in one array pass.
+def _rank(log_g: np.ndarray, mass: np.ndarray, target: float | np.ndarray) -> _Ranking:
+    """Rank every row of a 2-d stack against a scalar target or a (rows, 1) column of them, in one array pass.
 
-    A stable argsort, a gather and a cumulative sum along the last axis give
-    each row of a stack exactly the values they give that row alone, so rows
+    A stable argsort, a gather and a cumulative sum along axis 1 give each
+    row of a stack exactly the values they give that row alone, so rows
     ranked together admit what they would admit alone. The ranked values
     and their sums are reduced to the per-row flag and count, not kept.
     """
-    order = (-log_g).argsort(axis=-1, kind="stable")
-    # One flat take gathers a row or a stack of rows; take_along_axis costs
-    # more to set up than the gather itself on a row of a hundred outcomes.
-    at = order if order.ndim == 1 else order + np.arange(0, order.size, order.shape[1])[:, None]
+    order = (-log_g).argsort(axis=1, kind="stable")
+    # One flat take gathers the whole stack; take_along_axis costs more to
+    # set up than the gather itself on rows of a hundred outcomes.
+    at = order + np.arange(0, order.size, order.shape[1])[:, None]
     ranked = log_g.take(at)
-    tie_free = np.logical_and.reduce(ranked[..., 1:] < ranked[..., :-1] - _LOG_TIE_TOL, axis=-1)
-    short = np.add.reduce(mass.take(at).cumsum(axis=-1) < target, axis=-1)
+    tie_free = np.logical_and.reduce(ranked[:, 1:] < ranked[:, :-1] - _LOG_TIE_TOL, axis=1)
+    short = np.add.reduce(mass.take(at).cumsum(axis=1) < target, axis=1)
     return _Ranking(log_g, mass, order, tie_free, short)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 from .csvtext import grid_csv
-from .decisions import DecisionMatrix, _admit, _rank
+from .decisions import _RANK_BLOCK, DecisionMatrix, _admit, _rank, _Ranking
 from .distributions import (
     BetaPrior,
     BinomialModel,
@@ -117,13 +117,12 @@ class PooledSamples:
 
     mix_density is the mean of the sampled likelihoods at each outcome: the
     estimate of its prior predictive mass, and the density under which the
-    pooled data were generated. log_mix_density is its log, shared by all rows.
+    pooled data were generated.
     """
 
     outcomes: np.ndarray
     counts: np.ndarray
     mix_density: np.ndarray
-    log_mix_density: np.ndarray
 
 
 @dataclass(eq=False)
@@ -197,10 +196,23 @@ def pool_samples(model: GenericModel, params: Sequence[Any], data: DataSample) -
     if np.any(mix == 0.0):
         bad = outcomes[int(np.argmax(mix == 0.0))]
         raise ValueError(f"likelihood assigns zero density to sampled outcome {bad}")
-    return PooledSamples(outcomes=outcomes, counts=counts, mix_density=mix, log_mix_density=np.log(mix))
+    return PooledSamples(outcomes=outcomes, counts=counts, mix_density=mix)
 
 
-def mc_build_decision_row(model: GenericModel, eta: Any, samples: PooledSamples, cfg: McConfig) -> tuple:
+def _mc_rankings(model: GenericModel, etas: Sequence[Any], samples: PooledSamples, cfg: McConfig):
+    """Yield each null's ranking of ln f - ln mix_density and its weights v: a block of nulls per pass."""
+    log_mix = np.log(samples.mix_density)
+    step = max(1, _RANK_BLOCK // samples.outcomes.size)
+    for i in range(0, len(etas), step):
+        f = np.stack([_likelihood(model, samples.outcomes, eta) for eta in etas[i : i + step]])
+        log_g = np.log(f, out=np.full(f.shape, -np.inf), where=f > 0.0) - log_mix
+        v = samples.counts * f / samples.mix_density
+        yield from map(_Ranking._make, zip(*_rank(log_g, v, (1.0 - cfg.level) * v.sum(axis=1, keepdims=True))))
+
+
+def mc_build_decision_row(
+    model: GenericModel, eta: Any, samples: PooledSamples, cfg: McConfig, *, ranking: _Ranking | None = None
+) -> tuple:
     """Greedy acceptance row over the sampled outcomes for one null value.
 
     Returns (included, log_threshold, estimated_coverage, ess), one row of an
@@ -212,28 +224,31 @@ def mc_build_decision_row(model: GenericModel, eta: Any, samples: PooledSamples,
     In that estimate a draw of outcome k weighs f_k / mix_density_k: the
     null likelihood over the prior predictive density it was drawn from.
 
-    Raises DegenerateWeightsError when the null assigns no mass to any
-    sampled outcome, and LowEffectiveSampleError when the coverage weights
-    carry fewer effective draws than cfg.ess_floor.
-    """
-    f = _likelihood(model, samples.outcomes, eta)
-    total_f = f.sum()
-    if total_f == 0.0:
-        raise DegenerateWeightsError(f"no sampled outcome carries likelihood mass at eta {eta!r}")
+    ``ranking`` is this row's slice of a block ranked by ``mc_decision_rows``;
+    a row built alone is a block of one.
 
-    log_g = np.log(f, out=np.full(f.shape, -np.inf), where=f > 0.0) - samples.log_mix_density
-    v = samples.counts * f / samples.mix_density
+    Raises DegenerateWeightsError when the weights sum to zero, as when the null
+    assigns no likelihood to any sampled outcome, and LowEffectiveSampleError
+    when they carry fewer effective draws than cfg.ess_floor.
+    """
+    if ranking is None:
+        (ranking,) = _mc_rankings(model, [eta], samples, cfg)
+    v = ranking.mass
     total_v = float(v.sum())
+    if total_v == 0.0:
+        raise DegenerateWeightsError(f"no sampled outcome carries likelihood mass at eta {eta!r}")
     # Effective sample size of the raw draws, not of the pooled atoms: each
-    # of the count_k draws behind atom k carries the weight f_k / mix_k.
-    ess = total_v**2 / float((v * v / samples.counts).sum())
+    # of the count_k draws behind atom k carries the weight f_k / mix_k. It is
+    # scale-free: weights whose squares leave the double range sum to 1 first.
+    w, total_w = (v, total_v) if 1e-150 < total_v < 1e150 else (v / total_v, 1.0)
+    ess = total_w**2 / float((w * w / samples.counts).sum())
     if ess < cfg.ess_floor:
         raise LowEffectiveSampleError(
             f"effective sample size {ess:.1f} below floor {cfg.ess_floor:.1f} at eta {eta!r}"
         )
 
     target = (1.0 - cfg.level) * total_v
-    included, log_threshold, covered = _admit(_rank(log_g, v, target), target, eta, repr)
+    included, log_threshold, covered = _admit(ranking, target, eta, repr)
     return included, log_threshold, covered / total_v, ess
 
 
@@ -245,8 +260,8 @@ def mc_decision_rows(model: GenericModel, cfg: McConfig, etas: Sequence[Any]) ->
     count = len(etas)
     included = np.zeros((count, samples.outcomes.size), dtype=bool)
     log_threshold, estimated, ess = np.empty(count), np.empty(count), np.empty(count)
-    for j, eta in enumerate(etas):
-        included[j], log_threshold[j], estimated[j], ess[j] = mc_build_decision_row(model, eta, samples, cfg)
+    for j, (eta, r) in enumerate(zip(etas, _mc_rankings(model, etas, samples, cfg))):
+        included[j], log_threshold[j], estimated[j], ess[j] = mc_build_decision_row(model, eta, samples, cfg, ranking=r)
     return McDecisionMatrix(etas, samples.outcomes, included, log_threshold, estimated, ess)
 
 

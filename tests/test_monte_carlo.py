@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import replace
 
@@ -27,6 +28,7 @@ from avgpower import (
     mc_sample_params,
     pool_samples,
 )
+from avgpower.decisions import _RANK_BLOCK
 from avgpower.distributions import beta_binom_pmf_support
 from avgpower.monte_carlo import AgreementReport, _data_rng, agreement_csv
 
@@ -190,6 +192,15 @@ class TestPooling:
             pool_samples(scalar, params, data)
 
 
+def flat_plugin(at_nulls: dict) -> GenericModel:
+    """Likelihood 1e3 at every outcome 0..4 under the sampled parameters, and at_nulls[eta] under a listed null."""
+    return GenericModel(
+        likelihood=lambda x, p: np.full(x.shape, at_nulls.get(p, 1e3)),
+        sample_param=lambda rng: float(rng.uniform(0.5, 1.0)),
+        sample_data=lambda rng, p, size: rng.integers(0, 5, size),
+    )
+
+
 def corrupt(values: np.ndarray, fault: str) -> np.ndarray:
     values = np.array(values, dtype=float)
     if fault == "shape":
@@ -287,6 +298,15 @@ class TestBuildRow:
         assert ess == pytest.approx(v.sum() ** 2 / (v * v / pooled.counts).sum(), rel=1e-12)
         assert ess >= config.ess_floor
 
+    @pytest.mark.parametrize("likelihood", [1e-297, 1e-3, 1e300])
+    def test_ess_is_scale_free(self, likelihood):
+        # Every draw weighs the same under a flat null, so the ESS is the number of draws.
+        # At 1e-297 the squared weights underflow, and at 1e300 they overflow.
+        plugin, config, pooled = self.pooled(flat_plugin({0.41: likelihood}))
+        included, _, estimated, ess = mc_build_decision_row(plugin, 0.41, pooled, config)
+        assert ess == pytest.approx(config.n_params * config.n_data_per_param, rel=1e-12)
+        assert included.all() and estimated == 1.0
+
     def test_ess_floor_trips(self):
         plugin, config, pooled = self.pooled()
         with pytest.raises(LowEffectiveSampleError):
@@ -299,8 +319,19 @@ class TestBuildRow:
             sample_param=plugin.sample_param,
             sample_data=plugin.sample_data,
         )
-        with pytest.raises(DegenerateWeightsError):
+        with pytest.raises(DegenerateWeightsError, match=r"^no sampled outcome carries likelihood mass at eta 0\.41$"):
             mc_build_decision_row(spiky, 0.41, pooled, config)
+
+    def test_underflowing_weights_are_degenerate(self):
+        # The null's likelihood is positive, but with at most 500 draws of an outcome
+        # every weight count * 5e-324 / 1e3 rounds to zero.
+        tiny = flat_plugin({0.41: 5e-324})
+        plugin, config, pooled = self.pooled(tiny, cfg(n_params=100, n_data=5))
+        assert np.all(pooled.mix_density == 1e3)
+        with pytest.raises(DegenerateWeightsError, match=r"at eta 0\.41$"):
+            mc_build_decision_row(tiny, 0.41, pooled, config)
+        with pytest.raises(DegenerateWeightsError, match=r"at eta 0\.41$"):
+            mc_decision_rows(tiny, config, [0.6, 0.41])
 
 
 class TestMcDecisionMatrix:
@@ -317,12 +348,24 @@ class TestMcDecisionMatrix:
         plugin, config = binom_plugin(), cfg()
         params = mc_sample_params(plugin, config)
         pooled = pool_samples(plugin, params, mc_sample_data(plugin, params, config))
-        rows = mc_decision_rows(plugin, config, [0.2, 0.41])
+        # Two full blocks of nulls ranked together, then a partial one.
+        per_block = _RANK_BLOCK // pooled.outcomes.size
+        etas = np.linspace(0.1, 0.9, 2 * per_block + 7).tolist()
+        assert len(etas) > 2 * per_block > 2
+        rows = mc_decision_rows(plugin, config, etas)
         assert np.array_equal(rows.outcomes, pooled.outcomes)
         for j, eta in enumerate(rows.etas):
             included, log_threshold, estimated, ess = mc_build_decision_row(plugin, eta, pooled, config)
             assert np.array_equal(rows.included[j], included)
             assert (rows.log_threshold[j], rows.estimated_coverage[j], rows.ess[j]) == (log_threshold, estimated, ess)
+
+    def test_a_later_likelihood_fault_in_a_block_surfaces_first(self):
+        # A block's likelihoods are all evaluated before its first row is admitted.
+        plugin = flat_plugin({0.41: 0.0, 0.6: math.nan})
+        with pytest.raises(DegenerateWeightsError):
+            mc_decision_rows(plugin, cfg(), [0.41])
+        with pytest.raises(ValueError, match="^likelihood values must be finite and nonnegative$"):
+            mc_decision_rows(plugin, cfg(), [0.41, 0.6])
 
 
 class TestAgreement:

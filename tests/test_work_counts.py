@@ -1,5 +1,6 @@
 """How often each quantity is evaluated: ln f and ln g once per grid, the ranking once per block of rows,
-the prior measure once per average.
+exact or Monte Carlo, the plug-in likelihood once per parameter and once per null, the prior measure once
+per average.
 
 Counters wrap the module bindings that the callers read, so a call made
 through any of them is counted.
@@ -11,7 +12,17 @@ import importlib
 
 import pytest
 
-from avgpower import BetaPrior, BinomialModel, ParameterGrid, TestConfig
+from avgpower import (
+    BetaPrior,
+    BinomialModel,
+    GenericModel,
+    McConfig,
+    ParameterGrid,
+    TestConfig,
+    make_binomial_plugin,
+    mc_decision_rows,
+    mc_sample_params,
+)
 from avgpower.decisions import (
     build_decision_matrix,
     build_decision_row,
@@ -24,6 +35,7 @@ from avgpower.power import average_power_report, avg_power_csv, overall_power_gr
 # The package exports a function named power, which hides the module of that name.
 decisions = importlib.import_module("avgpower.decisions")
 distributions = importlib.import_module("avgpower.distributions")
+monte_carlo = importlib.import_module("avgpower.monte_carlo")
 power = importlib.import_module("avgpower.power")
 
 GRID = ParameterGrid.regular(49)
@@ -97,6 +109,25 @@ def test_build_ranks_every_row_in_one_pass(monkeypatch, prior):
     build_decision_matrix(config(prior))
     assert len(ranks) == 1
     assert len(row_builds) == len(GRID)
+
+
+def test_mc_rows_rank_every_null_in_one_pass(monkeypatch):
+    # 49 nulls of at most 21 sampled outcomes fit in one block.
+    plugin = make_binomial_plugin(BinomialModel(20), PRIORS[1])
+    cfg = McConfig(seed=7, n_params=300, n_data_per_param=30, level=0.05)
+    likelihoods = []
+    counted = GenericModel(
+        likelihood=lambda x, p: likelihoods.append(p) or plugin.likelihood(x, p),
+        sample_param=plugin.sample_param,
+        sample_data=plugin.sample_data,
+    )
+    ranks = counter(monkeypatch, monte_carlo, "_rank")
+    row_builds = counter(monkeypatch, monte_carlo, "mc_build_decision_row")
+    mc_decision_rows(counted, cfg, GRID.points.tolist())
+    assert len(ranks) == 1
+    assert len(row_builds) == len(GRID)
+    # Once per parameter to pool the samples, then once per null.
+    assert likelihoods == [*mc_sample_params(plugin, cfg), *GRID.points.tolist()]
 
 
 def test_large_supports_rank_a_block_of_rows_per_pass(monkeypatch, ln_g_calls):
