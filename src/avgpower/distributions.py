@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -211,17 +212,36 @@ def binom_pmf_rows(model: BinomialModel, thetas: np.ndarray) -> np.ndarray:
     return np.exp(binom_log_pmf_rows(model, thetas))
 
 
-def binom_pmf(x: int | np.ndarray, model: BinomialModel, theta: float) -> float | np.ndarray:
+def binom_pmf(x: int | np.ndarray, model: BinomialModel, theta: float | Sequence[float]) -> float | np.ndarray:
     """C(n,x) theta^x (1-theta)^(n-x), computed in log space.
 
     x is one outcome or an integer array of outcomes; an array gives an
-    array of the same shape. Both index binom_log_pmf_support.
+    array of the same shape. With one theta, both index
+    binom_log_pmf_support.
+
+    theta may also be a 1-d sequence of T values in [0, 1], which gives a
+    (T,) + x.shape array. For an array x, row i equals the call with
+    theta[i] alone bit for bit, point masses at 0 and 1 included. A value
+    outside [0, 1] raises the ValueError of that scalar call.
     """
-    if isinstance(x, np.ndarray):
-        x = check_outcomes(x, model)
-        return np.exp(binom_log_pmf_support(model, theta)[x])
-    x = check_outcome(x, model)
-    return math.exp(binom_log_pmf_support(model, theta)[x])
+    x = check_outcomes(x, model) if isinstance(x, np.ndarray) else check_outcome(x, model)
+    if np.ndim(theta) == 0:
+        pmf = binom_log_pmf_support(model, theta)[x]
+        return np.exp(pmf) if isinstance(x, np.ndarray) else math.exp(pmf)
+    thetas = np.asarray(theta, dtype=float)
+    if thetas.ndim != 1:
+        raise ValueError(f"theta must be one value or a 1-d sequence of them, got shape {thetas.shape}")
+    outside = ~((thetas >= 0.0) & (thetas <= 1.0))
+    if outside.any():
+        check_probability(thetas[outside][0])
+    n = model.n
+    inside = (thetas > 0.0) & (thetas < 1.0)
+    log_pmf = np.full((thetas.size, n + 1), -math.inf)
+    log_pmf[thetas == 0.0, 0] = 0.0
+    log_pmf[thetas == 1.0, n] = 0.0
+    log_pmf[inside] = binom_log_pmf_rows(model, thetas[inside])
+    # take, not [:, x]: it returns C order, so a mean over rows sums as over stacked scalar calls.
+    return np.exp(log_pmf).take(x, axis=1)
 
 
 def beta_log_pdf(t: float | np.ndarray, prior: BetaPrior) -> float | np.ndarray:

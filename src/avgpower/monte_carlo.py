@@ -67,16 +67,17 @@ class LowEffectiveSampleError(RuntimeError):
 class GenericModel:
     """Model plug-in: three callables, no other contract.
 
-    likelihood(outcomes, parameter) takes a 1-D array of data values and
-    returns the array of their sampling densities; sample_param(rng) draws
-    one parameter from the prior; and sample_data(rng, parameter, size)
-    draws a 1-D array of size data values.
+    likelihood(outcomes, params) takes a 1-D array of K data values and a
+    sequence of P parameters, and returns the (P, K) array of their sampling
+    densities, row i under params[i]; sample_param(rng) draws one parameter
+    from the prior; and sample_data(rng, parameter, size) draws a 1-D array
+    of size data values.
 
     Data values must be elements of a numpy array that np.unique can sort:
     distinct outcomes are pooled with np.unique and reported in sorted order.
     """
 
-    likelihood: Callable[[np.ndarray, Any], np.ndarray]
+    likelihood: Callable[[np.ndarray, Sequence[Any]], np.ndarray]
     sample_param: Callable[[Generator], Any]
     sample_data: Callable[[Generator, Any, int], np.ndarray]
 
@@ -163,15 +164,20 @@ def _data_rng(cfg: McConfig, i: int) -> Generator:
     return Generator(Philox(SeedSequence((cfg.seed, 1, i))))
 
 
-def _likelihood(model: GenericModel, outcomes: np.ndarray, param: Any) -> np.ndarray:
-    """One batched likelihood call, checked for shape, finiteness and sign."""
-    f = np.asarray(model.likelihood(outcomes, param), dtype=float)
-    if f.shape != outcomes.shape:
-        raise ValueError(f"likelihood returned shape {f.shape} for {outcomes.size} outcomes")
+def _likelihood(model: GenericModel, outcomes: np.ndarray, params: Sequence[Any]) -> np.ndarray:
+    """One likelihood call for every parameter, checked for shape, finiteness and sign.
+
+    Returns the (P, K) densities in C order, so that a mean over the rows sums
+    them in the same order whatever layout the plug-in returned.
+    """
+    f = np.asarray(model.likelihood(outcomes, params), dtype=float)
+    shape = (len(params), outcomes.size)
+    if f.shape != shape:
+        raise ValueError(f"likelihood returned shape {f.shape}, not (parameters, outcomes) = {shape}")
     # min >= 0 fails on NaN and -inf, max < inf on +inf.
     if f.size and not (f.min() >= 0.0 and f.max() < math.inf):
         raise ValueError("likelihood values must be finite and nonnegative")
-    return f
+    return np.ascontiguousarray(f)
 
 
 def mc_sample_params(model: GenericModel, cfg: McConfig) -> list:
@@ -192,7 +198,7 @@ def mc_sample_data(model: GenericModel, params: Sequence[Any], cfg: McConfig) ->
 def pool_samples(model: GenericModel, params: Sequence[Any], data: DataSample) -> PooledSamples:
     """Collapse the raw draws to distinct outcomes and estimate their prior predictive mass."""
     outcomes, counts = np.unique(data.draws, return_counts=True)
-    mix = np.stack([_likelihood(model, outcomes, p) for p in params]).mean(axis=0)
+    mix = _likelihood(model, outcomes, params).mean(axis=0)
     if np.any(mix == 0.0):
         bad = outcomes[int(np.argmax(mix == 0.0))]
         raise ValueError(f"likelihood assigns zero density to sampled outcome {bad}")
@@ -204,10 +210,13 @@ def _mc_rankings(model: GenericModel, etas: Sequence[Any], samples: PooledSample
     log_mix = np.log(samples.mix_density)
     step = max(1, _RANK_BLOCK // samples.outcomes.size)
     for i in range(0, len(etas), step):
-        f = np.stack([_likelihood(model, samples.outcomes, eta) for eta in etas[i : i + step]])
+        f = _likelihood(model, samples.outcomes, etas[i : i + step])
         log_g = np.log(f, out=np.full(f.shape, -np.inf), where=f > 0.0) - log_mix
-        v = samples.counts * f / samples.mix_density
-        yield from map(_Ranking._make, zip(*_rank(log_g, v, (1.0 - cfg.level) * v.sum(axis=1, keepdims=True))))
+        # A weight or a sum past the double range is inf; mc_build_decision_row rejects its row.
+        with np.errstate(over="ignore"):
+            v = samples.counts * f / samples.mix_density
+            ranking = _rank(log_g, v, (1.0 - cfg.level) * v.sum(axis=1, keepdims=True))
+        yield from map(_Ranking._make, zip(*ranking))
 
 
 def mc_build_decision_row(
@@ -228,15 +237,19 @@ def mc_build_decision_row(
     a row built alone is a block of one.
 
     Raises DegenerateWeightsError when the weights sum to zero, as when the null
-    assigns no likelihood to any sampled outcome, and LowEffectiveSampleError
-    when they carry fewer effective draws than cfg.ess_floor.
+    assigns no likelihood to any sampled outcome, or past the double range,
+    and LowEffectiveSampleError when they carry fewer effective draws than
+    cfg.ess_floor.
     """
     if ranking is None:
         (ranking,) = _mc_rankings(model, [eta], samples, cfg)
     v = ranking.mass
-    total_v = float(v.sum())
+    with np.errstate(over="ignore"):
+        total_v = float(v.sum())
     if total_v == 0.0:
         raise DegenerateWeightsError(f"no sampled outcome carries likelihood mass at eta {eta!r}")
+    if not math.isfinite(total_v):
+        raise DegenerateWeightsError(f"coverage weights overflow a double at eta {eta!r}")
     # Effective sample size of the raw draws, not of the pooled atoms: each
     # of the count_k draws behind atom k carries the weight f_k / mix_k. It is
     # scale-free: weights whose squares leave the double range sum to 1 first.
@@ -268,7 +281,7 @@ def mc_decision_rows(model: GenericModel, cfg: McConfig, etas: Sequence[Any]) ->
 def make_binomial_plugin(model: BinomialModel, prior: BetaPrior) -> GenericModel:
     """Binomial likelihood with a beta prior."""
     return GenericModel(
-        likelihood=lambda outcomes, theta: binom_pmf(outcomes, model, float(theta)),
+        likelihood=lambda outcomes, thetas: binom_pmf(outcomes, model, thetas),
         sample_param=lambda rng: float(rng.beta(prior.a, prior.b)),
         sample_data=lambda rng, theta, size: rng.binomial(model.n, theta, size),
     )

@@ -295,8 +295,7 @@ class TestAdmissionReference:
         params = mc_sample_params(plugin, cfg)
         samples = pool_samples(plugin, params, mc_sample_data(plugin, params, cfg))
         rows = mc_decision_rows(plugin, cfg, etas)
-        for j, eta in enumerate(etas):
-            f = plugin.likelihood(samples.outcomes, eta)
+        for j, (eta, f) in enumerate(zip(etas, plugin.likelihood(samples.outcomes, etas))):
             with np.errstate(divide="ignore"):
                 log_g = np.where(f == 0.0, -np.inf, np.log(f) - np.log(samples.mix_density))
             v = samples.counts * f / samples.mix_density

@@ -195,6 +195,31 @@ class TestBinomPmf:
         assert got.tolist() == [[binom_pmf(int(k), model, 0.3) for k in row] for row in x]
         assert binom_pmf(x, model, 0.0).tolist() == [[1.0, 0.0], [0.0, 0.0]]
 
+    @pytest.mark.parametrize("n", [1, 20, 100, 1000])
+    def test_theta_sequence_rows_equal_scalar_calls(self, n):
+        model = BinomialModel(n)
+        thetas = [0.0, 0.3, 1.0, 1e-300, 0.5, 1.0 - 2.0**-53, 0.97, 0.0]
+        # Unsorted, repeated outcomes; one row per theta, each the scalar call bit for bit.
+        x = np.array([n, 0, n // 2, 1, n, 0])
+        got = binom_pmf(x, model, thetas)
+        want = np.stack([binom_pmf(x, model, t) for t in thetas])
+        assert got.shape == (len(thetas), x.size) and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+        # One outcome gives a (T,) column; the scalar call takes math.exp, not np.exp, so it is not compared here.
+        assert binom_pmf(n, model, np.array(thetas)).tobytes() == got[:, 0].tobytes()
+        assert binom_pmf(np.arange(n + 1), model, []).shape == (0, n + 1)
+
+    @pytest.mark.parametrize("bad", [math.nan, 1.5, -0.25, math.inf])
+    def test_theta_sequence_rejects_what_the_scalar_call_rejects(self, bad):
+        model, x = BinomialModel(10), np.arange(11)
+        with pytest.raises(ValueError) as scalar:
+            binom_pmf(x, model, bad)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(scalar.value))}$"):
+            binom_pmf(x, model, [0.2, 1.0, bad, 0.0, bad])
+        message = r"^theta must be one value or a 1-d sequence of them, got shape \(1, 2\)$"
+        with pytest.raises(ValueError, match=message):
+            binom_pmf(x, model, [[0.2, 0.3]])
+
     @pytest.mark.parametrize(
         "x", [np.array([0, -1]), np.array([11]), np.array([1.0, 2.0]), np.array([True, False])]
     )

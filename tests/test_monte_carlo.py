@@ -29,7 +29,7 @@ from avgpower import (
     pool_samples,
 )
 from avgpower.decisions import _RANK_BLOCK
-from avgpower.distributions import beta_binom_pmf_support
+from avgpower.distributions import beta_binom_pmf_support, binom_pmf
 from avgpower.monte_carlo import AgreementReport, _data_rng, agreement_csv
 
 
@@ -166,10 +166,36 @@ class TestPooling:
         data = mc_sample_data(plugin, params, config)
         pooled = pool_samples(plugin, params, data)
         bb = beta_binom_pmf_support(BinomialModel(20), BetaPrior(0.5, 0.5))
-        lik = np.array([plugin.likelihood(pooled.outcomes, p) for p in params])
+        lik = plugin.likelihood(pooled.outcomes, params)
         se = lik.std(axis=0, ddof=1) / np.sqrt(config.n_params)
         for k, x in enumerate(pooled.outcomes):
             assert abs(pooled.mix_density[k] - bb[x]) <= 3 * se[k] + 1e-12
+
+    def test_extreme_prior_pools_as_stacked_scalar_calls(self):
+        # Under Beta(0.01, 0.01) a third of the draws are exactly 1.0, whose rows are point masses.
+        model = BinomialModel(20)
+        plugin = make_binomial_plugin(model, BetaPrior(0.01, 0.01))
+        config = cfg()
+        params = mc_sample_params(plugin, config)
+        assert params.count(1.0) > 50
+        pooled = pool_samples(plugin, params, mc_sample_data(plugin, params, config))
+        want = np.stack([binom_pmf(pooled.outcomes, model, p) for p in params]).mean(axis=0)
+        assert pooled.mix_density.tobytes() == want.tobytes()
+
+    def test_likelihood_layout_does_not_change_the_pooled_bits(self):
+        # A mean over the rows of a Fortran-ordered array sums in another order; the engine takes C order first.
+        plugin = binom_plugin()
+        fortran = GenericModel(
+            likelihood=lambda x, thetas: np.asfortranarray(plugin.likelihood(x, thetas)),
+            sample_param=plugin.sample_param,
+            sample_data=plugin.sample_data,
+        )
+        config = cfg()
+        params = mc_sample_params(plugin, config)
+        data = mc_sample_data(plugin, params, config)
+        assert fortran.likelihood(np.arange(21), params).flags.f_contiguous
+        want = pool_samples(plugin, params, data).mix_density
+        assert pool_samples(fortran, params, data).mix_density.tobytes() == want.tobytes()
 
     def test_rejects_inconsistent_likelihood(self):
         plugin = binom_plugin()
@@ -177,14 +203,14 @@ class TestPooling:
         params = mc_sample_params(plugin, config)
         data = mc_sample_data(plugin, params, config)
         broken = GenericModel(
-            likelihood=lambda x, theta: np.zeros(x.shape),
+            likelihood=lambda x, thetas: np.zeros((len(thetas), x.size)),
             sample_param=plugin.sample_param,
             sample_data=plugin.sample_data,
         )
         with pytest.raises(ValueError, match="zero density"):
             pool_samples(broken, params, data)
         scalar = GenericModel(
-            likelihood=lambda x, theta: 0.5,
+            likelihood=lambda x, thetas: 0.5,
             sample_param=plugin.sample_param,
             sample_data=plugin.sample_data,
         )
@@ -192,10 +218,10 @@ class TestPooling:
             pool_samples(scalar, params, data)
 
 
-def flat_plugin(at_nulls: dict) -> GenericModel:
-    """Likelihood 1e3 at every outcome 0..4 under the sampled parameters, and at_nulls[eta] under a listed null."""
+def flat_plugin(at_nulls: dict, sampled: float = 1e3) -> GenericModel:
+    """Likelihood ``sampled`` at every outcome 0..4 under the sampled parameters, and at_nulls[eta] under a listed null."""
     return GenericModel(
-        likelihood=lambda x, p: np.full(x.shape, at_nulls.get(p, 1e3)),
+        likelihood=lambda x, ps: np.repeat([[at_nulls.get(p, sampled)] for p in ps], x.size, axis=1),
         sample_param=lambda rng: float(rng.uniform(0.5, 1.0)),
         sample_data=lambda rng, p, size: rng.integers(0, 5, size),
     )
@@ -205,7 +231,7 @@ def corrupt(values: np.ndarray, fault: str) -> np.ndarray:
     values = np.array(values, dtype=float)
     if fault == "shape":
         return values[:-1]
-    values[values.size // 2] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "negative": -1e-300}[fault]
+    values.flat[values.size // 2] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "negative": -1e-300}[fault]
     return values
 
 
@@ -215,7 +241,7 @@ LIKELIHOOD_FAULTS = [
     ("inf", VALUES_MESSAGE),
     ("-inf", VALUES_MESSAGE),
     ("negative", VALUES_MESSAGE),
-    ("shape", r"^likelihood returned shape \(\d+,\) for \d+ outcomes$"),
+    ("shape", r"^likelihood returned shape \(\d+, (\d+)\), not \(parameters, outcomes\) = \(\d+, \1\)$"),
 ]
 
 
@@ -225,7 +251,7 @@ class TestLikelihoodChecks:
     @staticmethod
     def broken(plugin: GenericModel, fault: str) -> GenericModel:
         return GenericModel(
-            likelihood=lambda x, theta: corrupt(plugin.likelihood(x, theta), fault),
+            likelihood=lambda x, thetas: corrupt(plugin.likelihood(x, thetas), fault),
             sample_param=plugin.sample_param,
             sample_data=plugin.sample_data,
         )
@@ -261,13 +287,8 @@ class TestBuildRow:
         plugin, config, pooled = self.pooled()
         included, log_threshold, estimated, _ = mc_build_decision_row(plugin, 0.41, pooled, config)
         assert estimated >= 1.0 - config.level
-        assert np.exp(log_threshold) == pytest.approx(
-            min(
-                plugin.likelihood(x, 0.41) / pooled.mix_density[k]
-                for k, x in enumerate(pooled.outcomes)
-                if included[k]
-            )
-        )
+        (f,) = plugin.likelihood(pooled.outcomes, [0.41])
+        assert np.exp(log_threshold) == pytest.approx(min(f[included] / pooled.mix_density[included]))
 
     def test_single_point_prior_collapses_posterior(self):
         # Prior concentrated at one parameter: the mixture equals the
@@ -294,7 +315,7 @@ class TestBuildRow:
     def test_ess_is_kept_and_above_the_floor(self):
         plugin, config, pooled = self.pooled()
         _, _, _, ess = mc_build_decision_row(plugin, 0.41, pooled, config)
-        v = pooled.counts * plugin.likelihood(pooled.outcomes, 0.41) / pooled.mix_density
+        v = pooled.counts * plugin.likelihood(pooled.outcomes, [0.41])[0] / pooled.mix_density
         assert ess == pytest.approx(v.sum() ** 2 / (v * v / pooled.counts).sum(), rel=1e-12)
         assert ess >= config.ess_floor
 
@@ -315,7 +336,7 @@ class TestBuildRow:
     def test_no_mass_at_null_is_degenerate(self):
         plugin, config, pooled = self.pooled()
         spiky = GenericModel(
-            likelihood=lambda x, theta: np.where(x == 999, 1.0, 0.0),
+            likelihood=lambda x, thetas: np.tile(np.where(x == 999, 1.0, 0.0), (len(thetas), 1)),
             sample_param=plugin.sample_param,
             sample_data=plugin.sample_data,
         )
@@ -332,6 +353,28 @@ class TestBuildRow:
             mc_build_decision_row(tiny, 0.41, pooled, config)
         with pytest.raises(DegenerateWeightsError, match=r"at eta 0\.41$"):
             mc_decision_rows(tiny, config, [0.6, 0.41])
+
+    @pytest.mark.parametrize(
+        "at_null,sampled",
+        [(1e308, 1e3), (1e306, 1.0)],
+        ids=["weight_overflows", "sum_overflows"],
+    )
+    def test_overflowing_weights_are_degenerate(self, at_null, sampled):
+        # count * 1e308 passes a double before the division by 1e3; count * 1e306 stays finite,
+        # but five such weights sum past it. Either raises, with no RuntimeWarning (an error here).
+        huge = flat_plugin({0.41: at_null}, sampled)
+        plugin, config, pooled = self.pooled(huge, cfg(n_params=100, n_data=5))
+        assert np.all(pooled.mix_density == sampled)
+        if sampled == 1.0:
+            assert np.all(pooled.counts * at_null < math.inf)
+        message = r"^coverage weights overflow a double at eta 0\.41$"
+        with pytest.raises(DegenerateWeightsError, match=message):
+            mc_build_decision_row(huge, 0.41, pooled, config)
+        with pytest.raises(DegenerateWeightsError, match=message):
+            mc_decision_rows(huge, config, [0.6, 0.41])
+        # The first null, with finite weights, is built before the second raises.
+        included, _, estimated, ess = mc_build_decision_row(huge, 0.6, pooled, config)
+        assert included.all() and estimated == 1.0 and ess == pytest.approx(500.0, rel=1e-12)
 
 
 class TestMcDecisionMatrix:

@@ -1,6 +1,6 @@
 """How often each quantity is evaluated: ln f and ln g once per grid, the ranking once per block of rows,
-exact or Monte Carlo, the plug-in likelihood once per parameter and once per null, the prior measure once
-per average.
+exact or Monte Carlo, the plug-in likelihood once for all sampled parameters and once per block of nulls,
+the prior measure once per average.
 
 Counters wrap the module bindings that the callers read, so a call made
 through any of them is counted.
@@ -111,23 +111,41 @@ def test_build_ranks_every_row_in_one_pass(monkeypatch, prior):
     assert len(row_builds) == len(GRID)
 
 
-def test_mc_rows_rank_every_null_in_one_pass(monkeypatch):
-    # 49 nulls of at most 21 sampled outcomes fit in one block.
-    plugin = make_binomial_plugin(BinomialModel(20), PRIORS[1])
-    cfg = McConfig(seed=7, n_params=300, n_data_per_param=30, level=0.05)
+MC_PLUGIN = make_binomial_plugin(BinomialModel(20), PRIORS[1])
+MC_CONFIG = McConfig(seed=7, n_params=300, n_data_per_param=30, level=0.05)
+
+
+def counted_likelihood(plugin):
+    """The plug-in, and the list of parameter lists its likelihood is called with."""
     likelihoods = []
     counted = GenericModel(
-        likelihood=lambda x, p: likelihoods.append(p) or plugin.likelihood(x, p),
+        likelihood=lambda x, ps: likelihoods.append(list(ps)) or plugin.likelihood(x, ps),
         sample_param=plugin.sample_param,
         sample_data=plugin.sample_data,
     )
+    return counted, likelihoods
+
+
+def test_mc_rows_rank_every_null_in_one_pass(monkeypatch):
+    # 49 nulls of at most 21 sampled outcomes fit in one block.
+    counted, likelihoods = counted_likelihood(MC_PLUGIN)
     ranks = counter(monkeypatch, monte_carlo, "_rank")
     row_builds = counter(monkeypatch, monte_carlo, "mc_build_decision_row")
-    mc_decision_rows(counted, cfg, GRID.points.tolist())
+    mc_decision_rows(counted, MC_CONFIG, GRID.points.tolist())
     assert len(ranks) == 1
     assert len(row_builds) == len(GRID)
-    # Once per parameter to pool the samples, then once per null.
-    assert likelihoods == [*mc_sample_params(plugin, cfg), *GRID.points.tolist()]
+    # Once for every sampled parameter to pool the samples, then once for the block of nulls.
+    assert likelihoods == [mc_sample_params(MC_PLUGIN, MC_CONFIG), GRID.points.tolist()]
+
+
+def test_mc_rows_call_the_likelihood_once_per_block():
+    # 787 nulls of 21 sampled outcomes make two full blocks of 390 and a partial third.
+    counted, likelihoods = counted_likelihood(MC_PLUGIN)
+    etas = [i / 788 for i in range(1, 788)]
+    rows = mc_decision_rows(counted, MC_CONFIG, etas)
+    step = monte_carlo._RANK_BLOCK // rows.outcomes.size
+    assert (rows.outcomes.size, step) == (21, 390)
+    assert likelihoods == [mc_sample_params(MC_PLUGIN, MC_CONFIG), etas[:390], etas[390:780], etas[780:]]
 
 
 def test_large_supports_rank_a_block_of_rows_per_pass(monkeypatch, ln_g_calls):
