@@ -314,24 +314,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=lambda config, args: cmd_compare_cp(config))
 
     p = sub.add_parser("mc-validate", parents=[shared], help="Monte Carlo construction versus the exact matrix")
-    p.add_argument("--mc-params", dest="mc_params", type=int, default=1000, help="parameter draws (default 1000)")
+    p.add_argument("--mc-params", type=int, default=1000, help="parameter draws (default 1000)")
     p.add_argument(
         "--mc-data-per-param",
-        dest="mc_data_per_param",
         type=int,
         default=100,
         help="data draws per parameter (default 100)",
     )
     p.add_argument(
         "--min-agreement",
-        dest="min_agreement",
         type=float,
         default=0.95,
         help="fail when overall agreement drops below this, in [0, 1] (default 0.95)",
     )
     p.add_argument(
         "--ess-floor",
-        dest="ess_floor",
         type=float,
         default=McConfig.ess_floor,
         help=f"minimum effective sample size per null (default {McConfig.ess_floor:g})",

@@ -231,15 +231,11 @@ def binom_pmf(x: int | np.ndarray, model: BinomialModel, theta: float | Sequence
     thetas = np.asarray(theta, dtype=float)
     if thetas.ndim != 1:
         raise ValueError(f"theta must be one value or a 1-d sequence of them, got shape {thetas.shape}")
-    outside = ~((thetas >= 0.0) & (thetas <= 1.0))
-    if outside.any():
-        check_probability(thetas[outside][0])
-    n = model.n
     inside = (thetas > 0.0) & (thetas < 1.0)
-    log_pmf = np.full((thetas.size, n + 1), -math.inf)
-    log_pmf[thetas == 0.0, 0] = 0.0
-    log_pmf[thetas == 1.0, n] = 0.0
+    log_pmf = np.empty((thetas.size, model.n + 1))
     log_pmf[inside] = binom_log_pmf_rows(model, thetas[inside])
+    for i in np.flatnonzero(~inside):
+        log_pmf[i] = binom_log_pmf_support(model, thetas[i])
     # take, not [:, x]: it returns C order, so a mean over rows sums as over stacked scalar calls.
     return np.exp(log_pmf).take(x, axis=1)
 

@@ -1,0 +1,58 @@
+"""The contract listing of tools/cli_hashes.py: its files, its Monte Carlo array lines, its cleanup.
+
+The listing is how a change shows that it leaves the CLI's output alone, so
+it is run here at its smallest configuration, n = 20 on G = 49.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from avgpower import BetaPrior, BinomialModel, McConfig, ParameterGrid, cli, make_binomial_plugin, mc_decision_rows
+
+CLI_HASHES = Path(__file__).resolve().parents[1] / "tools" / "cli_hashes.py"
+
+
+def _cli_hashes():
+    spec = importlib.util.spec_from_file_location("cli_hashes", CLI_HASHES)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+cli_hashes = _cli_hashes()
+
+
+@pytest.fixture
+def small(monkeypatch):
+    monkeypatch.setattr(cli_hashes, "CONFIGS", {"n20_g49": cli_hashes.CONFIGS["n20_g49"]})
+    return cli_hashes
+
+
+def test_listing_holds_every_file_and_every_array(small, tmp_path):
+    entries = small.write_all(str(tmp_path))
+    paths = [path for path, _sha in entries]
+    assert paths == sorted(paths)
+    arrays = {path: sha for path, sha in entries if not (tmp_path / path).is_file()}
+    assert len(entries) - len(arrays) == 28
+    assert sorted(arrays) == sorted(f"n20_g49/mc_validate/{name}" for name in small.ARRAYS)
+    assert cli.mc_decision_rows is mc_decision_rows
+
+    rows = mc_decision_rows(
+        make_binomial_plugin(BinomialModel(20), BetaPrior(0.5, 0.5)),
+        McConfig(seed=1729, n_params=1000, n_data_per_param=100, level=0.05),
+        ParameterGrid.regular(49, 0.02, 0.98).points.tolist(),
+    )
+    for name in small.ARRAYS:
+        assert arrays[f"n20_g49/mc_validate/{name}"] == small.digest(getattr(rows, name)), name
+
+
+def test_failed_invocation_restores_the_monte_carlo_entry_point(small, monkeypatch, tmp_path):
+    # The rows are built, then their 0.994 agreement falls short of 1 and the command exits 1.
+    monkeypatch.setattr(small, "commands", lambda n: [("mc_validate", ["mc-validate", "--min-agreement", "1"])])
+    with pytest.raises(SystemExit, match=r"^n20_g49/mc_validate: exit 1$"):
+        small.write_all(str(tmp_path))
+    assert cli.mc_decision_rows is mc_decision_rows

@@ -7,8 +7,15 @@ x = 0, n/2 and n, ``power`` at its default thetas and at 0.3 and 0.7,
 ``avgpower.cli.main``. That gives 17 files per configuration and 68 in all,
 written under ``--out DIR``. Each invocation's stdout goes next to its files
 as ``stdout.txt``, with the invocation's ``--out`` path replaced by ``<out>``
-so that listings made in different directories compare. All 112 files are
-listed on stdout as sorted ``sha256  path`` lines, paths relative to DIR.
+so that listings made in different directories compare.
+
+No file carries the rows that ``mc-validate`` builds, only their agreement
+with the exact matrix. So each ``mc-validate`` invocation also adds one line
+for each of the five arrays of its ``McDecisionMatrix`` (``outcomes``,
+``included``, ``log_threshold``, ``estimated_coverage`` and ``ess``), at the
+path ``<config>/mc_validate/<array>``; that digest covers the array's dtype,
+shape and bytes. The 112 files and 20 arrays are listed on stdout as 132
+``sha256  path`` lines sorted by path, paths relative to DIR.
 
 Compare two checkouts by running it in each and diffing the listings:
 
@@ -31,7 +38,11 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from avgpower.cli import main  # noqa: E402
+import numpy as np  # noqa: E402
+
+from avgpower import cli  # noqa: E402
+
+ARRAYS = ("outcomes", "included", "log_threshold", "estimated_coverage", "ess")
 
 # name -> (n, grid flags)
 CONFIGS = {
@@ -58,19 +69,35 @@ def commands(n: int) -> list:
 
 
 def write_all(out: str) -> list:
-    """Run every invocation into ``out`` and return the written file paths, stdout captures included."""
-    for name, (n, grid) in CONFIGS.items():
-        for sub, argv in commands(n):
-            target = os.path.join(out, name, sub)
-            with contextlib.redirect_stdout(io.StringIO()) as stdout:
-                code = main([*argv, "--n", str(n), *grid, "--out", target])
-            if code != 0:
-                raise SystemExit(f"{name}/{sub}: exit {code}")
-            with open(os.path.join(target, "stdout.txt"), "w", encoding="utf-8") as fh:
-                fh.write(stdout.getvalue().replace(target, "<out>"))
-    return sorted(
-        os.path.relpath(os.path.join(root, f), out) for root, _dirs, files in os.walk(out) for f in files
-    )
+    """Run every invocation into ``out`` and return its (path, sha256) entries, sorted by path.
+
+    There is one entry per written file, stdout captures included, and one per
+    ``McDecisionMatrix`` array that an invocation builds.
+    """
+    built, arrays = [], []
+    build = cli.mc_decision_rows
+
+    def keep(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    cli.mc_decision_rows = keep
+    try:
+        for name, (n, grid) in CONFIGS.items():
+            for sub, argv in commands(n):
+                target = os.path.join(out, name, sub)
+                with contextlib.redirect_stdout(io.StringIO()) as stdout:
+                    code = cli.main([*argv, "--n", str(n), *grid, "--out", target])
+                if code != 0:
+                    raise SystemExit(f"{name}/{sub}: exit {code}")
+                with open(os.path.join(target, "stdout.txt"), "w", encoding="utf-8") as fh:
+                    fh.write(stdout.getvalue().replace(target, "<out>"))
+                arrays += [(os.path.join(name, sub, a), digest(getattr(r, a))) for r in built for a in ARRAYS]
+                built.clear()
+    finally:
+        cli.mc_decision_rows = build
+    files = [os.path.relpath(os.path.join(root, f), out) for root, _dirs, names in os.walk(out) for f in names]
+    return sorted([(rel, sha256(os.path.join(out, rel))) for rel in files] + arrays)
 
 
 def sha256(path: str) -> str:
@@ -78,12 +105,20 @@ def sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def digest(array: np.ndarray) -> str:
+    """SHA-256 of an array's dtype, shape and bytes."""
+    array = np.ascontiguousarray(array)
+    h = hashlib.sha256(f"{array.dtype.str} {array.shape}\n".encode())
+    h.update(array.tobytes())
+    return h.hexdigest()
+
+
 def main_hashes(argv: list | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="directory for the CLI files (created if missing)")
     args = parser.parse_args(argv)
-    for rel in write_all(args.out):
-        print(f"{sha256(os.path.join(args.out, rel))}  {rel}")
+    for path, sha in write_all(args.out):
+        print(f"{sha}  {path}")
     return 0
 
 
