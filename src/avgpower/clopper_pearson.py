@@ -50,8 +50,8 @@ class LengthComparison:
 # Newton returns its next point once |ln(tail / half)| is this small: that
 # point is then good to about the square, near the float resolution.
 _CLOSE_G = 1e-7
-# Tail sums one endpoint may spend. Newton has needed at most 14 for n up to
-# 5000 and levels down to 1e-323; bisection alone would need about 64.
+# Tail sums one endpoint may spend, or it raises ValueError. Newton has needed at
+# most 14 for n up to 5000 and levels down to 1e-323; bisection alone would need about 64.
 _MAX_EVALS = 64
 
 
@@ -93,7 +93,8 @@ def _lower_endpoint(model: BinomialModel, x: int, half: float) -> float:
     variance of a log-concave law), so after one step the iterates close in
     on the root from below. A step that leaves the bracket of signs seen so
     far, or that a zero tail leaves undefined, is replaced by the bracket's
-    midpoint in u.
+    midpoint in u. Raises ValueError when ``_MAX_EVALS`` tail sums leave the
+    root unsettled, rather than return an iterate it never evaluated.
     """
     if half == 0.0:
         return 0.0
@@ -119,7 +120,7 @@ def _lower_endpoint(model: BinomialModel, x: int, half: float) -> float:
         if next_t == t:
             return t
         t = next_t
-    return t
+    raise ValueError(f"lower endpoint for x={x}, n={model.n} at tail level {half!r} unsettled after {_MAX_EVALS} sums")
 
 
 def clopper_pearson(x: int, model: BinomialModel, level: float) -> tuple:

@@ -423,8 +423,9 @@ def decision_matrix_from_csv(text: str, config: TestConfig) -> DecisionMatrix:
     recomputed from the flags, which restores the built matrix bit for bit.
     Raises ValueError for a wrong header or line count, a flag other than 0
     or 1, a row covering less than 1 - level (an empty row covers 0), or a
-    line that differs from what the rebuilt matrix writes, naming the first
-    with its expected text. An overflowing threshold raises
+    text that differs from what the rebuilt matrix writes, naming the first
+    differing line with its expected text; line ends other than ``\n`` and
+    a missing final newline differ too. An overflowing threshold raises
     ThresholdOverflowError, as the writer does.
     """
     lines = text.splitlines()
@@ -451,8 +452,13 @@ def decision_matrix_from_csv(text: str, config: TestConfig) -> DecisionMatrix:
             raise ValueError(f"eta {point(eta)} covers {float(achieved[j])!r}, short of 1 - level = {target!r}")
     log_threshold = np.where(included, log_g, np.inf).min(axis=1)
     matrix = DecisionMatrix(config=config, included=included, log_threshold=log_threshold, achieved_coverage=achieved)
-    expected = decision_matrix_to_csv(matrix).splitlines()
-    if expected != lines:
-        i = next(i for i, (want, got) in enumerate(zip(expected, lines)) if want != got)
-        raise ValueError(f"line {i + 1} is {lines[i]!r}, but the matrix it encodes writes {expected[i]!r}")
+    expected = decision_matrix_to_csv(matrix)
+    if text != expected:
+        if text + "\n" == expected:
+            raise ValueError("the text lacks the final newline that the writer ends it with")
+        # Where every line reads alike, the line ends differ: compare and show them too.
+        ends = expected.splitlines() == lines
+        want, got = expected.splitlines(keepends=ends), text.splitlines(keepends=ends)
+        i = next(i for i, (w, g) in enumerate(zip(want, got)) if w != g)
+        raise ValueError(f"line {i + 1} is {got[i]!r}, but the matrix it encodes writes {want[i]!r}")
     return matrix

@@ -252,13 +252,12 @@ def beta_log_pdf(t: float | np.ndarray, prior: BetaPrior) -> float | np.ndarray:
     if scalar:
         t = check_probability(t, "t")
         if t == 0.0 or t == 1.0:
-            if a < 1.0 or b < 1.0:
+            # Only the touched endpoint's shape decides: a at t = 0, b at t = 1. Below 1 the
+            # density is unbounded, above 1 it vanishes, and at 1 its limit is the other shape.
+            shape, other = (a, b) if t == 0.0 else (b, a)
+            if shape < 1.0:
                 raise ValueError(f"beta density unbounded at t={t} for shapes a={a}, b={b}")
-            edge_shape = a if t == 0.0 else b
-            if edge_shape > 1.0:
-                return -math.inf
-            # shape exactly 1 at this endpoint: density limit is the other shape
-            return math.log(b if t == 0.0 else a)
+            return -math.inf if shape > 1.0 else math.log(other)
     log_t, log1m_t = _open_unit_logs(np.array([t]) if scalar else t, "t")
     # Python floats overflow to inf without a warning; so do these.
     with np.errstate(over="ignore", invalid="ignore"):

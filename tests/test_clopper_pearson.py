@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from avgpower import (
     ParameterGrid,
     TestConfig,
     build_decision_matrix,
+    cli,
     clopper_pearson,
     compare_lengths,
     confidence_region,
@@ -168,6 +170,15 @@ class TestTailSumBudget:
 
     def test_newton_budget_at_a_tiny_level(self, monkeypatch):
         assert self.tail_sums(monkeypatch, 20, 1e-300) <= 6 * 2 * 20
+
+    def test_exhausted_budget_raises(self, monkeypatch, tmp_path, capsys):
+        # One tail sum cannot settle this endpoint, and an iterate never evaluated is no answer.
+        monkeypatch.setattr(cp_module, "_MAX_EVALS", 1)
+        message = "lower endpoint for x=3, n=20 at tail level 0.025 unsettled after 1 sums"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            clopper_pearson(3, BinomialModel(20), 0.05)
+        assert cli.main(["compare-cp", "--n", "20", "--grid-points", "49", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: lower endpoint for x=")
 
 
 class TestCompareLengths:

@@ -1,4 +1,4 @@
-"""The contract listing of tools/cli_hashes.py: its files, its Monte Carlo array lines, its cleanup.
+"""The contract listing of tools/cli_hashes.py: its files, its help texts, its Monte Carlo array lines, its cleanup.
 
 The listing is how a change shows that it leaves the CLI's output alone, so
 it is run here at its smallest configuration, n = 20 on G = 49.
@@ -7,6 +7,9 @@ it is run here at its smallest configuration, n = 20 on G = 49.
 from __future__ import annotations
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,7 +40,7 @@ def test_listing_holds_every_file_and_every_array(small, tmp_path):
     paths = [path for path, _sha in entries]
     assert paths == sorted(paths)
     arrays = {path: sha for path, sha in entries if not (tmp_path / path).is_file()}
-    assert len(entries) - len(arrays) == 28
+    assert len(entries) - len(arrays) == 35
     assert sorted(arrays) == sorted(f"n20_g49/mc_validate/{name}" for name in small.ARRAYS)
     assert cli.mc_decision_rows is mc_decision_rows
 
@@ -48,6 +51,22 @@ def test_listing_holds_every_file_and_every_array(small, tmp_path):
     )
     for name in small.ARRAYS:
         assert arrays[f"n20_g49/mc_validate/{name}"] == small.digest(getattr(rows, name)), name
+
+
+def test_help_files_are_what_the_command_line_prints_at_any_terminal_width(small, monkeypatch, tmp_path):
+    entries = small.write_all(str(tmp_path / "first"))
+    assert [path for path, _sha in entries if path.startswith("help/")] == sorted(f"help/{n}.txt" for n in small.HELP)
+    # Printed into a pipe, argparse wraps at 80 columns unless COLUMNS says otherwise.
+    monkeypatch.delenv("COLUMNS", raising=False)
+    env = {**os.environ, "PYTHONPATH": str(CLI_HASHES.parents[1] / "src")}
+    for name in ("avgpower", "mc-validate"):
+        argv = [sys.executable, "-m", "avgpower.cli", *small.HELP[name], "--help"]
+        shown = subprocess.run(argv, env=env, capture_output=True, check=True).stdout
+        assert (tmp_path / "first" / "help" / f"{name}.txt").read_bytes() == shown, name
+
+    monkeypatch.setenv("COLUMNS", "200")
+    assert small.write_all(str(tmp_path / "second")) == entries
+    assert os.environ["COLUMNS"] == "200"
 
 
 def test_failed_invocation_restores_the_monte_carlo_entry_point(small, monkeypatch, tmp_path):

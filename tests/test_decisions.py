@@ -572,6 +572,14 @@ class TestCsv:
         with pytest.raises(ValueError, match=re.escape(message)):
             decision_matrix_from_csv(text, shifted)
 
+        # Only the writer's own text reads back, down to its line ends.
+        with pytest.raises(ValueError, match="^the text lacks the final newline that the writer ends it with$"):
+            decision_matrix_from_csv(text[:-1], config)
+        for end in ("\r\n", "\x1e"):
+            message = f"line 1 is {lines[0] + end!r}, but the matrix it encodes writes {lines[0] + chr(10)!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                decision_matrix_from_csv(text.replace("\n", end), config)
+
 
 class TestExtremePrior:
     """n=1000 under Beta(1000, 1): low nulls have posterior densities beyond

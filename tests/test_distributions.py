@@ -344,6 +344,12 @@ class TestBetaPdf:
             beta_pdf(1.0, BetaPrior(0.5, 0.5))
         with pytest.raises(ValueError):
             beta_pdf(-0.1, BetaPrior(2.0, 2.0))
+        # Only the touched endpoint's shape decides; the other may lie below one.
+        for t, a, b, density in ((0.0, 2.0, 0.5, 0.0), (0.0, 1.0, 0.5, 0.5), (1.0, 0.5, 2.0, 0.0), (1.0, 0.5, 1.0, 0.5)):
+            assert beta_pdf(t, BetaPrior(a, b)) == oracle_beta_pdf(t, a, b) == density
+        for t, a, b in ((0.0, 0.5, 2.0), (1.0, 2.0, 0.5)):
+            with pytest.raises(ValueError, match=re.escape(f"beta density unbounded at t={t} for shapes a={a}, b={b}")):
+                beta_pdf(t, BetaPrior(a, b))
 
     def test_overflow_raises_value_error_naming_t_and_shapes(self):
         # Before, math.exp raised an untyped OverflowError.

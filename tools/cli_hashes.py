@@ -14,8 +14,10 @@ with the exact matrix. So each ``mc-validate`` invocation also adds one line
 for each of the five arrays of its ``McDecisionMatrix`` (``outcomes``,
 ``included``, ``log_threshold``, ``estimated_coverage`` and ``ess``), at the
 path ``<config>/mc_validate/<array>``; that digest covers the array's dtype,
-shape and bytes. The 112 files and 20 arrays are listed on stdout as 132
-``sha256  path`` lines sorted by path, paths relative to DIR.
+shape and bytes. The ``--help`` of ``avgpower`` and of each subcommand goes
+to ``help/<name>.txt``, wrapped at 80 columns whatever the terminal. The 119
+files and 20 arrays are listed on stdout as 139 ``sha256  path`` lines
+sorted by path, paths relative to DIR.
 
 Compare two checkouts by running it in each and diffing the listings:
 
@@ -35,6 +37,7 @@ import hashlib
 import io
 import os
 import sys
+from unittest import mock
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
@@ -43,6 +46,8 @@ import numpy as np  # noqa: E402
 from avgpower import cli  # noqa: E402
 
 ARRAYS = ("outcomes", "included", "log_threshold", "estimated_coverage", "ess")
+
+HELP = {"avgpower": [], **{c: [c] for c in ("construct", "ci", "power", "table1", "compare-cp", "mc-validate")}}
 
 # name -> (n, grid flags)
 CONFIGS = {
@@ -74,6 +79,11 @@ def write_all(out: str) -> list:
     There is one entry per written file, stdout captures included, and one per
     ``McDecisionMatrix`` array that an invocation builds.
     """
+    os.makedirs(os.path.join(out, "help"), exist_ok=True)
+    with mock.patch.dict(os.environ, COLUMNS="80"):  # argparse wraps help to the terminal's width
+        for name, argv in HELP.items():
+            with open(os.path.join(out, "help", f"{name}.txt"), "w", encoding="utf-8") as fh:
+                fh.write(run([*argv, "--help"], f"help/{name}"))
     built, arrays = [], []
     build = cli.mc_decision_rows
 
@@ -86,18 +96,27 @@ def write_all(out: str) -> list:
         for name, (n, grid) in CONFIGS.items():
             for sub, argv in commands(n):
                 target = os.path.join(out, name, sub)
-                with contextlib.redirect_stdout(io.StringIO()) as stdout:
-                    code = cli.main([*argv, "--n", str(n), *grid, "--out", target])
-                if code != 0:
-                    raise SystemExit(f"{name}/{sub}: exit {code}")
+                stdout = run([*argv, "--n", str(n), *grid, "--out", target], f"{name}/{sub}")
                 with open(os.path.join(target, "stdout.txt"), "w", encoding="utf-8") as fh:
-                    fh.write(stdout.getvalue().replace(target, "<out>"))
+                    fh.write(stdout.replace(target, "<out>"))
                 arrays += [(os.path.join(name, sub, a), digest(getattr(r, a))) for r in built for a in ARRAYS]
                 built.clear()
     finally:
         cli.mc_decision_rows = build
     files = [os.path.relpath(os.path.join(root, f), out) for root, _dirs, names in os.walk(out) for f in names]
     return sorted([(rel, sha256(os.path.join(out, rel))) for rel in files] + arrays)
+
+
+def run(argv: list, label: str) -> str:
+    """The stdout of ``cli.main(argv)``; an exit status other than 0 stops the listing."""
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse exits after printing help
+            code = exc.code
+    if code != 0:
+        raise SystemExit(f"{label}: exit {code}")
+    return stdout.getvalue()
 
 
 def sha256(path: str) -> str:
