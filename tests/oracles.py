@@ -10,7 +10,10 @@ match bit for bit: ``oracle_matrix_csv``, a plain per-line formatter for the
 whole-array CSV writer, and ``oracle_admit_tie_groups``, the plain tie-group
 admission that the library's faster one must reproduce. A third,
 ``oracle_bisect_cp``, is the plain bisection on the same float tail sums; the
-library's endpoints must fall inside its final bracket.
+library's endpoints must fall inside its final bracket. A fourth,
+``_data_rng``, is the Monte Carlo data row's stream built the plain way, one
+``SeedSequence`` per row; the library's one re-keyed generator must draw the
+same values.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import math
 
 import mpmath as mp
 import numpy as np
+from numpy.random import Generator, Philox, SeedSequence
 
 from avgpower.distributions import BinomialModel, binom_pmf_support
 
@@ -259,3 +263,8 @@ def oracle_bisect_cp(x: int, n: int, level: float) -> tuple:
     lower = 0.0 if x == 0 else _bisect(lambda t: _upper_tail(model, x, t) > half)
     upper = 1.0 if x == n else _bisect(lambda t: _lower_tail(model, x, t) <= half)
     return lower, upper
+
+
+def _data_rng(cfg, i: int) -> Generator:
+    """The stream of Monte Carlo data row i: Philox keyed by SeedSequence((seed, 1, i))."""
+    return Generator(Philox(SeedSequence((cfg.seed, 1, i))))

@@ -288,6 +288,12 @@ class TestMcValidate:
         assert "error: min_agreement must lie in [0, 1]" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    def test_parameter_count_past_32_bits_fails(self, tmp_path, capsys):
+        out = str(tmp_path / "mc5")
+        assert run([*self.mc_args(out), "--mc-params", str(2**32)]) == 1
+        assert capsys.readouterr().err == "error: n_params must be below 2**32, got 4294967296\n"
+        assert not os.path.exists(out)
+
     def test_unreachable_ess_floor_fails(self, tmp_path, capsys):
         out = str(tmp_path / "mc2")
         assert run([*self.mc_args(out), "--ess-floor", "1e18"]) == 1

@@ -119,11 +119,6 @@ class TestParameterGrid:
         with pytest.raises(ValueError, match="low < high required for more than one point"):
             ParameterGrid.regular(3, 0.5, 0.5)
 
-    @pytest.mark.parametrize("count", [True, 2.5])
-    def test_regular_rejects_a_count_that_is_not_an_integer(self, count):
-        with pytest.raises(ValueError, match="count must be an integer"):
-            ParameterGrid.regular(count)
-
     def test_points_are_a_read_only_copy(self):
         source = np.array([0.1, 0.2, 0.3])
         config = TestConfig(level=0.05, model=BinomialModel(3), prior=BetaPrior(0.5, 0.5), grid=ParameterGrid(source))

@@ -131,6 +131,14 @@ def test_counts_are_checked_alike(what):
             INTEGER_SITES[what](not_positive)
 
 
+def test_parameter_count_fits_one_stream_word():
+    # A data row's index is one 32-bit word of its stream key, so 2**32 rows are refused before any draw.
+    assert INTEGER_SITES["n_params"](2**32 - 1) == 2**32 - 1
+    for too_many in (2**32, 2**64):
+        with pytest.raises(ValueError, match=rf"^n_params must be below 2\*\*32, got {too_many}$"):
+            INTEGER_SITES["n_params"](too_many)
+
+
 def _test_config(level: float) -> TestConfig:
     return TestConfig(level=level, model=BinomialModel(5), prior=BetaPrior(0.5, 0.5), grid=ParameterGrid.regular(3))
 

@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.random import SeedSequence
 
 from avgpower import (
     BetaPrior,
@@ -30,7 +31,8 @@ from avgpower import (
 )
 from avgpower.decisions import _RANK_BLOCK
 from avgpower.distributions import beta_binom_pmf_support, binom_pmf
-from avgpower.monte_carlo import AgreementReport, _data_rng, agreement_csv
+from avgpower.monte_carlo import AgreementReport, _data_keys, agreement_csv
+from oracles import _data_rng
 
 
 def binom_plugin(n: int = 20, a: float = 0.5, b: float = 0.5) -> GenericModel:
@@ -134,6 +136,35 @@ class TestSampleData:
         a = mc_sample_data(plugin, mc_sample_params(plugin, fewer), fewer)
         b = mc_sample_data(plugin, mc_sample_params(plugin, more), more)
         assert np.array_equal(a.draws, b.draws[:200])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+    def test_keys_are_the_seed_sequence_keys(self, seed):
+        # Seeds below 2**32 are one entropy word, the rest two.
+        keys = _data_keys(seed, 50)
+        want = [SeedSequence((seed, 1, i)).generate_state(2, np.uint64) for i in range(50)]
+        assert keys.dtype == np.uint64
+        assert np.array_equal(keys, want)
+
+    @pytest.mark.parametrize("size", [1, 3, 100])
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda rng, theta, size: rng.binomial(20, theta, size),
+            lambda rng, theta, size: rng.random(size) + theta,
+            lambda rng, theta, size: rng.standard_normal(size) + theta,
+            lambda rng, theta, size: rng.integers(0, 2**31, size, dtype=np.int32),
+        ],
+        ids=["binomial", "random", "standard_normal", "integers32"],
+    )
+    def test_rows_are_the_per_row_streams(self, draw, size):
+        # An odd number of 32-bit draws leaves half a 64-bit word buffered, which no next row may see.
+        base = binom_plugin()
+        plugin = GenericModel(likelihood=base.likelihood, sample_param=base.sample_param, sample_data=draw)
+        config = cfg(n_params=20, n_data=size)
+        params = mc_sample_params(plugin, config)
+        data = mc_sample_data(plugin, params, config)
+        want = [draw(_data_rng(config, i), p, size) for i, p in enumerate(params)]
+        assert np.array_equal(data.draws, want)
 
     def test_rejects_wrong_row_shape(self):
         base = binom_plugin()

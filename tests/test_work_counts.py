@@ -1,6 +1,6 @@
 """How often each quantity is evaluated: ln f and ln g once per grid, the ranking once per block of rows,
 exact or Monte Carlo, the plug-in likelihood once for all sampled parameters and once per block of nulls,
-the prior measure once per average.
+the prior measure once per average, and one bit generator per Monte Carlo stage.
 
 Counters wrap the module bindings that the callers read, so a call made
 through any of them is counted.
@@ -136,6 +136,14 @@ def test_mc_rows_rank_every_null_in_one_pass(monkeypatch):
     assert len(row_builds) == len(GRID)
     # Once for every sampled parameter to pool the samples, then once for the block of nulls.
     assert likelihoods == [mc_sample_params(MC_PLUGIN, MC_CONFIG), GRID.points.tolist()]
+
+
+def test_mc_rows_build_two_bit_generators(monkeypatch):
+    # One generator keyed (seed, 0) for the parameters; one for all data rows, re-keyed before each.
+    bit_generators = counter(monkeypatch, monte_carlo, "Philox")
+    seed_sequences = counter(monkeypatch, monte_carlo, "SeedSequence")
+    mc_decision_rows(MC_PLUGIN, MC_CONFIG, GRID.points.tolist())
+    assert (len(bit_generators), len(seed_sequences)) == (2, 1)
 
 
 def test_mc_rows_call_the_likelihood_once_per_block():
