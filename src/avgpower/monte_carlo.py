@@ -164,10 +164,6 @@ class AgreementReport:
     overall: float
 
 
-def _param_rng(cfg: McConfig) -> Generator:
-    return Generator(Philox(SeedSequence((cfg.seed, 0))))
-
-
 def _hasher(init: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
     """numpy SeedSequence's running hash over uint32 columns: each call steps the constant once."""
     const = init
@@ -223,7 +219,7 @@ def _likelihood(model: GenericModel, outcomes: np.ndarray, params: Sequence[Any]
 
 def mc_sample_params(model: GenericModel, cfg: McConfig) -> list:
     """Draw cfg.n_params parameters from the prior."""
-    rng = _param_rng(cfg)
+    rng = Generator(Philox(SeedSequence((cfg.seed, 0))))
     return [model.sample_param(rng) for _ in range(cfg.n_params)]
 
 
@@ -244,11 +240,11 @@ def mc_sample_data(model: GenericModel, params: Sequence[Any], cfg: McConfig) ->
             "has_uint32": 0,
             "uinteger": 0,
         }
-        rows.append(np.asarray(model.sample_data(rng, p, m)))
-    draws = np.stack(rows)
-    if draws.shape != (len(params), m):
-        raise ValueError(f"sample_data must return a 1-D array of {m} values")
-    return DataSample(draws=draws)
+        row = np.asarray(model.sample_data(rng, p, m))
+        if row.shape != (m,):
+            raise ValueError(f"sample_data must return a 1-D array of {m} values")
+        rows.append(row)
+    return DataSample(draws=np.stack(rows))
 
 
 def pool_samples(model: GenericModel, params: Sequence[Any], data: DataSample) -> PooledSamples:
@@ -262,16 +258,22 @@ def pool_samples(model: GenericModel, params: Sequence[Any], data: DataSample) -
 
 
 def _mc_rankings(model: GenericModel, etas: Sequence[Any], samples: PooledSamples, cfg: McConfig):
-    """Yield each null's ranking of ln f - ln mix_density and its weights v: a block of nulls per pass."""
+    """Yield each null's ranking of ln g = ln f - ln mix_density and its weights v: a block of nulls per pass.
+
+    v_k = exp(ln g_k + ln count_k) over the row's largest, so each is at most
+    1 and a row with any likelihood mass sums to at least 1.
+    """
     log_mix = np.log(samples.mix_density)
+    log_counts = np.log(samples.counts)
     step = max(1, _RANK_BLOCK // samples.outcomes.size)
     for i in range(0, len(etas), step):
         f = _likelihood(model, samples.outcomes, etas[i : i + step])
         log_g = np.log(f, out=np.full(f.shape, -np.inf), where=f > 0.0) - log_mix
-        # A weight or a sum past the double range is inf; mc_build_decision_row rejects its row.
-        with np.errstate(over="ignore"):
-            v = samples.counts * f / samples.mix_density
-            ranking = _rank(log_g, v, (1.0 - cfg.level) * v.sum(axis=1, keepdims=True))
+        log_v = log_g + log_counts
+        peak = log_v.max(axis=1, keepdims=True)
+        peak[peak == -np.inf] = 0.0  # a row with no mass keeps its zeros
+        v = np.exp(log_v - peak)
+        ranking = _rank(log_g, v, (1.0 - cfg.level) * v.sum(axis=1, keepdims=True))
         yield from map(_Ranking._make, zip(*ranking))
 
 
@@ -286,31 +288,27 @@ def mc_build_decision_row(
     Outcomes are ordered by the estimated posterior-to-prior density ratio
     (likelihood over estimated predictive mass), tie groups entering
     atomically, and admitted until the coverage estimate reaches 1 - level.
-    In that estimate a draw of outcome k weighs f_k / mix_density_k: the
-    null likelihood over the prior predictive density it was drawn from.
+    In that estimate a draw of outcome k weighs f_k / mix_density_k, the
+    null likelihood over the prior predictive density it was drawn from, up
+    to one factor per row (``_mc_rankings``) that neither the estimate nor
+    the ESS depends on.
 
     ``ranking`` is this row's slice of a block ranked by ``mc_decision_rows``;
     a row built alone is a block of one.
 
-    Raises DegenerateWeightsError when the weights sum to zero, as when the null
-    assigns no likelihood to any sampled outcome, or past the double range,
-    and LowEffectiveSampleError when they carry fewer effective draws than
-    cfg.ess_floor.
+    Raises DegenerateWeightsError when the null assigns no likelihood to any
+    sampled outcome, and LowEffectiveSampleError when the weights carry fewer
+    effective draws than cfg.ess_floor.
     """
     if ranking is None:
         (ranking,) = _mc_rankings(model, [eta], samples, cfg)
     v = ranking.mass
-    with np.errstate(over="ignore"):
-        total_v = float(v.sum())
+    total_v = float(v.sum())
     if total_v == 0.0:
         raise DegenerateWeightsError(f"no sampled outcome carries likelihood mass at eta {eta!r}")
-    if not math.isfinite(total_v):
-        raise DegenerateWeightsError(f"coverage weights overflow a double at eta {eta!r}")
     # Effective sample size of the raw draws, not of the pooled atoms: each
-    # of the count_k draws behind atom k carries the weight f_k / mix_k. It is
-    # scale-free: weights whose squares leave the double range sum to 1 first.
-    w, total_w = (v, total_v) if 1e-150 < total_v < 1e150 else (v / total_v, 1.0)
-    ess = total_w**2 / float((w * w / samples.counts).sum())
+    # of the count_k draws behind atom k carries the weight v_k / count_k.
+    ess = total_v**2 / float((v * v / samples.counts).sum())
     if ess < cfg.ess_floor:
         raise LowEffectiveSampleError(
             f"effective sample size {ess:.1f} below floor {cfg.ess_floor:.1f} at eta {eta!r}"

@@ -293,7 +293,8 @@ class TestAdmissionReference:
         for j, (eta, f) in enumerate(zip(etas, plugin.likelihood(samples.outcomes, etas))):
             with np.errstate(divide="ignore"):
                 log_g = np.where(f == 0.0, -np.inf, np.log(f) - np.log(samples.mix_density))
-            v = samples.counts * f / samples.mix_density
+            log_v = log_g + np.log(samples.counts)
+            v = np.exp(log_v - log_v.max())
             total_v = float(v.sum())
             included, covered, threshold = oracle_admit_tie_groups(log_g, v, (1.0 - cfg.level) * total_v)
             assert np.array_equal(rows.included[j], included), eta

@@ -167,15 +167,17 @@ class TestSampleData:
         assert np.array_equal(data.draws, want)
 
     def test_rejects_wrong_row_shape(self):
-        base = binom_plugin()
-        short = GenericModel(
-            likelihood=base.likelihood,
-            sample_param=base.sample_param,
-            sample_data=lambda rng, theta, size: base.sample_data(rng, theta, size - 1),
-        )
-        config = cfg(n_params=5)
-        with pytest.raises(ValueError):
-            mc_sample_data(short, mc_sample_params(short, config), config)
+        # Each row is checked before the rows are stacked, so one short row is named as such too.
+        base, config = binom_plugin(), cfg(n_params=5)
+        params = mc_sample_params(base, config)
+        for short in (set(params), {params[3]}):
+            plugin = GenericModel(
+                likelihood=base.likelihood,
+                sample_param=base.sample_param,
+                sample_data=lambda rng, theta, size: base.sample_data(rng, theta, size - (theta in short)),
+            )
+            with pytest.raises(ValueError, match=r"^sample_data must return a 1-D array of 30 values$"):
+                mc_sample_data(plugin, params, config)
 
 
 class TestPooling:
@@ -350,14 +352,26 @@ class TestBuildRow:
         assert ess == pytest.approx(v.sum() ** 2 / (v * v / pooled.counts).sum(), rel=1e-12)
         assert ess >= config.ess_floor
 
-    @pytest.mark.parametrize("likelihood", [1e-297, 1e-3, 1e300])
-    def test_ess_is_scale_free(self, likelihood):
-        # Every draw weighs the same under a flat null, so the ESS is the number of draws.
-        # At 1e-297 the squared weights underflow, and at 1e300 they overflow.
-        plugin, config, pooled = self.pooled(flat_plugin({0.41: likelihood}))
-        included, _, estimated, ess = mc_build_decision_row(plugin, 0.41, pooled, config)
-        assert ess == pytest.approx(config.n_params * config.n_data_per_param, rel=1e-12)
+    @pytest.mark.parametrize(
+        "at_null,sampled",
+        [(1e-297, 1e3), (1e-3, 1e3), (1e300, 1e3), (5e-324, 1e3), (1e308, 1e3), (1e306, 1.0)],
+        ids=["1e-297", "0.001", "1e+300", "5e-324", "1e+308", "1e+306"],
+    )
+    def test_ess_is_scale_free(self, at_null, sampled):
+        # Every draw weighs the same under a flat null, so every outcome is admitted and the ESS is
+        # the number of draws. In linear space the weights count * at_null / sampled would underflow
+        # (5e-324) or overflow (1e308), their sum would overflow (1e306), and their squares would
+        # underflow (1e-297) or overflow (1e300); none warns (an error here).
+        flat, config, pooled = self.pooled(flat_plugin({0.41: at_null}, sampled), cfg(n_params=100, n_data=5))
+        assert np.all(pooled.mix_density == sampled)
+        draws = config.n_params * config.n_data_per_param
+        included, _, estimated, ess = mc_build_decision_row(flat, 0.41, pooled, config)
+        assert ess == pytest.approx(draws, rel=1e-12)
         assert included.all() and estimated == 1.0
+        rows = mc_decision_rows(flat, config, [0.6, 0.41])
+        assert rows.included.all() and np.all(rows.estimated_coverage == 1.0)
+        assert rows.ess == pytest.approx([draws, draws], rel=1e-12)
+        assert rows.ess[1] == ess
 
     def test_ess_floor_trips(self):
         plugin, config, pooled = self.pooled()
@@ -373,39 +387,6 @@ class TestBuildRow:
         )
         with pytest.raises(DegenerateWeightsError, match=r"^no sampled outcome carries likelihood mass at eta 0\.41$"):
             mc_build_decision_row(spiky, 0.41, pooled, config)
-
-    def test_underflowing_weights_are_degenerate(self):
-        # The null's likelihood is positive, but with at most 500 draws of an outcome
-        # every weight count * 5e-324 / 1e3 rounds to zero.
-        tiny = flat_plugin({0.41: 5e-324})
-        plugin, config, pooled = self.pooled(tiny, cfg(n_params=100, n_data=5))
-        assert np.all(pooled.mix_density == 1e3)
-        with pytest.raises(DegenerateWeightsError, match=r"at eta 0\.41$"):
-            mc_build_decision_row(tiny, 0.41, pooled, config)
-        with pytest.raises(DegenerateWeightsError, match=r"at eta 0\.41$"):
-            mc_decision_rows(tiny, config, [0.6, 0.41])
-
-    @pytest.mark.parametrize(
-        "at_null,sampled",
-        [(1e308, 1e3), (1e306, 1.0)],
-        ids=["weight_overflows", "sum_overflows"],
-    )
-    def test_overflowing_weights_are_degenerate(self, at_null, sampled):
-        # count * 1e308 passes a double before the division by 1e3; count * 1e306 stays finite,
-        # but five such weights sum past it. Either raises, with no RuntimeWarning (an error here).
-        huge = flat_plugin({0.41: at_null}, sampled)
-        plugin, config, pooled = self.pooled(huge, cfg(n_params=100, n_data=5))
-        assert np.all(pooled.mix_density == sampled)
-        if sampled == 1.0:
-            assert np.all(pooled.counts * at_null < math.inf)
-        message = r"^coverage weights overflow a double at eta 0\.41$"
-        with pytest.raises(DegenerateWeightsError, match=message):
-            mc_build_decision_row(huge, 0.41, pooled, config)
-        with pytest.raises(DegenerateWeightsError, match=message):
-            mc_decision_rows(huge, config, [0.6, 0.41])
-        # The first null, with finite weights, is built before the second raises.
-        included, _, estimated, ess = mc_build_decision_row(huge, 0.6, pooled, config)
-        assert included.all() and estimated == 1.0 and ess == pytest.approx(500.0, rel=1e-12)
 
 
 class TestMcDecisionMatrix:
