@@ -17,34 +17,34 @@ import errno
 import os
 import sys
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .clopper_pearson import compare_lengths, comparison_csv
+from .clopper_pearson import _comparison_chunks, compare_lengths
 from .decisions import (
     ParameterGrid,
     TestConfig,
-    _region_csv,
+    _decision_matrix_chunks,
+    _region_chunks,
+    _rows_summary_chunks,
     build_decision_matrix,
     confidence_region,
-    decision_matrix_to_csv,
-    rows_summary_csv,
 )
 from .distributions import BetaPrior, BinomialModel, check_probability
 from .monte_carlo import (
     DegenerateWeightsError,
     LowEffectiveSampleError,
     McConfig,
-    agreement_csv,
+    _agreement_chunks,
     agreement_with_matrix,
     make_binomial_plugin,
     mc_decision_rows,
 )
 from .power import (
-    avg_power_csv,
-    mixed_power_csv,
+    _avg_power_chunks,
+    _mixed_power_chunks,
+    _power_curves_chunks,
+    _power_table_chunks,
     overall_power_grid,
-    power_curves_csv,
-    power_table_csv,
 )
 
 __all__ = [
@@ -134,23 +134,26 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**merged)
 
 
-def _emit(config: RunConfig, files: Sequence[tuple[str, str, str]]) -> None:
-    """Create the output directory, then write every (name, text, note) file and report it.
+def _emit(config: RunConfig, files: Sequence[tuple[str, Iterable[str], str]]) -> None:
+    """Create the output directory, then write every (name, chunks, note) file and report it.
 
-    Callers compute every text first, so a command that fails before this call
-    creates nothing. Each text goes to a temporary name in the output
-    directory; the temporaries take their final names only once all of them
-    are written and no final name is a directory, and are removed otherwise.
+    Each file comes as the chunks of its text, written one at a time as they
+    are made. Callers compute everything that can raise before they call
+    (the chunk writers check their inputs when called, not when iterated),
+    so a command that fails before this call creates nothing. Each file goes
+    to a temporary name in the output directory; the temporaries take their
+    final names only once all of them are written and no final name is a
+    directory, and are removed otherwise.
     """
     os.makedirs(config.output_dir, exist_ok=True)
-    paths = [os.path.join(config.output_dir, name) for name, _text, _note in files]
+    paths = [os.path.join(config.output_dir, name) for name, _chunks, _note in files]
     temps: list = []
     try:
-        for name, text, _note in files:
+        for name, chunks, _note in files:
             temp = os.path.join(config.output_dir, f".{name}.{os.getpid()}.tmp")
             with open(temp, "w", encoding="utf-8", newline="") as fh:
                 temps.append(temp)
-                fh.write(text)
+                fh.writelines(chunks)
         for path in paths:
             if os.path.isdir(path):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
@@ -161,7 +164,7 @@ def _emit(config: RunConfig, files: Sequence[tuple[str, str, str]]) -> None:
             with contextlib.suppress(OSError):
                 os.remove(temp)
         raise
-    for path, (_name, _text, note) in zip(paths, files):
+    for path, (_name, _chunks, note) in zip(paths, files):
         print(f"wrote {path}{note}")
 
 
@@ -172,8 +175,8 @@ def cmd_construct(config: RunConfig) -> int:
     _emit(
         config,
         [
-            ("decision_matrix.csv", decision_matrix_to_csv(matrix), f" ({n_rows} nulls x {n_outcomes} outcomes)"),
-            ("decision_rows.csv", rows_summary_csv(matrix), ""),
+            ("decision_matrix.csv", _decision_matrix_chunks(matrix), f" ({n_rows} nulls x {n_outcomes} outcomes)"),
+            ("decision_rows.csv", _rows_summary_chunks(matrix), ""),
         ],
     )
     return 0
@@ -192,7 +195,7 @@ def cmd_ci(config: RunConfig, x: int) -> int:
             f"x={x}: [{region.lower:.6f}, {region.upper:.6f}], "
             f"{region.accepted.size} of {len(test.grid)} grid values accepted, {shape}"
         )
-    _emit(config, [(f"ci_x{x}.csv", _region_csv(matrix, x), "")])
+    _emit(config, [(f"ci_x{x}.csv", _region_chunks(matrix, x), "")])
     return 0
 
 
@@ -204,9 +207,9 @@ def cmd_power(config: RunConfig, thetas: Sequence[float]) -> int:
     _emit(
         config,
         [
-            ("power_curves.csv", power_curves_csv(matrix, thetas), f" ({len(thetas)} curves)"),
-            ("mixed_power.csv", mixed_power_csv(matrix), ""),
-            ("avg_power.csv", avg_power_csv(matrix), ""),
+            ("power_curves.csv", _power_curves_chunks(matrix, thetas), f" ({len(thetas)} curves)"),
+            ("mixed_power.csv", _mixed_power_chunks(matrix), ""),
+            ("avg_power.csv", _avg_power_chunks(matrix), ""),
         ],
     )
     return 0
@@ -223,7 +226,7 @@ def cmd_table1(config: RunConfig, informative_prior: BetaPrior) -> int:
     m_non = build_decision_matrix(non_informative)
     m_inf = build_decision_matrix(informative)
     values = overall_power_grid([m_inf, m_non], [informative.prior, non_informative.prior])
-    _emit(config, [("table1.csv", power_table_csv(values), "")])
+    _emit(config, [("table1.csv", _power_table_chunks(values), "")])
     return 0
 
 
@@ -236,7 +239,7 @@ def cmd_compare_cp(config: RunConfig) -> int:
         f"vs baseline {comparison.mean_cp_length:.6f} "
         f"(grid step {comparison.grid_step:.6f})"
     )
-    _emit(config, [("cp_comparison.csv", comparison_csv(comparison), "")])
+    _emit(config, [("cp_comparison.csv", _comparison_chunks(comparison), "")])
     return 0
 
 
@@ -259,7 +262,7 @@ def cmd_mc_validate(config: RunConfig, mc: McConfig, min_agreement: float) -> in
     print(f"overall agreement {report.overall:.6f} (threshold {min_agreement:.6f})")
     lowest = int(rows.ess.argmin())
     print(f"minimum effective sample size {rows.ess[lowest]:.1f} at eta {rows.etas[lowest]:.6f}")
-    _emit(config, [("mc_agreement.csv", agreement_csv(report), "")])
+    _emit(config, [("mc_agreement.csv", _agreement_chunks(report), "")])
     if report.overall < min_agreement:
         print("agreement below threshold", file=sys.stderr)
         return 1

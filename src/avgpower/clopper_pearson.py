@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvtext import csv_text, value
+from .csvtext import csv_chunks, value
 from .decisions import DecisionMatrix
 from .distributions import BinomialModel, binom_pmf_support, check_open_unit, check_outcome
 
@@ -174,12 +174,8 @@ def compare_lengths(matrix: DecisionMatrix) -> LengthComparison:
     )
 
 
-def comparison_csv(comparison: LengthComparison) -> str:
-    """Serialize the endpoint table: x,cp_lower,cp_upper,prop_lower,prop_upper.
-
-    An empty proposed region, NaN in the comparison, leaves its two endpoint
-    fields empty.
-    """
+def _comparison_chunks(comparison: LengthComparison):
+    """The chunks of ``comparison_csv``."""
 
     def field(end: float) -> str:
         return "" if math.isnan(end) else value(end)
@@ -188,7 +184,16 @@ def comparison_csv(comparison: LengthComparison) -> str:
         column.tolist()
         for column in (comparison.cp_lower, comparison.cp_upper, comparison.prop_lower, comparison.prop_upper)
     ]
-    return csv_text(
+    return csv_chunks(
         "x,cp_lower,cp_upper,prop_lower,prop_upper",
         ([str(x), *map(field, ends)] for x, ends in enumerate(zip(*columns))),
     )
+
+
+def comparison_csv(comparison: LengthComparison) -> str:
+    """Serialize the endpoint table: x,cp_lower,cp_upper,prop_lower,prop_upper.
+
+    An empty proposed region, NaN in the comparison, leaves its two endpoint
+    fields empty.
+    """
+    return "".join(_comparison_chunks(comparison))

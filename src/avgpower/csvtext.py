@@ -3,13 +3,23 @@
 A header line, comma-separated fields, LF line endings and a trailing
 newline. Grid points and thetas carry six decimals; computed values carry
 twelve significant digits.
+
+Writers produce their text as chunks: ``csv_chunks`` yields the header line,
+then the lines of each block of rows as one chunk, every chunk ending with a
+newline. The CLI writes a file's chunks one at a time, so no file is ever
+held whole; a ``*_csv`` function joins the same chunks into one string.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from itertools import islice
+from typing import Iterable, Iterator
 
 import numpy as np
+
+# Lines per chunk: a block of the long-form decision matrix, about 28 bytes a
+# line, then makes a chunk of about 230 KB whatever the grid.
+CHUNK_LINES = 1 << 13
 
 
 def point(v: float) -> str:
@@ -22,12 +32,20 @@ def value(v: float) -> str:
     return format(v, ".12g")
 
 
-def csv_text(header: str, rows: Iterable[Iterable[str]]) -> str:
-    """The header, then one line per row of already formatted fields."""
-    return "\n".join([header, *map(",".join, rows)]) + "\n"
+def csv_chunks(header: str, rows: Iterable[Iterable[str]], rows_per_chunk: int = CHUNK_LINES) -> Iterator[str]:
+    """The header line, then one chunk of lines per ``rows_per_chunk`` rows of already formatted fields.
+
+    A row is usually one line; a writer whose rows each span many lines
+    passes fewer rows per chunk.
+    """
+    yield header + "\n"
+    rows = iter(rows)
+    while block := list(map(",".join, islice(rows, rows_per_chunk))):
+        block.append("")
+        yield "\n".join(block)
 
 
-def grid_csv(header: str, points: np.ndarray, *columns: np.ndarray) -> str:
+def grid_chunks(header: str, points: np.ndarray, *columns: np.ndarray) -> Iterator[str]:
     """The header, then one line per grid point: the point, then its entry in each column as a value."""
     cells = [map(value, column.tolist()) for column in columns]
-    return csv_text(header, zip(map(point, points.tolist()), *cells, strict=True))
+    return csv_chunks(header, zip(map(point, points.tolist()), *cells, strict=True))

@@ -11,13 +11,14 @@ configurations symmetric.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .csvtext import csv_text, grid_csv, point, value
+from .csvtext import CHUNK_LINES, csv_chunks, grid_chunks, point, value
 from .distributions import (
     BetaPrior,
     BinomialModel,
@@ -311,11 +312,16 @@ def build_decision_row(eta: float, config: TestConfig, *, ranking: _Ranking | No
 
 
 def _rankings(config: TestConfig, etas: np.ndarray):
-    """Yield each null's ranking: ln f and ln g are evaluated once for all ``etas``, then ranked a block per pass."""
-    log_f, log_g = _log_f_and_g(config.model, config.prior, etas)
-    step = max(1, _RANK_BLOCK // log_f.shape[1])
+    """Yield each null's ranking, ranked a block of ``etas`` per pass.
+
+    ln f and ln g are evaluated for one block at a time, against the
+    beta-binomial mixture that ``_log_f_and_g`` evaluates once.
+    """
+    log_f_and_g = _log_f_and_g(config.model, config.prior)
+    step = max(1, _RANK_BLOCK // (config.model.n + 1))
     for i in range(0, len(etas), step):
-        ranking = _rank(log_g[i : i + step], np.exp(log_f[i : i + step]), 1.0 - config.level)
+        log_f, log_g = log_f_and_g(etas[i : i + step])
+        ranking = _rank(log_g, np.exp(log_f), 1.0 - config.level)
         yield from map(_Ranking._make, zip(*ranking))
 
 
@@ -325,8 +331,11 @@ def build_decision_matrix(config: TestConfig) -> DecisionMatrix:
     Each row is admitted from its own slice of its block's ranking (``_rankings``).
     """
     points = config.grid.points
-    rows = [build_decision_row(eta, config, ranking=r) for eta, r in zip(points, _rankings(config, points))]
-    return DecisionMatrix(config, *map(np.array, zip(*rows)))
+    included = np.zeros((points.size, config.model.n + 1), dtype=bool)
+    log_threshold, achieved = np.empty(points.size), np.empty(points.size)
+    for j, (eta, r) in enumerate(zip(points, _rankings(config, points))):
+        included[j], log_threshold[j], achieved[j] = build_decision_row(eta, config, ranking=r)
+    return DecisionMatrix(config, included, log_threshold, achieved)
 
 
 def _check_index(matrix: DecisionMatrix, eta_index: int) -> int:
@@ -378,6 +387,29 @@ def _thresholds(matrix: DecisionMatrix) -> np.ndarray:
     return threshold
 
 
+def _decision_matrix_chunks(matrix: DecisionMatrix):
+    """The chunks of ``decision_matrix_to_csv``: a block of rows each, formatted as they are written.
+
+    The thresholds are checked here, before the first chunk is asked for.
+    """
+    threshold = _thresholds(matrix).tolist()
+    points = matrix.config.grid.points.tolist()
+    x = matrix.config.model.outcomes()
+    step = max(1, CHUNK_LINES // x.size)
+    # "x,0" and "x,1" for every outcome, then a block of rows' cells in one index.
+    cells = np.array([[f"{i},{flag}" for i in x.tolist()] for flag in "01"], dtype=object)
+
+    def rows():
+        for i in range(0, len(points), step):
+            block = cells[matrix.included[i : i + step].view(np.uint8), x].tolist()
+            for eta, thr, row in zip(points[i : i + step], threshold[i : i + step], block):
+                # One row's lines in one join: the separator closes a line and opens the next.
+                eta_s, thr_s = point(eta), value(thr)
+                yield (f"{eta_s}," + f",{thr_s}\n{eta_s},".join(row) + f",{thr_s}",)
+
+    return csv_chunks("eta,x,included,threshold", rows(), step)
+
+
 def decision_matrix_to_csv(matrix: DecisionMatrix) -> str:
     """Long-form serialization: one line per (eta, x) pair.
 
@@ -385,19 +417,14 @@ def decision_matrix_to_csv(matrix: DecisionMatrix) -> str:
     repeated on every line of the row. Raises ThresholdOverflowError when a
     threshold does not fit in a double.
     """
-    threshold = _thresholds(matrix)
-    x = matrix.config.model.outcomes()
-    # "x,0" and "x,1" for every outcome, then every row's cells in one index.
-    cells = np.array([[f"{i},{flag}" for i in x.tolist()] for flag in "01"], dtype=object)
-    rows = cells[matrix.included.view(np.uint8), x].tolist()
+    return "".join(_decision_matrix_chunks(matrix))
 
-    def blocks():
-        # One row's lines in one join: the separator closes a line and opens the next.
-        for eta, thr, row in zip(matrix.config.grid.points.tolist(), threshold.tolist(), rows):
-            eta_s, thr_s = point(eta), value(thr)
-            yield (f"{eta_s}," + f",{thr_s}\n{eta_s},".join(row) + f",{thr_s}",)
 
-    return csv_text("eta,x,included,threshold", blocks())
+def _rows_summary_chunks(matrix: DecisionMatrix):
+    """The chunks of ``rows_summary_csv``; the thresholds are checked here."""
+    return grid_chunks(
+        "eta,threshold,achieved_coverage", matrix.config.grid.points, _thresholds(matrix), matrix.achieved_coverage
+    )
 
 
 def rows_summary_csv(matrix: DecisionMatrix) -> str:
@@ -405,14 +432,12 @@ def rows_summary_csv(matrix: DecisionMatrix) -> str:
 
     Raises ThresholdOverflowError when a threshold does not fit in a double.
     """
-    return grid_csv(
-        "eta,threshold,achieved_coverage", matrix.config.grid.points, _thresholds(matrix), matrix.achieved_coverage
-    )
+    return "".join(_rows_summary_chunks(matrix))
 
 
-def _region_csv(matrix: DecisionMatrix, x_observed: int) -> str:
+def _region_chunks(matrix: DecisionMatrix, x_observed: int):
     """Whether each grid null accepts the observed outcome: eta,included."""
-    return grid_csv("eta,included", matrix.config.grid.points, matrix.included[:, x_observed].astype(int))
+    return grid_chunks("eta,included", matrix.config.grid.points, matrix.included[:, x_observed].astype(int))
 
 
 def decision_matrix_from_csv(text: str, config: TestConfig) -> DecisionMatrix:
@@ -423,7 +448,8 @@ def decision_matrix_from_csv(text: str, config: TestConfig) -> DecisionMatrix:
     recomputed from the flags, which restores the built matrix bit for bit.
     Raises ValueError for a wrong header or line count, a flag other than 0
     or 1, a row covering less than 1 - level (an empty row covers 0), or a
-    text that differs from what the rebuilt matrix writes, naming the first
+    text that differs from what the rebuilt matrix writes (compared with the
+    writer's chunks one at a time, so no second text is built), naming the first
     differing line with its expected text; line ends other than ``\n`` and
     a missing final newline differ too. An overflowing threshold raises
     ThresholdOverflowError, as the writer does.
@@ -442,7 +468,7 @@ def decision_matrix_from_csv(text: str, config: TestConfig) -> DecisionMatrix:
         raise ValueError(f"line {bad + 2}: included flag must be 0 or 1 in {lines[bad + 1]!r}")
     included = np.array([flag == ["1"] for flag in flags]).reshape(len(grid), width)
 
-    log_kernel, log_g = _log_f_and_g(config.model, config.prior, grid.points)
+    log_kernel, log_g = _log_f_and_g(config.model, config.prior)(grid.points)
     pmf = np.exp(log_kernel)
     achieved = np.empty(len(grid))
     target = 1.0 - config.level
@@ -452,13 +478,26 @@ def decision_matrix_from_csv(text: str, config: TestConfig) -> DecisionMatrix:
             raise ValueError(f"eta {point(eta)} covers {float(achieved[j])!r}, short of 1 - level = {target!r}")
     log_threshold = np.where(included, log_g, np.inf).min(axis=1)
     matrix = DecisionMatrix(config=config, included=included, log_threshold=log_threshold, achieved_coverage=achieved)
-    expected = decision_matrix_to_csv(matrix)
-    if text != expected:
-        if text + "\n" == expected:
-            raise ValueError("the text lacks the final newline that the writer ends it with")
-        # Where every line reads alike, the line ends differ: compare and show them too.
-        ends = expected.splitlines() == lines
-        want, got = expected.splitlines(keepends=ends), text.splitlines(keepends=ends)
-        i = next(i for i, (w, g) in enumerate(zip(want, got)) if w != g)
-        raise ValueError(f"line {i + 1} is {got[i]!r}, but the matrix it encodes writes {want[i]!r}")
-    return matrix
+    # The text against what the matrix writes, a chunk at a time. The line counts
+    # match, so a text whose start matches every chunk holds nothing more.
+    chunks = _decision_matrix_chunks(matrix)
+    start = 0
+    for chunk in chunks:
+        if not text.startswith(chunk, start):
+            break
+        start += len(chunk)
+    else:
+        return matrix
+    if len(text) - start == len(chunk) - 1 and text.startswith(chunk[:-1], start):
+        raise ValueError("the text lacks the final newline that the writer ends it with")
+    # The lines before this chunk match, ends and all; look for the first line after them that reads otherwise.
+    done = text.count("\n", 0, start)
+    wanted = (line for written in itertools.chain([chunk], chunks) for line in written.splitlines())
+    for i, want in enumerate(wanted, start=done):
+        if want != lines[i]:
+            raise ValueError(f"line {i + 1} is {lines[i]!r}, but the matrix it encodes writes {want!r}")
+    # Every line reads alike, so the line ends differ: compare and show them too.
+    got = text.splitlines(keepends=True)
+    i = next(i for i, line in enumerate(got) if line != lines[i] + "\n")
+    want = lines[i] + "\n"
+    raise ValueError(f"line {i + 1} is {got[i]!r}, but the matrix it encodes writes {want!r}")

@@ -292,10 +292,20 @@ def beta_binom_pmf_support(model: BinomialModel, prior: BetaPrior) -> np.ndarray
     return np.exp(beta_binom_log_pmf_support(model, prior))
 
 
-def _log_f_and_g(model: BinomialModel, prior: BetaPrior, etas: np.ndarray) -> tuple:
-    """ln f_eta and ln g = ln f_eta - ln P_mix over 0..n, as (T, n+1) arrays with one row per null in ``etas``."""
-    log_f = binom_log_pmf_rows(model, etas)
-    return log_f, log_f - beta_binom_log_pmf_support(model, prior)
+def _log_f_and_g(model: BinomialModel, prior: BetaPrior):
+    """The function that maps an array of nulls to ln f_eta and ln g = ln f_eta - ln P_mix over 0..n.
+
+    It returns both as (T, n+1) arrays with one row per null. ln P_mix is
+    evaluated once, here, and shared by every call, so a caller can take the
+    nulls a block at a time.
+    """
+    log_mix = beta_binom_log_pmf_support(model, prior)
+
+    def log_f_and_g(etas: np.ndarray) -> tuple:
+        log_f = binom_log_pmf_rows(model, etas)
+        return log_f, log_f - log_mix
+
+    return log_f_and_g
 
 
 def posterior_density_support(eta: float, model: BinomialModel, prior: BetaPrior) -> np.ndarray:
@@ -307,7 +317,7 @@ def posterior_density_support(eta: float, model: BinomialModel, prior: BetaPrior
     """
     eta = check_open_unit(eta, "eta")
     with np.errstate(over="ignore"):
-        density = np.exp(_log_f_and_g(model, prior, np.array([eta]))[1][0])
+        density = np.exp(_log_f_and_g(model, prior)(np.array([eta]))[1][0])
     over = np.flatnonzero(np.isinf(density))
     if over.size:
         raise ValueError(

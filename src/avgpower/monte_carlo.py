@@ -25,7 +25,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .csvtext import grid_csv
+from .csvtext import grid_chunks
 from .decisions import _RANK_BLOCK, DecisionMatrix, _admit, _rank, _Ranking
 from .distributions import (
     BetaPrior,
@@ -74,6 +74,11 @@ class GenericModel:
     densities, row i under params[i]; sample_param(rng) draws one parameter
     from the prior; and sample_data(rng, parameter, size) draws a 1-D array
     of size data values.
+
+    The engine calls likelihood once per block of parameters, as many as
+    fit in ``_RANK_BLOCK`` values: a block of the sampled parameters when it
+    pools the draws, and a block of nulls when it builds rows. params is
+    then a slice of the sequence the engine was given.
 
     The rng given to sample_data is re-keyed between rows, so it is valid
     only during that call: a plug-in must not keep it, nor rely on its
@@ -248,9 +253,19 @@ def mc_sample_data(model: GenericModel, params: Sequence[Any], cfg: McConfig) ->
 
 
 def pool_samples(model: GenericModel, params: Sequence[Any], data: DataSample) -> PooledSamples:
-    """Collapse the raw draws to distinct outcomes and estimate their prior predictive mass."""
+    """Collapse the raw draws to distinct outcomes and estimate their prior predictive mass.
+
+    The likelihood is called once per block of parameters, as many as fit in
+    ``_RANK_BLOCK`` values, and the sum runs on from block to block in
+    parameter order, one row after another, as a mean over all the rows at
+    once adds them.
+    """
     outcomes, counts = np.unique(data.draws, return_counts=True)
-    mix = _likelihood(model, outcomes, params).mean(axis=0)
+    step = max(1, _RANK_BLOCK // outcomes.size)
+    total = np.zeros(outcomes.size)
+    for i in range(0, len(params), step):
+        total = np.vstack((total, _likelihood(model, outcomes, params[i : i + step]))).sum(axis=0)
+    mix = total / len(params)
     if np.any(mix == 0.0):
         bad = outcomes[int(np.argmax(mix == 0.0))]
         raise ValueError(f"likelihood assigns zero density to sampled outcome {bad}")
@@ -366,6 +381,11 @@ def agreement_with_matrix(mc: McDecisionMatrix, matrix: DecisionMatrix) -> Agree
     return AgreementReport(etas=grid.points, per_eta=per_eta, overall=float(per_eta.mean()))
 
 
+def _agreement_chunks(report: AgreementReport):
+    """The chunks of ``agreement_csv``."""
+    return grid_chunks("eta,agreement", report.etas, report.per_eta)
+
+
 def agreement_csv(report: AgreementReport) -> str:
     """Serialize per-null agreement: eta,agreement."""
-    return grid_csv("eta,agreement", report.etas, report.per_eta)
+    return "".join(_agreement_chunks(report))

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .csvtext import csv_text, grid_csv, point, value
+from .csvtext import csv_chunks, grid_chunks, point, value
 from .decisions import DecisionMatrix, _check_index
 from .distributions import (
     BetaPrior,
@@ -168,37 +168,70 @@ def overall_avg_power(matrix: DecisionMatrix, averaging_prior: BetaPrior) -> flo
 def overall_power_grid(matrices: Sequence[DecisionMatrix], priors: Sequence[BetaPrior]) -> np.ndarray:
     """Overall average power for every (averaging prior, matrix) pair.
 
-    Rows follow ``priors``, columns follow ``matrices``. Each matrix's
-    binomial kernel is evaluated once and shared by every prior.
+    Rows follow ``priors``, columns follow ``matrices``. The binomial kernel
+    is evaluated once per distinct model and grid, and shared by every
+    matrix on them and every prior.
     """
-    kernels = [binom_pmf_rows(m.config.model, m.config.grid.points) for m in matrices]
-    return np.array([[average_power_report(m, p, kernel=k).overall for m, k in zip(matrices, kernels)] for p in priors])
+    kernels: dict = {}
+    shared = []
+    for m in matrices:
+        key = (m.config.model, m.config.grid.points.tobytes())
+        if key not in kernels:
+            kernels[key] = binom_pmf_rows(m.config.model, m.config.grid.points)
+        shared.append(kernels[key])
+    return np.array([[average_power_report(m, p, kernel=k).overall for m, k in zip(matrices, shared)] for p in priors])
+
+
+def _power_curves_chunks(matrix: DecisionMatrix, thetas: Sequence[float]):
+    """The chunks of ``power_curves_csv``. Every curve is evaluated here, so a bad theta raises before any chunk."""
+    curves = [(point(theta), power_curve(matrix, theta)) for theta in thetas]
+    etas = [point(eta) for eta in matrix.config.grid.points.tolist()]
+
+    def lines():
+        for theta_s, curve in curves:
+            for eta_s, val in zip(etas, curve.tolist()):
+                yield theta_s, eta_s, value(val)
+
+    return csv_chunks("theta,eta,power", lines())
 
 
 def power_curves_csv(matrix: DecisionMatrix, thetas: Sequence[float]) -> str:
     """The power curve of every theta in long form: theta,eta,power."""
-    etas = [point(eta) for eta in matrix.config.grid.points.tolist()]
+    return "".join(_power_curves_chunks(matrix, thetas))
 
-    def lines():
-        for theta in thetas:
-            theta_s = point(theta)
-            for eta_s, val in zip(etas, power_curve(matrix, theta).tolist()):
-                yield theta_s, eta_s, value(val)
 
-    return csv_text("theta,eta,power", lines())
+def _mixed_power_chunks(matrix: DecisionMatrix):
+    """The chunks of ``mixed_power_csv``."""
+    values = _rejection(matrix, beta_binom_pmf_support(matrix.config.model, matrix.config.prior))
+    return grid_chunks("eta,mixed_power", matrix.config.grid.points, values)
 
 
 def mixed_power_csv(matrix: DecisionMatrix) -> str:
     """Mixed power at every grid null: eta,mixed_power."""
-    values = _rejection(matrix, beta_binom_pmf_support(matrix.config.model, matrix.config.prior))
-    return grid_csv("eta,mixed_power", matrix.config.grid.points, values)
+    return "".join(_mixed_power_chunks(matrix))
+
+
+def _avg_power_chunks(matrix: DecisionMatrix):
+    """The chunks of ``avg_power_csv``; the grid measure is checked here."""
+    report = average_power_report(matrix, matrix.config.prior)
+    values = np.clip(report.per_theta / report.weights.sum(), 0.0, 1.0)
+    return grid_chunks("theta,avg_power", matrix.config.grid.points, values)
 
 
 def avg_power_csv(matrix: DecisionMatrix) -> str:
     """Per-theta average power at every grid point, under the matrix's prior: theta,avg_power."""
-    report = average_power_report(matrix, matrix.config.prior)
-    values = np.clip(report.per_theta / report.weights.sum(), 0.0, 1.0)
-    return grid_csv("theta,avg_power", matrix.config.grid.points, values)
+    return "".join(_avg_power_chunks(matrix))
+
+
+def _power_table_chunks(values: np.ndarray):
+    """The chunks of ``power_table_csv``; the shape is checked here."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (len(TABLE_ROWS), len(TABLE_COLUMNS)):
+        raise ValueError(f"table shape {values.shape} is not 2x2")
+    return csv_chunks(
+        ",".join([TABLE_CORNER, *TABLE_COLUMNS]),
+        ([lab, *(value(v) for v in row)] for lab, row in zip(TABLE_ROWS, values)),
+    )
 
 
 def power_table_csv(values: np.ndarray) -> str:
@@ -207,10 +240,4 @@ def power_table_csv(values: np.ndarray) -> str:
     Rows follow TABLE_ROWS (the averaging priors) and columns TABLE_COLUMNS
     (the tests), with TABLE_CORNER in the corner.
     """
-    values = np.asarray(values, dtype=float)
-    if values.shape != (len(TABLE_ROWS), len(TABLE_COLUMNS)):
-        raise ValueError(f"table shape {values.shape} is not 2x2")
-    return csv_text(
-        ",".join([TABLE_CORNER, *TABLE_COLUMNS]),
-        ([lab, *(value(v) for v in row)] for lab, row in zip(TABLE_ROWS, values)),
-    )
+    return "".join(_power_table_chunks(values))

@@ -1,6 +1,7 @@
-"""How often each quantity is evaluated: ln f and ln g once per grid, the ranking once per block of rows,
-exact or Monte Carlo, the plug-in likelihood once for all sampled parameters and once per block of nulls,
-the prior measure once per average, and one bit generator per Monte Carlo stage.
+"""How often each quantity is evaluated: the mixture once per build, ln f and ln g and the ranking once
+per block of rows, exact or Monte Carlo, the plug-in likelihood once per block of sampled parameters and
+once per block of nulls, the binomial kernel once per distinct grid, the prior measure once per average,
+and one bit generator per Monte Carlo stage.
 
 Counters wrap the module bindings that the callers read, so a call made
 through any of them is counted.
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import importlib
 
+import numpy as np
 import pytest
 
 from avgpower import (
@@ -21,7 +23,9 @@ from avgpower import (
     TestConfig,
     make_binomial_plugin,
     mc_decision_rows,
+    mc_sample_data,
     mc_sample_params,
+    pool_samples,
 )
 from avgpower.decisions import (
     build_decision_matrix,
@@ -156,16 +160,47 @@ def test_mc_rows_call_the_likelihood_once_per_block():
     assert likelihoods == [mc_sample_params(MC_PLUGIN, MC_CONFIG), etas[:390], etas[390:780], etas[780:]]
 
 
+def recorder(monkeypatch, module, name: str, arg: int) -> list:
+    """Replace ``module.name`` by a wrapper that records its positional argument ``arg`` on every call."""
+    seen: list = []
+    original = getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        seen.append(args[arg])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recorded)
+    return seen
+
+
 def test_large_supports_rank_a_block_of_rows_per_pass(monkeypatch, ln_g_calls):
-    # At n=1000 a pass holds the rows that fit in _RANK_BLOCK outcomes; ln g is still evaluated once.
+    # At n=1000 a pass holds the 8 rows that fit in _RANK_BLOCK outcomes: 49 rows take 7 passes, and
+    # each evaluates ln f and ln g for its own rows only, against the mixture evaluated once.
+    log_f_and_g, _rows, mixtures = ln_g_calls
     ranks = counter(monkeypatch, decisions, "_rank")
     row_builds = counter(monkeypatch, decisions, "build_decision_row")
+    kernel_etas = recorder(monkeypatch, distributions, "binom_log_pmf_rows", 1)
     build_decision_matrix(TestConfig(level=0.05, model=BinomialModel(1000), prior=PRIORS[1], grid=GRID))
-    per_pass = decisions._RANK_BLOCK // 1001
-    assert 1 < per_pass < len(GRID)
-    assert len(ranks) == -(-len(GRID) // per_pass)
+    assert decisions._RANK_BLOCK // 1001 == 8
+    assert len(ranks) == 7
+    assert [len(etas) for etas in kernel_etas] == [8] * 6 + [1]
+    assert np.concatenate(kernel_etas).tobytes() == GRID.points.tobytes()
     assert len(row_builds) == len(GRID)
-    assert list(map(len, ln_g_calls)) == [1, 1, 1]
+    assert (len(log_f_and_g), len(mixtures)) == (1, 1)
+
+
+def test_pooling_calls_the_likelihood_once_per_block():
+    # 1000 parameters against the 101 outcomes of n=100: blocks of 81 parameters, 13 calls, the
+    # last one of 28, in parameter order.
+    plugin = make_binomial_plugin(BinomialModel(100), PRIORS[1])
+    config = McConfig(seed=7, n_params=1000, n_data_per_param=100, level=0.05)
+    params = mc_sample_params(plugin, config)
+    data = mc_sample_data(plugin, params, config)
+    counted, likelihoods = counted_likelihood(plugin)
+    pooled = pool_samples(counted, params, data)
+    assert (pooled.outcomes.size, monte_carlo._RANK_BLOCK // pooled.outcomes.size) == (101, 81)
+    assert [len(ps) for ps in likelihoods] == [81] * 12 + [28]
+    assert sum(likelihoods, []) == params
 
 
 def test_csv_reader_evaluates_the_kernel_once(support_calls, ln_g_calls, matrices):
@@ -176,12 +211,17 @@ def test_csv_reader_evaluates_the_kernel_once(support_calls, ln_g_calls, matrice
 
 
 def test_power_grid_evaluates_one_kernel_per_matrix(monkeypatch, matrices):
+    # One kernel per distinct model and grid: the two matrices on GRID share one, and a matrix
+    # on another grid has its own.
+    other = build_decision_matrix(TestConfig(0.05, BinomialModel(20), PRIORS[0], ParameterGrid.regular(25)))
     pmf_rows = counter(monkeypatch, power, "binom_pmf_rows")
     log_rows = counter(monkeypatch, distributions, "binom_log_pmf_rows")
     measures = counter(monkeypatch, power, "beta_log_pdf")
     overall_power_grid(matrices, PRIORS)
-    assert len(pmf_rows) == len(log_rows) == len(matrices)
+    assert len(pmf_rows) == len(log_rows) == 1
     assert len(measures) == len(matrices) * len(PRIORS)
+    overall_power_grid([matrices[0], other], PRIORS)
+    assert len(pmf_rows) == len(log_rows) == 1 + 2
 
 
 @pytest.mark.parametrize(
