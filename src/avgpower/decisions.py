@@ -230,7 +230,7 @@ def _rank(log_g: np.ndarray, mass: np.ndarray, target: float | np.ndarray) -> _R
     return _Ranking(log_g, mass, order, tie_free, short)
 
 
-def _admit(ranking: _Ranking, target: float, eta, label) -> tuple:
+def _admit(ranking: _Ranking, target: float, eta) -> tuple:
     """Admit one ranked row's outcomes by descending log g until its mass reaches ``target``.
 
     Adjacent ranked values chain into one tie group while their densities
@@ -240,8 +240,8 @@ def _admit(ranking: _Ranking, target: float, eta, label) -> tuple:
     Returns (inclusion flags, smallest admitted log g, admitted mass). The
     mass is the sum that reached ``target``, taken in outcome order as a
     row rebuilt from its flags takes it. Raises ValueError, naming the null
-    as ``label(eta)``, when even the whole support falls short of
-    ``target``; the label is formatted only then.
+    eta, when even the whole support falls short of ``target``. A Monte
+    Carlo row never does: its target is at most the sum of its whole row.
     """
     log_g, mass, order = ranking.log_g, ranking.mass, ranking.order
     if ranking.tie_free:
@@ -275,7 +275,7 @@ def _admit(ranking: _Ranking, target: float, eta, label) -> tuple:
         if stop == order.size:
             raise ValueError(
                 f"no set of outcomes reaches the coverage target {target!r}: "
-                f"the whole support holds {covered!r} at eta {label(eta)}"
+                f"the whole support holds {covered!r} at eta {point(eta)}"
             )
         taken += 1
 
@@ -308,7 +308,7 @@ def build_decision_row(eta: float, config: TestConfig, *, ranking: _Ranking | No
     target = 1.0 - config.level
     if ranking is None:
         (ranking,) = _rankings(config, np.array([eta]))
-    return _admit(ranking, target, eta, point)
+    return _admit(ranking, target, eta)
 
 
 def _rankings(config: TestConfig, etas: np.ndarray):

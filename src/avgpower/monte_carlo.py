@@ -330,7 +330,7 @@ def mc_build_decision_row(
         )
 
     target = (1.0 - cfg.level) * total_v
-    included, log_threshold, covered = _admit(ranking, target, eta, repr)
+    included, log_threshold, covered = _admit(ranking, target, eta)
     return included, log_threshold, covered / total_v, ess
 
 

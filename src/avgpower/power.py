@@ -132,9 +132,14 @@ def mixed_power_given_eta(matrix: DecisionMatrix, eta_index: int) -> float:
     return float(_rejection(matrix, bb)[eta_index])
 
 
-def average_power_report(
-    matrix: DecisionMatrix, averaging_prior: BetaPrior, *, kernel: np.ndarray | None = None
-) -> AveragePowerReport:
+def _average(d: np.ndarray, w: np.ndarray, kernel: np.ndarray) -> AveragePowerReport:
+    """Both partial contractions of the double sum, and the sum itself, for D as floats, measure w and kernel P."""
+    per_theta = _per_theta(d, w, kernel)
+    per_eta = w.sum() - d @ (w @ kernel)
+    return AveragePowerReport(weights=w, per_theta=per_theta, per_eta=per_eta, overall=float(w @ per_theta))
+
+
+def average_power_report(matrix: DecisionMatrix, averaging_prior: BetaPrior) -> AveragePowerReport:
     """Average the power over both axes with one shared grid measure.
 
     The averaging prior supplies the weights for the null values and, through
@@ -146,18 +151,12 @@ def average_power_report(
 
         overall = sum_t w_t * (Z - sum_x P[t, x] * (D^T w)[x]),  Z = sum(w)
 
-    and per_theta, per_eta are its two partial contractions. ``kernel`` is
-    P precomputed, ``binom_pmf_rows(model, grid points)``, to share it
-    between averaging priors. Raises ValueError when the prior's grid
-    measure has no finite positive total.
+    and per_theta, per_eta are its two partial contractions. Raises
+    ValueError when the prior's grid measure has no finite positive total.
     """
     w = _grid_measure(matrix, averaging_prior)
-    if kernel is None:
-        kernel = binom_pmf_rows(matrix.config.model, matrix.config.grid.points)
-    d = matrix.inclusion_matrix().astype(float)
-    per_theta = _per_theta(d, w, kernel)
-    per_eta = w.sum() - d @ (w @ kernel)
-    return AveragePowerReport(weights=w, per_theta=per_theta, per_eta=per_eta, overall=float(w @ per_theta))
+    kernel = binom_pmf_rows(matrix.config.model, matrix.config.grid.points)
+    return _average(matrix.inclusion_matrix().astype(float), w, kernel)
 
 
 def overall_avg_power(matrix: DecisionMatrix, averaging_prior: BetaPrior) -> float:
@@ -166,20 +165,21 @@ def overall_avg_power(matrix: DecisionMatrix, averaging_prior: BetaPrior) -> flo
 
 
 def overall_power_grid(matrices: Sequence[DecisionMatrix], priors: Sequence[BetaPrior]) -> np.ndarray:
-    """Overall average power for every (averaging prior, matrix) pair.
+    """Overall average power for every (averaging prior, matrix) pair, as a (len(priors), len(matrices)) array.
 
-    Rows follow ``priors``, columns follow ``matrices``. The binomial kernel
-    is evaluated once per distinct model and grid, and shared by every
-    matrix on them and every prior.
+    The binomial kernel P is evaluated once per distinct model and grid and
+    shared by the matrices on it; each D is cast to floats once, for every prior.
     """
     kernels: dict = {}
-    shared = []
-    for m in matrices:
+    cells = np.empty((len(priors), len(matrices)))
+    for j, m in enumerate(matrices):
         key = (m.config.model, m.config.grid.points.tobytes())
         if key not in kernels:
             kernels[key] = binom_pmf_rows(m.config.model, m.config.grid.points)
-        shared.append(kernels[key])
-    return np.array([[average_power_report(m, p, kernel=k).overall for m, k in zip(matrices, shared)] for p in priors])
+        d = m.inclusion_matrix().astype(float)
+        cells[:, j] = [_average(d, _grid_measure(m, p), kernels[key]).overall for p in priors]
+        del d  # before the next cast, so at most one float copy of D is live beside P
+    return cells
 
 
 def _power_curves_chunks(matrix: DecisionMatrix, thetas: Sequence[float]):

@@ -8,7 +8,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from avgpower import (
@@ -24,7 +24,7 @@ from avgpower import (
     decision_matrix_to_csv,
     type1_error,
 )
-from avgpower.decisions import TIE_RTOL, DecisionMatrix, ThresholdOverflowError, rows_summary_csv
+from avgpower.decisions import TIE_RTOL, DecisionMatrix, ThresholdOverflowError, _admit, _rank, _Ranking, rows_summary_csv
 from avgpower.distributions import (
     beta_binom_log_pmf_support,
     binom_log_pmf_support,
@@ -300,6 +300,29 @@ class TestAdmissionReference:
             assert np.array_equal(rows.included[j], included), eta
             assert rows.estimated_coverage[j] == covered / total_v, eta
             assert np.exp(rows.log_threshold[j]) == threshold, eta
+
+    @given(
+        row=st.lists(
+            st.tuples(
+                st.one_of(st.floats(-5.0, 5.0), st.sampled_from([-np.inf, 0.0, 1.0])),
+                st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.floats(0.0, 1e300)),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        level=st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.floats(5e-324, 1e-15)),
+    )
+    # Summed in rank order this row holds 1.0, short of its outcome-order total 1 + 2**-52.
+    @example(row=[(-1.0, 1e-16), (-2.0, 1e-16), (0.0, 1.0)], level=1e-300)
+    @settings(max_examples=200, deadline=None)
+    def test_monte_carlo_target_is_always_reached(self, row, level):
+        # A Monte Carlo row's target is 1 - level times its own weight total, which the whole row,
+        # summed in the same order, holds; so admission never runs out of outcomes.
+        log_g, v = (np.array([col]) for col in zip(*row))
+        (ranking,) = map(_Ranking._make, zip(*_rank(log_g, v, (1.0 - level) * v.sum(axis=1, keepdims=True))))
+        target = (1.0 - level) * float(ranking.mass.sum())
+        _, _, covered = _admit(ranking, target, 0.5)
+        assert covered >= target
 
 
 def assert_rows_equal_rows_built_alone(matrix: DecisionMatrix) -> None:

@@ -200,6 +200,12 @@ class TestOverallAvgPower:
             for j, matrix in enumerate(matrices):
                 assert cells[i, j] == overall_avg_power(matrix, prior)
 
+    def test_grid_shape_follows_both_lengths(self, matrix_non, matrix_inf, prior_non):
+        # An empty side still gives a 2-d array: rows follow the priors, columns the matrices.
+        assert overall_power_grid([matrix_inf, matrix_non], []).shape == (0, 2)
+        assert overall_power_grid([], [prior_non]).shape == (1, 0)
+        assert overall_power_grid([matrix_non], [prior_non]).shape == (1, 1)
+
     def test_matched_prior_dominance(self, matrix_non, matrix_inf, prior_non, prior_inf):
         # Each averaging prior prefers the test built for it.
         cells = overall_power_grid([matrix_inf, matrix_non], [prior_inf, prior_non])

@@ -1,7 +1,7 @@
 """How often each quantity is evaluated: the mixture once per build, ln f and ln g and the ranking once
 per block of rows, exact or Monte Carlo, the plug-in likelihood once per block of sampled parameters and
 once per block of nulls, the binomial kernel once per distinct grid, the prior measure once per average,
-and one bit generator per Monte Carlo stage.
+each inclusion matrix once per grid of averages, and one bit generator per Monte Carlo stage.
 
 Counters wrap the module bindings that the callers read, so a call made
 through any of them is counted.
@@ -222,6 +222,18 @@ def test_power_grid_evaluates_one_kernel_per_matrix(monkeypatch, matrices):
     assert len(measures) == len(matrices) * len(PRIORS)
     overall_power_grid([matrices[0], other], PRIORS)
     assert len(pmf_rows) == len(log_rows) == 1 + 2
+
+
+def test_power_grid_casts_each_inclusion_matrix_once(monkeypatch, matrices):
+    # Each matrix's inclusion matrix is read and cast to floats once for both priors, and no cell
+    # goes through the public average.
+    reads = counter(monkeypatch, decisions.DecisionMatrix, "inclusion_matrix")
+    averages = counter(monkeypatch, power, "average_power_report")
+    pmf_rows = counter(monkeypatch, power, "binom_pmf_rows")
+    log_rows = counter(monkeypatch, distributions, "binom_log_pmf_rows")
+    overall_power_grid(matrices, PRIORS)
+    assert (len(reads), len(averages)) == (len(matrices), 0)
+    assert len(pmf_rows) == len(log_rows) == 1
 
 
 @pytest.mark.parametrize(
