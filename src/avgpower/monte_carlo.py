@@ -8,12 +8,12 @@ observed outcome as the mean of the sampled likelihoods, and builds per-null
 acceptance rows by the same posterior-descending greedy rule as the exact
 path.
 
-Randomness is counter-based. Parameter draws use the stream keyed by
-(seed, 0); the data row of parameter i uses its own stream keyed by
-(seed, 1, i), so any scheduling of the rows reproduces the same sample, and
-drawing more parameters leaves the earlier rows unchanged. The data keys are
-the ones SeedSequence((seed, 1, i)) gives, derived for all rows in one array
-pass, and one Philox generator is re-keyed to each before its row.
+Randomness is counter-based. Parameter draws use the Philox stream keyed by
+SeedSequence((seed, 0)). The data rows share one key, from
+SeedSequence((seed, 1)), and row i takes its own counter range:
+Philox(SeedSequence((seed, 1))).jumped(i), which starts at counter
+[0, 0, i, 0]. So any scheduling of the rows reproduces the same sample, and
+drawing more parameters leaves the earlier rows unchanged.
 """
 
 from __future__ import annotations
@@ -80,8 +80,8 @@ class GenericModel:
     pools the draws, and a block of nulls when it builds rows. params is
     then a slice of the sequence the engine was given.
 
-    The rng given to sample_data is re-keyed between rows, so it is valid
-    only during that call: a plug-in must not keep it, nor rely on its
+    The rng given to sample_data has its state reset between rows, so it is
+    valid only during that call: a plug-in must not keep it, nor rely on its
     bit_generator.seed_seq or spawn(), which are not those of the row.
 
     Data values must be elements of a numpy array that np.unique can sort:
@@ -109,6 +109,8 @@ class McConfig:
             raise ValueError("seed must fit in 64 unsigned bits")
         for name in ("n_params", "n_data_per_param"):
             object.__setattr__(self, name, check_count(getattr(self, name), name))
+        # Parameters and data rows are drawn one by one into Python lists, so a
+        # count past 32 bits is a run that cannot finish; refuse it before any draw.
         if self.n_params >= 2**32:
             raise ValueError(f"n_params must be below 2**32, got {self.n_params}")
         object.__setattr__(self, "level", check_open_unit(self.level, "level"))
@@ -169,43 +171,6 @@ class AgreementReport:
     overall: float
 
 
-def _hasher(init: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
-    """numpy SeedSequence's running hash over uint32 columns: each call steps the constant once."""
-    const = init
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ const
-        const = const * mult & 0xFFFFFFFF
-        value = value * const
-        return value ^ value >> 16
-
-    return hashmix
-
-
-def _data_keys(seed: int, count: int) -> np.ndarray:
-    """The (count, 2) uint64 Philox keys of SeedSequence((seed, 1, i)) for every i < count, in one pass.
-
-    numpy's SeedSequence mixing written once over a uint32 column per pool
-    word: the seed's one or two 32-bit words, 1 and i fill the pool of four
-    (zero-padded), hashmix and mix stir it, and generate_state(2, np.uint64)
-    reads four words out of it. i must fit in one 32-bit word.
-    """
-    words = (seed & 0xFFFFFFFF, seed >> 32) if seed >> 32 else (seed,)
-    columns = [np.full(count, w, dtype=np.uint32) for w in (*words, 1)] + [np.arange(count, dtype=np.uint32)]
-    columns += [np.zeros(count, dtype=np.uint32)] * (4 - len(columns))
-    hashmix = _hasher(0x43B0D7E5, 0x931E8875)  # INIT_A, MULT_A
-    pool = [hashmix(c) for c in columns]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                mixed = pool[dst] * 0xCA01F9DD - hashmix(pool[src]) * 0x4973F715  # MIX_MULT_L, MIX_MULT_R
-                pool[dst] = mixed ^ mixed >> 16
-    generate = _hasher(0x8B51F9DD, 0x58F38DED)  # INIT_B, MULT_B
-    state = np.stack([generate(w) for w in pool], axis=1)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
-
-
 def _likelihood(model: GenericModel, outcomes: np.ndarray, params: Sequence[Any]) -> np.ndarray:
     """One likelihood call for every parameter, checked for shape, finiteness and sign.
 
@@ -229,22 +194,20 @@ def mc_sample_params(model: GenericModel, cfg: McConfig) -> list:
 
 
 def mc_sample_data(model: GenericModel, params: Sequence[Any], cfg: McConfig) -> DataSample:
-    """Draw a row of n_data_per_param values under each sampled parameter."""
+    """Draw a row of n_data_per_param values under each sampled parameter.
+
+    Row i is drawn from Philox(SeedSequence((seed, 1))).jumped(i): one
+    generator whose counter word 2 is set to i, with its buffer emptied,
+    before the row.
+    """
     m = cfg.n_data_per_param
-    bits = Philox(key=0)  # re-keyed before every row
+    bits = Philox(SeedSequence((cfg.seed, 1)))
     rng = Generator(bits)
-    zeros = np.zeros(4, dtype=np.uint64)
+    start = bits.state  # counter zero, buffer empty
     rows = []
-    for key, p in zip(_data_keys(cfg.seed, len(params)), params):
-        # The state Philox(SeedSequence((seed, 1, i))) starts in: counter zero, buffer empty.
-        bits.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": zeros, "key": key},
-            "buffer": zeros,
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+    for i, p in enumerate(params):
+        start["state"]["counter"][2] = i
+        bits.state = start
         row = np.asarray(model.sample_data(rng, p, m))
         if row.shape != (m,):
             raise ValueError(f"sample_data must return a 1-D array of {m} values")

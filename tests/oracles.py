@@ -11,9 +11,9 @@ whole-array CSV writer, and ``oracle_admit_tie_groups``, the plain tie-group
 admission that the library's faster one must reproduce. A third,
 ``oracle_bisect_cp``, is the plain bisection on the same float tail sums; the
 library's endpoints must fall inside its final bracket. A fourth,
-``_data_rng``, is the Monte Carlo data row's stream built the plain way, one
-``SeedSequence`` per row; the library's one re-keyed generator must draw the
-same values.
+``_data_rng``, is the Monte Carlo data row's stream built the documented way,
+numpy's own ``Philox.jumped``; the library's one generator, whose counter it
+sets through the state dict, must draw the same values.
 """
 
 from __future__ import annotations
@@ -266,5 +266,5 @@ def oracle_bisect_cp(x: int, n: int, level: float) -> tuple:
 
 
 def _data_rng(cfg, i: int) -> Generator:
-    """The stream of Monte Carlo data row i: Philox keyed by SeedSequence((seed, 1, i))."""
-    return Generator(Philox(SeedSequence((cfg.seed, 1, i))))
+    """The stream of Monte Carlo data row i: the i-th jump of Philox keyed by SeedSequence((seed, 1))."""
+    return Generator(Philox(SeedSequence((cfg.seed, 1))).jumped(i))

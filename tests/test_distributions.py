@@ -132,7 +132,7 @@ def test_counts_are_checked_alike(what):
 
 
 def test_parameter_count_fits_one_stream_word():
-    # A data row's index is one 32-bit word of its stream key, so 2**32 rows are refused before any draw.
+    # Parameters and data rows are drawn one by one, so a count past 32 bits is refused before any draw.
     assert INTEGER_SITES["n_params"](2**32 - 1) == 2**32 - 1
     for too_many in (2**32, 2**64):
         with pytest.raises(ValueError, match=rf"^n_params must be below 2\*\*32, got {too_many}$"):

@@ -8,7 +8,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from numpy.random import SeedSequence
 
 from avgpower import (
     BetaPrior,
@@ -31,7 +30,7 @@ from avgpower import (
 )
 from avgpower.decisions import _RANK_BLOCK
 from avgpower.distributions import beta_binom_pmf_support, binom_pmf
-from avgpower.monte_carlo import AgreementReport, _data_keys, agreement_csv
+from avgpower.monte_carlo import AgreementReport, agreement_csv
 from oracles import _data_rng
 
 
@@ -120,14 +119,16 @@ class TestSampleData:
         b = mc_sample_data(plugin, params, cfg())
         assert np.array_equal(a.draws, b.draws)
 
-    def test_row_is_its_parameter_stream(self):
+    # Seeds below 2**32 are one entropy word, the rest two.
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+    def test_row_is_its_parameter_stream(self, seed):
         plugin = binom_plugin()
-        config = cfg()
+        config = cfg(seed=seed)
         params = mc_sample_params(plugin, config)
         data = mc_sample_data(plugin, params, config)
         assert data.draws.shape == (config.n_params, config.n_data_per_param)
-        for i in (0, 1, 137, config.n_params - 1):
-            alone = plugin.sample_data(_data_rng(config, i), params[i], config.n_data_per_param)
+        for i, p in enumerate(params):
+            alone = plugin.sample_data(_data_rng(config, i), p, config.n_data_per_param)
             assert np.array_equal(data.draws[i], alone)
 
     def test_fewer_parameters_keep_the_leading_rows(self):
@@ -136,14 +137,6 @@ class TestSampleData:
         a = mc_sample_data(plugin, mc_sample_params(plugin, fewer), fewer)
         b = mc_sample_data(plugin, mc_sample_params(plugin, more), more)
         assert np.array_equal(a.draws, b.draws[:200])
-
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
-    def test_keys_are_the_seed_sequence_keys(self, seed):
-        # Seeds below 2**32 are one entropy word, the rest two.
-        keys = _data_keys(seed, 50)
-        want = [SeedSequence((seed, 1, i)).generate_state(2, np.uint64) for i in range(50)]
-        assert keys.dtype == np.uint64
-        assert np.array_equal(keys, want)
 
     @pytest.mark.parametrize("size", [1, 3, 100])
     @pytest.mark.parametrize(

@@ -143,11 +143,12 @@ def test_mc_rows_rank_every_null_in_one_pass(monkeypatch):
 
 
 def test_mc_rows_build_two_bit_generators(monkeypatch):
-    # One generator keyed (seed, 0) for the parameters; one for all data rows, re-keyed before each.
+    # One generator keyed by SeedSequence((seed, 0)) for the parameters; one keyed by
+    # SeedSequence((seed, 1)) for all data rows, its counter set before each.
     bit_generators = counter(monkeypatch, monte_carlo, "Philox")
     seed_sequences = counter(monkeypatch, monte_carlo, "SeedSequence")
     mc_decision_rows(MC_PLUGIN, MC_CONFIG, GRID.points.tolist())
-    assert (len(bit_generators), len(seed_sequences)) == (2, 1)
+    assert (len(bit_generators), len(seed_sequences)) == (2, 2)
 
 
 def test_mc_rows_call_the_likelihood_once_per_block():
