@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox, SeedSequence
 
 from avgpower import (
     BetaPrior,
@@ -119,16 +120,28 @@ class TestSampleData:
         b = mc_sample_data(plugin, params, cfg())
         assert np.array_equal(a.draws, b.draws)
 
-    # Seeds below 2**32 are one entropy word, the rest two.
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
-    def test_row_is_its_parameter_stream(self, seed):
+    def test_row_is_its_parameter_stream(self):
         plugin = binom_plugin()
-        config = cfg(seed=seed)
+        config = cfg()
         params = mc_sample_params(plugin, config)
         data = mc_sample_data(plugin, params, config)
         assert data.draws.shape == (config.n_params, config.n_data_per_param)
         for i, p in enumerate(params):
             alone = plugin.sample_data(_data_rng(config, i), p, config.n_data_per_param)
+            assert np.array_equal(data.draws[i], alone)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+    def test_keys_are_the_seed_sequence_keys(self, seed):
+        # Seeds below 2**32 are one entropy word, the rest two. Every row is
+        # keyed by SeedSequence((seed, 1)) and starts at counter (0, 0, i, 0).
+        plugin = binom_plugin()
+        config = cfg(seed=seed, n_params=50)
+        params = mc_sample_params(plugin, config)
+        data = mc_sample_data(plugin, params, config)
+        key = SeedSequence((seed, 1)).generate_state(2, np.uint64)
+        for i, p in enumerate(params):
+            rng = Generator(Philox(key=key, counter=[0, 0, i, 0]))
+            alone = plugin.sample_data(rng, p, config.n_data_per_param)
             assert np.array_equal(data.draws[i], alone)
 
     def test_fewer_parameters_keep_the_leading_rows(self):
