@@ -196,38 +196,75 @@ class ConfidenceRegion:
 
 
 class _Ranking(NamedTuple):
-    """A stack of rows, or one row of it, of outcomes ranked by descending log g against a coverage target.
+    """A stack of rows, or one row of it, of outcomes ranked by descending log g and admitted against a coverage target.
 
-    ``log_g`` and ``mass`` are the inputs in outcome order and ``order`` is
-    their stable descending argsort along the last axis. ``tie_free`` holds
-    per row whether no two neighbours in rank order lie within the tie
-    tolerance, and ``short`` counts that row's rank-order cumulative masses
-    below the target.
+    ``log_g`` and ``mass`` are the inputs in outcome order. ``settled``
+    marks the rows that the block pass admitted: for those, ``included``,
+    ``log_threshold`` and ``covered`` are the flags, the smallest admitted
+    log g and the admitted mass summed in outcome order, as ``_admit``
+    returns them. For the other rows they mean nothing, and ``_admit``
+    walks the row.
     """
 
     log_g: np.ndarray
     mass: np.ndarray
-    order: np.ndarray
-    tie_free: np.ndarray
-    short: np.ndarray
+    settled: np.ndarray
+    included: np.ndarray
+    log_threshold: np.ndarray
+    covered: np.ndarray
 
 
 def _rank(log_g: np.ndarray, mass: np.ndarray, target: float | np.ndarray) -> _Ranking:
-    """Rank every row of a 2-d stack against a scalar target or a (rows, 1) column of them, in one array pass.
+    """Rank and admit every row of a 2-d stack against a scalar target or a (rows, 1) column of them, in array passes.
 
     A stable argsort, a gather and a cumulative sum along axis 1 give each
     row of a stack exactly the values they give that row alone, so rows
-    ranked together admit what they would admit alone. The ranked values
-    and their sums are reduced to the per-row flag and count, not kept.
+    ranked together admit what they would admit alone.
+
+    A row is settled here when every outcome it ranks up to and including
+    the first whose rank-order running sum reaches the target stands alone,
+    outside any tie group, and those outcomes, summed in outcome order, also
+    reach it. The walk in ``_admit`` would then admit exactly them. They
+    are the outcomes at or above the last one's log g, and their masses are
+    summed by one row-wise reduction per run of rows admitting the same
+    count: a C-ordered (rows, k) reduction along its last axis sums each row
+    as numpy sums that row alone, where ``np.add.reduceat`` would sum it in
+    sequence.
     """
     order = (-log_g).argsort(axis=1, kind="stable")
     # One flat take gathers the whole stack; take_along_axis costs more to
     # set up than the gather itself on rows of a hundred outcomes.
-    at = order + np.arange(0, order.size, order.shape[1])[:, None]
+    rows, width = order.shape
+    firsts = np.arange(0, order.size, width)
+    at = order + firsts[:, None]
     ranked = log_g.take(at)
-    tie_free = np.logical_and.reduce(ranked[:, 1:] < ranked[:, :-1] - _LOG_TIE_TOL, axis=1)
-    short = np.add.reduce(mass.take(at).cumsum(axis=1) < target, axis=1)
-    return _Ranking(log_g, mass, order, tie_free, short)
+    # ends[:, i]: whether ranked outcome i ends its tie group. A False past each row's end makes
+    # argmin count the outcomes that stand alone before the first tie: all of a tie-free row.
+    ends = np.zeros((rows, width + 1), dtype=bool)
+    np.less(ranked[:, 1:], ranked[:, :-1] - _LOG_TIE_TOL, out=ends[:, :-2])
+    ends[:, -2] = True
+    alone = ends.argmin(axis=1)
+    # The running sums never decrease, so the first that reaches the target counts those short of
+    # it; a row that never reaches it is short by its width.
+    reaches = mass.take(at).cumsum(axis=1) >= target
+    short = np.where(reaches[:, -1], reaches.argmax(axis=1), width)
+    reached = alone > short
+    # No value reaches a NaN threshold, so the other rows admit nothing here.
+    log_threshold = np.where(reached, ranked.take(firsts + np.minimum(short, width - 1)), np.nan)
+    included = log_g >= log_threshold[:, None]
+    # The admitted masses, row after row, each in outcome order; a run of rows admitting k outcomes
+    # each is summed as one (rows, k) array.
+    admitted = mass[included]
+    covered = np.zeros(rows)
+    row = done = 0
+    for k, run in itertools.groupby(np.where(reached, short + 1, 0).tolist()):
+        count = len(list(run))
+        if k:
+            covered[row : row + count] = np.add.reduce(admitted[done : done + count * k].reshape(count, k), axis=1)
+            done += count * k
+        row += count
+    settled = reached & (covered >= np.ravel(target))
+    return _Ranking(log_g, mass, settled, included, log_threshold, covered)
 
 
 def _admit(ranking: _Ranking, target: float, eta) -> tuple:
@@ -239,35 +276,29 @@ def _admit(ranking: _Ranking, target: float, eta) -> tuple:
 
     Returns (inclusion flags, smallest admitted log g, admitted mass). The
     mass is the sum that reached ``target``, taken in outcome order as a
-    row rebuilt from its flags takes it. Raises ValueError, naming the null
-    eta, when even the whole support falls short of ``target``. A Monte
-    Carlo row never does: its target is at most the sum of its whole row.
+    row rebuilt from its flags takes it. A row that ``_rank`` settled
+    returns its block's values as they are; any other row, one with a tie
+    at or above its cut or one whose outcome-order sum falls short, is
+    walked here a group at a time. Raises ValueError, naming the null eta,
+    when even the whole support falls short of ``target``. A Monte Carlo
+    row never does: its target is at most the sum of its whole row.
     """
-    log_g, mass, order = ranking.log_g, ranking.mass, ranking.order
-    if ranking.tie_free:
-        # Every group is one outcome and starts where it is ranked.
-        starts = None
-        groups = order.size
-        short = int(ranking.short)
-    else:
-        ranked = log_g[order]
-        splits = ranked[1:] < ranked[:-1] - _LOG_TIE_TOL
-        starts = np.concatenate(([0], np.flatnonzero(splits) + 1))
-        reached = np.add.reduceat(mass[order], starts).cumsum()
-        groups = reached.size
-        # The masses are nonnegative, so the running totals never decrease
-        # and a search counts those short.
-        short = int(reached.searchsorted(target))
+    if ranking.settled:
+        return ranking.included, ranking.log_threshold, float(ranking.covered)
+    log_g, mass = ranking.log_g, ranking.mass
+    order = (-log_g).argsort(kind="stable")
+    ranked = log_g[order]
+    splits = ranked[1:] < ranked[:-1] - _LOG_TIE_TOL
+    starts = np.concatenate(([0], np.flatnonzero(splits) + 1))
+    reached = np.add.reduceat(mass[order], starts).cumsum()
     # Groups enter up to and including the first that brings the rank-order
     # sum to target, then one more at a time while the outcome-order sum,
-    # rounded differently, is still short of it.
-    taken = short + 1
+    # rounded differently, is still short of it. The masses are nonnegative,
+    # so the running totals never decrease and a search counts those short.
+    taken = int(reached.searchsorted(target)) + 1
     included = np.zeros(order.size, dtype=bool)
     while True:
-        if taken >= groups:
-            stop = order.size
-        else:
-            stop = taken if starts is None else int(starts[taken])
+        stop = int(starts[taken]) if taken < starts.size else order.size
         included[order[:stop]] = True
         covered = float(mass[included].sum())
         if covered >= target:
@@ -292,7 +323,8 @@ def build_decision_row(eta: float, config: TestConfig, *, ranking: _Ranking | No
     ranking : optional
         This row's slice of the ranking that ``build_decision_matrix`` takes
         of many rows at once: log g and the Binomial(n, eta) pmf over the
-        support, ranked against 1 - level. A row built alone is a block of one.
+        support, ranked and admitted against 1 - level. A row built alone is
+        a block of one.
 
     Returns
     -------
@@ -312,7 +344,7 @@ def build_decision_row(eta: float, config: TestConfig, *, ranking: _Ranking | No
 
 
 def _rankings(config: TestConfig, etas: np.ndarray):
-    """Yield each null's ranking, ranked a block of ``etas`` per pass.
+    """Yield each null's ranking, ranked and admitted a block of ``etas`` per pass.
 
     ln f and ln g are evaluated for one block at a time, against the
     beta-binomial mixture that ``_log_f_and_g`` evaluates once.
@@ -328,7 +360,9 @@ def _rankings(config: TestConfig, etas: np.ndarray):
 def build_decision_matrix(config: TestConfig) -> DecisionMatrix:
     """Build one decision row per grid point. Deterministic in config.
 
-    Each row is admitted from its own slice of its block's ranking (``_rankings``).
+    Rows are ranked and admitted a block at a time (``_rankings``); each row
+    then goes through ``build_decision_row``, which returns the block's
+    values for a settled row and walks any other.
     """
     points = config.grid.points
     included = np.zeros((points.size, config.model.n + 1), dtype=bool)

@@ -236,10 +236,13 @@ def pool_samples(model: GenericModel, params: Sequence[Any], data: DataSample) -
 
 
 def _mc_rankings(model: GenericModel, etas: Sequence[Any], samples: PooledSamples, cfg: McConfig):
-    """Yield each null's ranking of ln g = ln f - ln mix_density and its weights v: a block of nulls per pass.
+    """Yield each null's ranking of ln g = ln f - ln mix_density and its weights v, with their row sums.
 
-    v_k = exp(ln g_k + ln count_k) over the row's largest, so each is at most
-    1 and a row with any likelihood mass sums to at least 1.
+    A block of nulls is ranked and admitted per pass. v_k = exp(ln g_k + ln
+    count_k) over the row's largest, so each is at most 1 and a row with any
+    likelihood mass sums to at least 1. Each row comes as (ranking, sum of
+    v, sum of v^2 / count), the two sums taken row-wise over the block,
+    which sums each row as it sums alone.
     """
     log_mix = np.log(samples.mix_density)
     log_counts = np.log(samples.counts)
@@ -251,12 +254,14 @@ def _mc_rankings(model: GenericModel, etas: Sequence[Any], samples: PooledSample
         peak = log_v.max(axis=1, keepdims=True)
         peak[peak == -np.inf] = 0.0  # a row with no mass keeps its zeros
         v = np.exp(log_v - peak)
-        ranking = _rank(log_g, v, (1.0 - cfg.level) * v.sum(axis=1, keepdims=True))
-        yield from map(_Ranking._make, zip(*ranking))
+        total = v.sum(axis=1, keepdims=True)
+        ranking = _rank(log_g, v, (1.0 - cfg.level) * total)
+        squares = (v * v / samples.counts).sum(axis=1)
+        yield from zip(map(_Ranking._make, zip(*ranking)), total[:, 0].tolist(), squares.tolist())
 
 
 def mc_build_decision_row(
-    model: GenericModel, eta: Any, samples: PooledSamples, cfg: McConfig, *, ranking: _Ranking | None = None
+    model: GenericModel, eta: Any, samples: PooledSamples, cfg: McConfig, *, ranking: tuple | None = None
 ) -> tuple:
     """Greedy acceptance row over the sampled outcomes for one null value.
 
@@ -271,8 +276,10 @@ def mc_build_decision_row(
     to one factor per row (``_mc_rankings``) that neither the estimate nor
     the ESS depends on.
 
-    ``ranking`` is this row's slice of a block ranked by ``mc_decision_rows``;
-    a row built alone is a block of one.
+    ``ranking`` is this row's (ranking, weight total, ESS denominator) from
+    the block pass of ``mc_decision_rows``, which has admitted the row
+    already unless a tie lies at or above its cut or its outcome-order sum falls
+    short; a row built alone is a block of one.
 
     Raises DegenerateWeightsError when the null assigns no likelihood to any
     sampled outcome, and LowEffectiveSampleError when the weights carry fewer
@@ -280,13 +287,12 @@ def mc_build_decision_row(
     """
     if ranking is None:
         (ranking,) = _mc_rankings(model, [eta], samples, cfg)
-    v = ranking.mass
-    total_v = float(v.sum())
+    ranking, total_v, squares = ranking
     if total_v == 0.0:
         raise DegenerateWeightsError(f"no sampled outcome carries likelihood mass at eta {eta!r}")
     # Effective sample size of the raw draws, not of the pooled atoms: each
     # of the count_k draws behind atom k carries the weight v_k / count_k.
-    ess = total_v**2 / float((v * v / samples.counts).sum())
+    ess = total_v**2 / squares
     if ess < cfg.ess_floor:
         raise LowEffectiveSampleError(
             f"effective sample size {ess:.1f} below floor {cfg.ess_floor:.1f} at eta {eta!r}"
@@ -298,7 +304,12 @@ def mc_build_decision_row(
 
 
 def mc_decision_rows(model: GenericModel, cfg: McConfig, etas: Sequence[Any]) -> McDecisionMatrix:
-    """Run the full pipeline and build one row per requested null value."""
+    """Run the full pipeline and build one row per requested null value.
+
+    Rows are ranked and admitted a block at a time (``_mc_rankings``), then
+    checked and finished one at a time by ``mc_build_decision_row``, so the
+    first null whose weights are degenerate or too concentrated raises.
+    """
     params = mc_sample_params(model, cfg)
     data = mc_sample_data(model, params, cfg)
     samples = pool_samples(model, params, data)

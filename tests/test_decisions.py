@@ -325,6 +325,96 @@ class TestAdmissionReference:
         assert covered >= target
 
 
+def walk_alone(log_g: np.ndarray, mass: np.ndarray, target: float):
+    """What ``_admit``'s walk gives one row ranked alone: (flags, log threshold, covered), or its ValueError."""
+    (ranking,) = map(_Ranking._make, zip(*_rank(log_g[None], mass[None], target)))
+    try:
+        return _admit(ranking._replace(settled=False), target, 0.5)
+    except ValueError as exc:
+        return exc
+
+
+@st.composite
+def admission_blocks(draw) -> tuple:
+    """A block of rows to rank and admit: (log g, masses, target).
+
+    Widths fall in each of numpy's three pairwise-sum paths: below 8, 8 to
+    128, and above 128. Log densities may be rounded into exact ties, nudged
+    into chained ties within the tolerance, or set to -inf, and masses may be
+    zero. The target is 1 - level as for exact rows, with each row's masses
+    normalized like a pmf, or a (rows, 1) column of 1 - level times each
+    row's total as for Monte Carlo rows.
+    """
+    rows = draw(st.integers(1, 6))
+    width = draw(st.one_of(st.integers(1, 7), st.integers(8, 128), st.integers(129, 300)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    log_g = rng.normal(0.0, draw(st.sampled_from([0.1, 3.0, 300.0])), (rows, width))
+    decimals = draw(st.sampled_from([None, 1, 0]))
+    if decimals is not None:
+        log_g = np.round(log_g, decimals) + rng.choice([0.0, 4e-13], log_g.shape)
+    log_g[rng.random(log_g.shape) < draw(st.sampled_from([0.0, 0.1, 0.6]))] = -np.inf
+    mass = rng.random((rows, width)) ** draw(st.sampled_from([1, 8]))
+    mass[rng.random(mass.shape) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    level = draw(
+        st.one_of(
+            st.sampled_from([0.5, 0.05]),
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            st.floats(5e-324, 1e-15),
+        )
+    )
+    if draw(st.booleans()):
+        total = mass.sum(axis=1, keepdims=True)
+        return log_g, np.divide(mass, total, out=mass, where=total > 0.0), 1.0 - level
+    return log_g, mass, (1.0 - level) * mass.sum(axis=1, keepdims=True)
+
+
+# Summed in rank order this row holds 1.0, short of its outcome-order total 1 + 2**-52.
+RANK_ORDER_SHORT = (np.array([[-1.0, -2.0, 0.0]]), np.array([[1e-16, 1e-16, 1.0]]))
+# Its first three ranked outcomes reach 1.2200000000000002 in rank order but hold 1.22 in outcome order.
+OUTCOME_ORDER_SHORT = (np.array([[0.0, -2.0, -3.0, -4.0, -1.0]]), np.array([[0.27, 0.04, 0.02, 0.81, 0.91]]))
+
+
+class TestBlockAdmission:
+    """``_rank`` admits a block of rows in array passes; every row must come out as the walk admits it alone."""
+
+    @given(block=admission_blocks())
+    @example(block=(*RANK_ORDER_SHORT, (1.0 - 1e-300) * RANK_ORDER_SHORT[1].sum(axis=1, keepdims=True)))
+    @example(block=(*OUTCOME_ORDER_SHORT, 1.2200000000000002))
+    @settings(max_examples=300, deadline=None)
+    def test_every_row_admits_what_the_walk_admits_alone(self, block):
+        log_g, mass, target = block
+        targets = np.broadcast_to(target, (len(log_g), 1))[:, 0].tolist()
+        for j, ranking in enumerate(map(_Ranking._make, zip(*_rank(log_g, mass, target)))):
+            want = walk_alone(log_g[j], mass[j], targets[j])
+            if isinstance(want, ValueError):
+                assert not ranking.settled
+                with pytest.raises(ValueError, match=re.escape(str(want))):
+                    _admit(ranking, targets[j], 0.5)
+                continue
+            included, log_threshold, covered = _admit(ranking, targets[j], 0.5)
+            assert np.array_equal(included, want[0]), j
+            assert log_threshold == want[1], j
+            assert covered == want[2], j
+
+    @pytest.mark.parametrize(
+        "log_g, mass, target, flags",
+        [
+            (*RANK_ORDER_SHORT, (1.0 - 1e-300) * (1.0 + 2.0**-52), [True, True, True]),
+            (*OUTCOME_ORDER_SHORT, 1.2200000000000002, [True, True, True, False, True]),
+        ],
+        ids=["rank_order_short", "outcome_order_short"],
+    )
+    def test_rows_short_in_either_order_are_walked(self, log_g, mass, target, flags):
+        # Neither tie-free row is settled by the block pass: the first never reaches its target in rank
+        # order, and the second reaches it there but falls short of it in outcome order, so the walk
+        # admits one more outcome.
+        (ranking,) = map(_Ranking._make, zip(*_rank(log_g, mass, target)))
+        assert not ranking.settled
+        included, _, covered = _admit(ranking, target, 0.5)
+        assert included.tolist() == flags
+        assert covered >= target
+
+
 def assert_rows_equal_rows_built_alone(matrix: DecisionMatrix) -> None:
     """Every row of the matrix, ranked with a block of rows, equals the same row ranked alone."""
     for j, eta in enumerate(matrix.config.grid.points):

@@ -131,7 +131,7 @@ def test_counts_are_checked_alike(what):
             INTEGER_SITES[what](not_positive)
 
 
-def test_parameter_count_fits_one_stream_word():
+def test_parameter_count_is_bounded():
     # Parameters and data rows are drawn one by one, so a count past 32 bits is refused before any draw.
     assert INTEGER_SITES["n_params"](2**32 - 1) == 2**32 - 1
     for too_many in (2**32, 2**64):

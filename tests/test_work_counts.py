@@ -1,7 +1,8 @@
 """How often each quantity is evaluated: the mixture once per build, ln f and ln g and the ranking once
 per block of rows, exact or Monte Carlo, the plug-in likelihood once per block of sampled parameters and
 once per block of nulls, the binomial kernel once per distinct grid, the prior measure once per average,
-each inclusion matrix once per grid of averages, and one bit generator per Monte Carlo stage.
+each inclusion matrix once per grid of averages, and one bit generator per Monte Carlo stage; and which
+rows the block pass leaves to the walk of one row at a time.
 
 Counters wrap the module bindings that the callers read, so a call made
 through any of them is counted.
@@ -9,7 +10,9 @@ through any of them is counted.
 
 from __future__ import annotations
 
+import contextlib
 import importlib
+import io
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from avgpower import (
     mc_sample_params,
     pool_samples,
 )
+from avgpower import cli
 from avgpower.decisions import (
     build_decision_matrix,
     build_decision_row,
@@ -113,6 +117,44 @@ def test_build_ranks_every_row_in_one_pass(monkeypatch, prior):
     build_decision_matrix(config(prior))
     assert len(ranks) == 1
     assert len(row_builds) == len(GRID)
+
+
+def walked(monkeypatch, module) -> list:
+    """Replace ``module._admit`` by a wrapper that records the null of every row it walks.
+
+    Those are the rows that the block pass left unsettled.
+    """
+    etas: list = []
+    original = module._admit
+
+    def admit(ranking, target, eta):
+        if not ranking.settled:
+            etas.append(eta)
+        return original(ranking, target, eta)
+
+    monkeypatch.setattr(module, "_admit", admit)
+    return etas
+
+
+def test_build_walks_only_the_tied_row(monkeypatch):
+    # At n=100 and G=499 under Beta(0.5, 0.5) the block pass settles 498 rows. The row at eta 0.5,
+    # whose mirrored outcomes tie, is the one walked, and every row still goes through build_decision_row.
+    walks = walked(monkeypatch, decisions)
+    row_builds = counter(monkeypatch, decisions, "build_decision_row")
+    build_decision_matrix(TestConfig(0.05, BinomialModel(100), PRIORS[1], ParameterGrid.regular(499)))
+    assert walks == [0.5]
+    assert len(row_builds) == 499
+
+
+def test_mc_validate_defaults_walk_no_monte_carlo_row(monkeypatch, tmp_path):
+    # At the mc-validate defaults (n=100, G=499, Beta(0.5, 0.5), 1000 x 100 draws, seed 1729) the block
+    # pass settles all 499 Monte Carlo rows, so none is walked; the exact matrix walks its tied row.
+    mc_walks = walked(monkeypatch, monte_carlo)
+    exact_walks = walked(monkeypatch, decisions)
+    mc_row_builds = counter(monkeypatch, monte_carlo, "mc_build_decision_row")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["mc-validate", "--out", str(tmp_path)]) == 0
+    assert (mc_walks, exact_walks, len(mc_row_builds)) == ([], [0.5], 499)
 
 
 MC_PLUGIN = make_binomial_plugin(BinomialModel(20), PRIORS[1])
