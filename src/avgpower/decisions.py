@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -195,41 +194,27 @@ class ConfidenceRegion:
         return self.accepted.size == 0
 
 
-class _Ranking(NamedTuple):
-    """A stack of rows, or one row of it, of outcomes ranked by descending log g and admitted against a coverage target.
+def _rank(log_g: np.ndarray, mass: np.ndarray, target: float | np.ndarray) -> tuple:
+    """Rank and admit every row of a 2-d stack against a scalar target or a (rows, 1) column of them.
 
-    ``log_g`` and ``mass`` are the inputs in outcome order. ``settled``
-    marks the rows that the block pass admitted: for those, ``included``,
-    ``log_threshold`` and ``covered`` are the flags, the smallest admitted
-    log g and the admitted mass summed in outcome order, as ``_admit``
-    returns them. For the other rows they mean nothing, and ``_admit``
-    walks the row.
-    """
-
-    log_g: np.ndarray
-    mass: np.ndarray
-    settled: np.ndarray
-    included: np.ndarray
-    log_threshold: np.ndarray
-    covered: np.ndarray
-
-
-def _rank(log_g: np.ndarray, mass: np.ndarray, target: float | np.ndarray) -> _Ranking:
-    """Rank and admit every row of a 2-d stack against a scalar target or a (rows, 1) column of them, in array passes.
+    Returns every row finished, as ``_walk`` admits it alone: the inclusion
+    flags (rows, width), the smallest admitted log g (rows,) and the
+    admitted mass summed in outcome order (rows,).
 
     A stable argsort, a gather and a cumulative sum along axis 1 give each
     row of a stack exactly the values they give that row alone, so rows
     ranked together admit what they would admit alone.
 
-    A row is settled here when every outcome it ranks up to and including
-    the first whose rank-order running sum reaches the target stands alone,
-    outside any tie group, and those outcomes, summed in outcome order, also
-    reach it. The walk in ``_admit`` would then admit exactly them. They
-    are the outcomes at or above the last one's log g, and their masses are
+    Most rows are admitted in array passes: those whose outcomes ranked up
+    to and including the first whose rank-order running sum reaches the
+    target all stand alone, outside any tie group, and, summed in outcome
+    order, also reach it. ``_walk`` would then admit exactly them. They are
+    the outcomes at or above the last one's log g, and their masses are
     summed by one row-wise reduction per run of rows admitting the same
     count: a C-ordered (rows, k) reduction along its last axis sums each row
     as numpy sums that row alone, where ``np.add.reduceat`` would sum it in
-    sequence.
+    sequence. Every other row, one with a tie at or above its cut or one
+    whose outcome-order sum falls short, is walked by ``_walk``.
     """
     order = (-log_g).argsort(axis=1, kind="stable")
     # One flat take gathers the whole stack; take_along_axis costs more to
@@ -263,29 +248,26 @@ def _rank(log_g: np.ndarray, mass: np.ndarray, target: float | np.ndarray) -> _R
             covered[row : row + count] = np.add.reduce(admitted[done : done + count * k].reshape(count, k), axis=1)
             done += count * k
         row += count
-    settled = reached & (covered >= np.ravel(target))
-    return _Ranking(log_g, mass, settled, included, log_threshold, covered)
+    targets = np.broadcast_to(np.ravel(target), rows)
+    for j in np.flatnonzero(~(reached & (covered >= targets))).tolist():
+        included[j], log_threshold[j], covered[j] = _walk(log_g[j], mass[j], targets[j])
+    return included, log_threshold, covered
 
 
-def _admit(ranking: _Ranking, target: float, eta) -> tuple:
-    """Admit one ranked row's outcomes by descending log g until its mass reaches ``target``.
+def _walk(log_g: np.ndarray, mass: np.ndarray, target: float) -> tuple:
+    """Admit one row's outcomes by descending log g, a tie group at a time, until its mass reaches ``target``.
 
     Adjacent ranked values chain into one tie group while their densities
     stay within TIE_RTOL of each other (equal infinities tie), and a tie
     group is admitted or withheld as a unit.
 
-    Returns (inclusion flags, smallest admitted log g, admitted mass). The
-    mass is the sum that reached ``target``, taken in outcome order as a
-    row rebuilt from its flags takes it. A row that ``_rank`` settled
-    returns its block's values as they are; any other row, one with a tie
-    at or above its cut or one whose outcome-order sum falls short, is
-    walked here a group at a time. Raises ValueError, naming the null eta,
-    when even the whole support falls short of ``target``. A Monte Carlo
-    row never does: its target is at most the sum of its whole row.
+    Returns (inclusion flags, smallest admitted log g, admitted mass), the
+    mass summed in outcome order as a row rebuilt from its flags sums it.
+    A row that even its whole support leaves short of ``target`` returns
+    every outcome admitted and the whole row's mass; the caller decides
+    whether that is an error. A Monte Carlo row never is short: its target
+    is at most the sum of its whole row.
     """
-    if ranking.settled:
-        return ranking.included, ranking.log_threshold, float(ranking.covered)
-    log_g, mass = ranking.log_g, ranking.mass
     order = (-log_g).argsort(kind="stable")
     ranked = log_g[order]
     splits = ranked[1:] < ranked[:-1] - _LOG_TIE_TOL
@@ -301,17 +283,12 @@ def _admit(ranking: _Ranking, target: float, eta) -> tuple:
         stop = int(starts[taken]) if taken < starts.size else order.size
         included[order[:stop]] = True
         covered = float(mass[included].sum())
-        if covered >= target:
+        if covered >= target or stop == order.size:
             return included, log_g[order[stop - 1]], covered
-        if stop == order.size:
-            raise ValueError(
-                f"no set of outcomes reaches the coverage target {target!r}: "
-                f"the whole support holds {covered!r} at eta {point(eta)}"
-            )
         taken += 1
 
 
-def build_decision_row(eta: float, config: TestConfig, *, ranking: _Ranking | None = None) -> tuple:
+def build_decision_row(eta: float, config: TestConfig, *, ranking: tuple | None = None) -> tuple:
     """Construct the acceptance set for one null value.
 
     Parameters
@@ -321,10 +298,9 @@ def build_decision_row(eta: float, config: TestConfig, *, ranking: _Ranking | No
     config : TestConfig
         Level, model, and prior. The grid is not consulted here.
     ranking : optional
-        This row's slice of the ranking that ``build_decision_matrix`` takes
-        of many rows at once: log g and the Binomial(n, eta) pmf over the
-        support, ranked and admitted against 1 - level. A row built alone is
-        a block of one.
+        This row's (included, log_threshold, covered) from the block pass of
+        ``build_decision_matrix``, which ranks and admits many rows at once
+        against 1 - level. A row built alone is a block of one.
 
     Returns
     -------
@@ -335,16 +311,25 @@ def build_decision_row(eta: float, config: TestConfig, *, ranking: _Ranking | No
         log density, which stays finite where the density itself would
         overflow. Tie groups enter atomically; the log threshold records the
         smallest admitted log density.
+
+    Raises ValueError, naming the target, the mass and the null, when even
+    the whole support holds less than 1 - level.
     """
     eta = check_open_unit(eta, "eta")
     target = 1.0 - config.level
     if ranking is None:
         (ranking,) = _rankings(config, np.array([eta]))
-    return _admit(ranking, target, eta)
+    included, log_threshold, covered = ranking
+    if covered < target:
+        raise ValueError(
+            f"no set of outcomes reaches the coverage target {target!r}: "
+            f"the whole support holds {float(covered)!r} at eta {point(eta)}"
+        )
+    return included, log_threshold, float(covered)
 
 
 def _rankings(config: TestConfig, etas: np.ndarray):
-    """Yield each null's ranking, ranked and admitted a block of ``etas`` per pass.
+    """Yield each null's (included, log_threshold, covered), ranked and admitted a block of ``etas`` per pass.
 
     ln f and ln g are evaluated for one block at a time, against the
     beta-binomial mixture that ``_log_f_and_g`` evaluates once.
@@ -353,16 +338,16 @@ def _rankings(config: TestConfig, etas: np.ndarray):
     step = max(1, _RANK_BLOCK // (config.model.n + 1))
     for i in range(0, len(etas), step):
         log_f, log_g = log_f_and_g(etas[i : i + step])
-        ranking = _rank(log_g, np.exp(log_f), 1.0 - config.level)
-        yield from map(_Ranking._make, zip(*ranking))
+        yield from zip(*_rank(log_g, np.exp(log_f), 1.0 - config.level))
 
 
 def build_decision_matrix(config: TestConfig) -> DecisionMatrix:
     """Build one decision row per grid point. Deterministic in config.
 
     Rows are ranked and admitted a block at a time (``_rankings``); each row
-    then goes through ``build_decision_row``, which returns the block's
-    values for a settled row and walks any other.
+    then goes through ``build_decision_row``, which checks it against
+    1 - level. A block is admitted whole before its rows are checked, and
+    the first row in grid order that its whole support leaves short raises.
     """
     points = config.grid.points
     included = np.zeros((points.size, config.model.n + 1), dtype=bool)

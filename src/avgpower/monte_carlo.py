@@ -26,7 +26,7 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
 from .csvtext import grid_chunks
-from .decisions import _RANK_BLOCK, DecisionMatrix, _admit, _rank, _Ranking
+from .decisions import _RANK_BLOCK, DecisionMatrix, _rank
 from .distributions import (
     BetaPrior,
     BinomialModel,
@@ -106,7 +106,7 @@ class McConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "seed", check_integer(self.seed, "seed"))
         if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+            raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
         for name in ("n_params", "n_data_per_param"):
             object.__setattr__(self, name, check_count(getattr(self, name), name))
         # Parameters and data rows are drawn one by one into Python lists, so a
@@ -236,13 +236,15 @@ def pool_samples(model: GenericModel, params: Sequence[Any], data: DataSample) -
 
 
 def _mc_rankings(model: GenericModel, etas: Sequence[Any], samples: PooledSamples, cfg: McConfig):
-    """Yield each null's ranking of ln g = ln f - ln mix_density and its weights v, with their row sums.
+    """Yield each null's row, admitted by ln g = ln f - ln mix_density against weights v, with its row sums.
 
-    A block of nulls is ranked and admitted per pass. v_k = exp(ln g_k + ln
-    count_k) over the row's largest, so each is at most 1 and a row with any
-    likelihood mass sums to at least 1. Each row comes as (ranking, sum of
-    v, sum of v^2 / count), the two sums taken row-wise over the block,
-    which sums each row as it sums alone.
+    A block of nulls is ranked and admitted per pass (``_rank``). v_k =
+    exp(ln g_k + ln count_k) over the row's largest, so each is at most 1
+    and a row with any likelihood mass sums to at least 1. Each row comes as
+    (included, log_threshold, covered, sum of v, sum of v^2 / count), the
+    two sums taken row-wise over the block, which sums each row as it sums
+    alone. The target is 1 - level times the row's own sum of v, which the
+    whole row holds, so every row reaches it.
     """
     log_mix = np.log(samples.mix_density)
     log_counts = np.log(samples.counts)
@@ -255,9 +257,8 @@ def _mc_rankings(model: GenericModel, etas: Sequence[Any], samples: PooledSample
         peak[peak == -np.inf] = 0.0  # a row with no mass keeps its zeros
         v = np.exp(log_v - peak)
         total = v.sum(axis=1, keepdims=True)
-        ranking = _rank(log_g, v, (1.0 - cfg.level) * total)
         squares = (v * v / samples.counts).sum(axis=1)
-        yield from zip(map(_Ranking._make, zip(*ranking)), total[:, 0].tolist(), squares.tolist())
+        yield from zip(*_rank(log_g, v, (1.0 - cfg.level) * total), total[:, 0].tolist(), squares.tolist())
 
 
 def mc_build_decision_row(
@@ -276,10 +277,9 @@ def mc_build_decision_row(
     to one factor per row (``_mc_rankings``) that neither the estimate nor
     the ESS depends on.
 
-    ``ranking`` is this row's (ranking, weight total, ESS denominator) from
-    the block pass of ``mc_decision_rows``, which has admitted the row
-    already unless a tie lies at or above its cut or its outcome-order sum falls
-    short; a row built alone is a block of one.
+    ``ranking`` is this row's (included, log_threshold, covered, weight
+    total, ESS denominator) from the block pass of ``mc_decision_rows``,
+    which has admitted the row already; a row built alone is a block of one.
 
     Raises DegenerateWeightsError when the null assigns no likelihood to any
     sampled outcome, and LowEffectiveSampleError when the weights carry fewer
@@ -287,7 +287,7 @@ def mc_build_decision_row(
     """
     if ranking is None:
         (ranking,) = _mc_rankings(model, [eta], samples, cfg)
-    ranking, total_v, squares = ranking
+    included, log_threshold, covered, total_v, squares = ranking
     if total_v == 0.0:
         raise DegenerateWeightsError(f"no sampled outcome carries likelihood mass at eta {eta!r}")
     # Effective sample size of the raw draws, not of the pooled atoms: each
@@ -298,17 +298,15 @@ def mc_build_decision_row(
             f"effective sample size {ess:.1f} below floor {cfg.ess_floor:.1f} at eta {eta!r}"
         )
 
-    target = (1.0 - cfg.level) * total_v
-    included, log_threshold, covered = _admit(ranking, target, eta)
-    return included, log_threshold, covered / total_v, ess
+    return included, log_threshold, float(covered) / total_v, ess
 
 
 def mc_decision_rows(model: GenericModel, cfg: McConfig, etas: Sequence[Any]) -> McDecisionMatrix:
     """Run the full pipeline and build one row per requested null value.
 
     Rows are ranked and admitted a block at a time (``_mc_rankings``), then
-    checked and finished one at a time by ``mc_build_decision_row``, so the
-    first null whose weights are degenerate or too concentrated raises.
+    checked one at a time by ``mc_build_decision_row``, so the first null
+    whose weights are degenerate or too concentrated raises.
     """
     params = mc_sample_params(model, cfg)
     data = mc_sample_data(model, params, cfg)

@@ -1,4 +1,5 @@
-"""The contract listing of tools/cli_hashes.py: its files, its help texts, its Monte Carlo array lines, its cleanup.
+"""The contract listing of tools/cli_hashes.py: its files, its help texts, its Monte Carlo array lines, its cleanup,
+its refusal of a used directory.
 
 The listing is how a change shows that it leaves the CLI's output alone, so
 it is run here at its smallest configuration, n = 20 on G = 49.
@@ -75,3 +76,14 @@ def test_failed_invocation_restores_the_monte_carlo_entry_point(small, monkeypat
     with pytest.raises(SystemExit, match=r"^n20_g49/mc_validate: exit 1$"):
         small.write_all(str(tmp_path))
     assert cli.mc_decision_rows is mc_decision_rows
+
+
+def test_refuses_an_out_directory_that_holds_files(small, tmp_path, capsys):
+    # A file left there from an earlier run would be hashed as if the CLI had written it.
+    (tmp_path / "n20_g49").mkdir()
+    (tmp_path / "n20_g49" / "stale.csv").write_text("left over\n")
+    with pytest.raises(SystemExit) as exit_:
+        small.main_hashes(["--out", str(tmp_path)])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: --out {tmp_path} is not empty\n")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["n20_g49", "stale.csv"]

@@ -24,7 +24,8 @@ from avgpower import (
     decision_matrix_to_csv,
     type1_error,
 )
-from avgpower.decisions import TIE_RTOL, DecisionMatrix, ThresholdOverflowError, _admit, _rank, _Ranking, rows_summary_csv
+from avgpower import decisions
+from avgpower.decisions import TIE_RTOL, DecisionMatrix, ThresholdOverflowError, _rank, _walk, rows_summary_csv
 from avgpower.distributions import (
     beta_binom_log_pmf_support,
     binom_log_pmf_support,
@@ -192,6 +193,15 @@ class TestBuildDecisionRow:
         ):
             build_decision_row(0.5, config)
 
+    def test_matrix_names_its_first_unreachable_row(self):
+        # Every row of the first 8-row block falls short; the block is admitted whole, then its
+        # first row, at eta 0.002, raises as it does built alone.
+        config = TestConfig(1e-13, BinomialModel(1000), BetaPrior(0.5, 0.5), ParameterGrid.regular(49))
+        with pytest.raises(ValueError) as alone:
+            build_decision_row(0.002, config)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(alone.value))}$"):
+            build_decision_matrix(config)
+
     def test_tiny_level_meets_target_on_every_row(self):
         # At Beta(100, 100) the rows at eta 0.426 (n=50) and 0.268 (n=200)
         # reach the target summed in rank order but fall one ulp short of it
@@ -319,19 +329,9 @@ class TestAdmissionReference:
         # A Monte Carlo row's target is 1 - level times its own weight total, which the whole row,
         # summed in the same order, holds; so admission never runs out of outcomes.
         log_g, v = (np.array([col]) for col in zip(*row))
-        (ranking,) = map(_Ranking._make, zip(*_rank(log_g, v, (1.0 - level) * v.sum(axis=1, keepdims=True))))
-        target = (1.0 - level) * float(ranking.mass.sum())
-        _, _, covered = _admit(ranking, target, 0.5)
-        assert covered >= target
-
-
-def walk_alone(log_g: np.ndarray, mass: np.ndarray, target: float):
-    """What ``_admit``'s walk gives one row ranked alone: (flags, log threshold, covered), or its ValueError."""
-    (ranking,) = map(_Ranking._make, zip(*_rank(log_g[None], mass[None], target)))
-    try:
-        return _admit(ranking._replace(settled=False), target, 0.5)
-    except ValueError as exc:
-        return exc
+        target = (1.0 - level) * v.sum(axis=1, keepdims=True)
+        _, _, covered = _rank(log_g, v, target)
+        assert covered[0] >= target[0, 0]
 
 
 @st.composite
@@ -372,29 +372,33 @@ def admission_blocks(draw) -> tuple:
 RANK_ORDER_SHORT = (np.array([[-1.0, -2.0, 0.0]]), np.array([[1e-16, 1e-16, 1.0]]))
 # Its first three ranked outcomes reach 1.2200000000000002 in rank order but hold 1.22 in outcome order.
 OUTCOME_ORDER_SHORT = (np.array([[0.0, -2.0, -3.0, -4.0, -1.0]]), np.array([[0.27, 0.04, 0.02, 0.81, 0.91]]))
+# Against 0.95 the middle row's whole support holds 0.9; the rows around it reach the target.
+EXHAUSTED_AMID_REACHABLE = (
+    np.array([[0.0, -1.0, -2.0]] * 3),
+    np.array([[0.5, 0.3, 0.2], [0.3, 0.3, 0.3], [0.6, 0.4, 0.0]]),
+)
 
 
 class TestBlockAdmission:
-    """``_rank`` admits a block of rows in array passes; every row must come out as the walk admits it alone."""
+    """``_rank`` admits a block of rows in array passes; every row must come out as ``_walk`` admits it alone."""
 
     @given(block=admission_blocks())
     @example(block=(*RANK_ORDER_SHORT, (1.0 - 1e-300) * RANK_ORDER_SHORT[1].sum(axis=1, keepdims=True)))
     @example(block=(*OUTCOME_ORDER_SHORT, 1.2200000000000002))
+    @example(block=(*EXHAUSTED_AMID_REACHABLE, 0.95))
     @settings(max_examples=300, deadline=None)
     def test_every_row_admits_what_the_walk_admits_alone(self, block):
         log_g, mass, target = block
         targets = np.broadcast_to(target, (len(log_g), 1))[:, 0].tolist()
-        for j, ranking in enumerate(map(_Ranking._make, zip(*_rank(log_g, mass, target)))):
-            want = walk_alone(log_g[j], mass[j], targets[j])
-            if isinstance(want, ValueError):
-                assert not ranking.settled
-                with pytest.raises(ValueError, match=re.escape(str(want))):
-                    _admit(ranking, targets[j], 0.5)
-                continue
-            included, log_threshold, covered = _admit(ranking, targets[j], 0.5)
+        for j, (included, log_threshold, covered) in enumerate(zip(*_rank(log_g, mass, target))):
+            want = _walk(log_g[j], mass[j], targets[j])
             assert np.array_equal(included, want[0]), j
             assert log_threshold == want[1], j
             assert covered == want[2], j
+            if covered < targets[j]:
+                # A row that its whole support leaves short admits every outcome.
+                assert included.all(), j
+                assert covered == mass[j].sum(), j
 
     @pytest.mark.parametrize(
         "log_g, mass, target, flags",
@@ -404,13 +408,15 @@ class TestBlockAdmission:
         ],
         ids=["rank_order_short", "outcome_order_short"],
     )
-    def test_rows_short_in_either_order_are_walked(self, log_g, mass, target, flags):
-        # Neither tie-free row is settled by the block pass: the first never reaches its target in rank
-        # order, and the second reaches it there but falls short of it in outcome order, so the walk
-        # admits one more outcome.
-        (ranking,) = map(_Ranking._make, zip(*_rank(log_g, mass, target)))
-        assert not ranking.settled
-        included, _, covered = _admit(ranking, target, 0.5)
+    def test_rows_short_in_either_order_are_walked(self, monkeypatch, log_g, mass, target, flags):
+        # Neither tie-free row is admitted by the array passes: the first never reaches its target in
+        # rank order, and the second reaches it there but falls short of it in outcome order, so the
+        # walk admits one more outcome.
+        walks = []
+        walk = decisions._walk
+        monkeypatch.setattr(decisions, "_walk", lambda *args: walks.append(args) or walk(*args))
+        ((included, _, covered),) = zip(*_rank(log_g, mass, target))
+        assert len(walks) == 1
         assert included.tolist() == flags
         assert covered >= target
 

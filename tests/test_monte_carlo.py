@@ -45,13 +45,13 @@ def cfg(seed: int = 7, n_params: int = 300, n_data: int = 30, level: float = 0.0
 
 class TestMcConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^seed must fit in 64 unsigned bits, got -1$"):
             cfg(seed=-1)
         with pytest.raises(ValueError):
             cfg(seed=True)
         with pytest.raises(ValueError):
             cfg(n_params=np.bool_(True))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^seed must fit in 64 unsigned bits, got 18446744073709551616$"):
             cfg(seed=2**64)
         with pytest.raises(ValueError):
             cfg(seed=1.5)

@@ -120,41 +120,48 @@ def test_build_ranks_every_row_in_one_pass(monkeypatch, prior):
 
 
 def walked(monkeypatch, module) -> list:
-    """Replace ``module._admit`` by a wrapper that records the null of every row it walks.
+    """Wrap ``module._rank`` so that the ln g of every row it hands to ``decisions._walk`` is recorded.
 
-    Those are the rows that the block pass left unsettled.
+    Those are the rows that the array passes could not admit.
     """
-    etas: list = []
-    original = module._admit
+    walks: list = []
+    rank = module._rank
 
-    def admit(ranking, target, eta):
-        if not ranking.settled:
-            etas.append(eta)
-        return original(ranking, target, eta)
+    def ranked(log_g, mass, target):
+        with monkeypatch.context() as m:
+            walk = decisions._walk
+            m.setattr(decisions, "_walk", lambda g, v, t: walks.append(g.copy()) or walk(g, v, t))
+            return rank(log_g, mass, target)
 
-    monkeypatch.setattr(module, "_admit", admit)
-    return etas
+    monkeypatch.setattr(module, "_rank", ranked)
+    return walks
+
+
+def ln_g_at_half(model: BinomialModel, prior: BetaPrior) -> np.ndarray:
+    return distributions._log_f_and_g(model, prior)(np.array([0.5]))[1][0]
 
 
 def test_build_walks_only_the_tied_row(monkeypatch):
-    # At n=100 and G=499 under Beta(0.5, 0.5) the block pass settles 498 rows. The row at eta 0.5,
+    # At n=100 and G=499 under Beta(0.5, 0.5) the array passes admit 498 rows. The row at eta 0.5,
     # whose mirrored outcomes tie, is the one walked, and every row still goes through build_decision_row.
     walks = walked(monkeypatch, decisions)
     row_builds = counter(monkeypatch, decisions, "build_decision_row")
     build_decision_matrix(TestConfig(0.05, BinomialModel(100), PRIORS[1], ParameterGrid.regular(499)))
-    assert walks == [0.5]
+    assert len(walks) == 1
+    assert np.array_equal(walks[0], ln_g_at_half(BinomialModel(100), PRIORS[1]))
     assert len(row_builds) == 499
 
 
 def test_mc_validate_defaults_walk_no_monte_carlo_row(monkeypatch, tmp_path):
-    # At the mc-validate defaults (n=100, G=499, Beta(0.5, 0.5), 1000 x 100 draws, seed 1729) the block
-    # pass settles all 499 Monte Carlo rows, so none is walked; the exact matrix walks its tied row.
+    # At the mc-validate defaults (n=100, G=499, Beta(0.5, 0.5), 1000 x 100 draws, seed 1729) the array
+    # passes admit all 499 Monte Carlo rows, so none is walked; the exact matrix walks its tied row.
     mc_walks = walked(monkeypatch, monte_carlo)
     exact_walks = walked(monkeypatch, decisions)
     mc_row_builds = counter(monkeypatch, monte_carlo, "mc_build_decision_row")
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["mc-validate", "--out", str(tmp_path)]) == 0
-    assert (mc_walks, exact_walks, len(mc_row_builds)) == ([], [0.5], 499)
+    assert (len(mc_walks), len(exact_walks), len(mc_row_builds)) == (0, 1, 499)
+    assert np.array_equal(exact_walks[0], ln_g_at_half(BinomialModel(100), PRIORS[1]))
 
 
 MC_PLUGIN = make_binomial_plugin(BinomialModel(20), PRIORS[1])

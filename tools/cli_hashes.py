@@ -5,9 +5,10 @@ x = 0, n/2 and n, ``power`` at its default thetas and at 0.3 and 0.7,
 ``table1`` at its default second prior and at Beta(2, 8), ``compare-cp`` and
 ``mc-validate``) at four configurations, in one process through
 ``avgpower.cli.main``. That gives 17 files per configuration and 68 in all,
-written under ``--out DIR``. Each invocation's stdout goes next to its files
-as ``stdout.txt``, with the invocation's ``--out`` path replaced by ``<out>``
-so that listings made in different directories compare.
+written under ``--out DIR``, which must be empty or missing. Each
+invocation's stdout goes next to its files as ``stdout.txt``, with the
+invocation's ``--out`` path replaced by ``<out>`` so that listings made in
+different directories compare.
 
 No file carries the rows that ``mc-validate`` builds, only their agreement
 with the exact matrix. So each ``mc-validate`` invocation also adds one line
@@ -134,8 +135,11 @@ def digest(array: np.ndarray) -> str:
 
 def main_hashes(argv: list | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", required=True, help="directory for the CLI files (created if missing)")
+    parser.add_argument("--out", required=True, help="empty directory for the CLI files (created if missing)")
     args = parser.parse_args(argv)
+    # Every file under DIR is listed, so one left from an earlier run would read as a CLI file.
+    if os.path.isdir(args.out) and os.listdir(args.out):
+        parser.error(f"--out {args.out} is not empty")
     for path, sha in write_all(args.out):
         print(f"{sha}  {path}")
     return 0
