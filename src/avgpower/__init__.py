@@ -1,8 +1,8 @@
 """Binomial confidence regions with maximal prior-averaged power.
 
 The construction inverts a family of acceptance tests, one per null value on
-a grid, each admitting outcomes in order of posterior density until it
-covers its null at the requested level. Power evaluation, an equal-tail
+a grid, each rejecting the outcomes of lowest posterior density while their
+null mass stays within the requested level. Power evaluation, an equal-tail
 baseline, and a sampling-based construction path round out the package.
 """
 

@@ -1,12 +1,12 @@
 """Decision matrices built by posterior-density ordering, and the confidence
 regions obtained by inverting them.
 
-Each row fixes a null value eta and greedily admits outcomes in order of
-decreasing posterior density relative to the prior, stopping once the
-binomial mass of the admitted set reaches the required coverage. Outcomes
-whose posterior densities coincide within a relative tolerance form a tie
-group and are admitted or withheld as a unit, which keeps symmetric
-configurations symmetric.
+Each row fixes a null value eta and rejects outcomes in order of increasing
+posterior density relative to the prior for as long as their binomial mass
+stays within the level; it admits the rest. Outcomes whose posterior
+densities coincide within a relative tolerance form a tie group and are
+admitted or rejected as a unit, which keeps symmetric configurations
+symmetric.
 """
 
 from __future__ import annotations
@@ -141,9 +141,10 @@ class DecisionMatrix:
     ``config.grid.points[j]``. Its ``log_threshold`` is the smallest ln g(x)
     = ln f_eta(x) - ln P_mix(x) among admitted outcomes, so the row equals
     {x : ln g(x) >= log_threshold} up to tie tolerance; only the CSV writers
-    exponentiate it. Its ``achieved_coverage`` is the exact binomial mass of
-    the admitted set under eta and always reaches at least 1 - level. The
-    arrays are made read-only, since consumers share them uncopied.
+    exponentiate it. Its ``achieved_coverage`` is 1 minus the exact binomial
+    mass of the rejected set under eta; that mass, summed over the rejected
+    outcomes in outcome order, is at most level. The arrays are made
+    read-only, since consumers share them uncopied.
     """
 
     config: TestConfig
@@ -194,98 +195,76 @@ class ConfidenceRegion:
         return self.accepted.size == 0
 
 
-def _rank(log_g: np.ndarray, mass: np.ndarray, target: float | np.ndarray) -> tuple:
-    """Rank and admit every row of a 2-d stack against a scalar target or a (rows, 1) column of them.
+def _rank(log_g: np.ndarray, mass: np.ndarray, allowance: float | np.ndarray) -> tuple:
+    """Rank every row of a 2-d stack and reject, from the bottom of each ranking, the mass ``allowance`` allows.
 
-    Returns every row finished, as ``_walk`` admits it alone: the inclusion
-    flags (rows, width), the smallest admitted log g (rows,) and the
-    admitted mass summed in outcome order (rows,).
+    ``allowance`` is a scalar or a (rows, 1) column of them. Returns the
+    inclusion flags (rows, width), the smallest admitted log g (rows,) and
+    the rejected mass summed in outcome order (rows,), which is at most the
+    row's allowance. A row whose whole mass fits in its allowance still
+    admits its top tie group, so that every row has a finite threshold;
+    rejecting less never breaks the bound.
 
-    A stable argsort, a gather and a cumulative sum along axis 1 give each
-    row of a stack exactly the values they give that row alone, so rows
-    ranked together admit what they would admit alone.
-
-    Most rows are admitted in array passes: those whose outcomes ranked up
-    to and including the first whose rank-order running sum reaches the
-    target all stand alone, outside any tie group, and, summed in outcome
-    order, also reach it. ``_walk`` would then admit exactly them. They are
-    the outcomes at or above the last one's log g, and their masses are
-    summed by one row-wise reduction per run of rows admitting the same
-    count: a C-ordered (rows, k) reduction along its last axis sums each row
-    as numpy sums that row alone, where ``np.add.reduceat`` would sum it in
-    sequence. Every other row, one with a tie at or above its cut or one
-    whose outcome-order sum falls short, is walked by ``_walk``.
+    Each row is ranked ascending in log g by one stable argsort, and its
+    masses are summed up from the bottom of the ranking. The cut is the
+    first outcome whose running sum passes the allowance, walked down to the
+    start of its tie group (``_whole_groups``); the outcomes at or above the
+    cut's log g are admitted. The rejected masses are summed by one row-wise
+    reduction per run of rows rejecting the same count: a C-ordered (rows, k)
+    reduction along its last axis sums each row as numpy sums that row
+    alone, so rows ranked together reject what they would alone. A row whose
+    sum in outcome order, rounded differently, passes its allowance steps
+    its cut back one more tie group. Rejecting nothing always fits, so every
+    row finishes.
     """
-    order = (-log_g).argsort(axis=1, kind="stable")
+    rows, width = log_g.shape
     # One flat take gathers the whole stack; take_along_axis costs more to
     # set up than the gather itself on rows of a hundred outcomes.
-    rows, width = order.shape
-    firsts = np.arange(0, order.size, width)
-    at = order + firsts[:, None]
+    firsts = np.arange(0, log_g.size, width)
+    at = log_g.argsort(axis=1, kind="stable") + firsts[:, None]
     ranked = log_g.take(at)
-    # ends[:, i]: whether ranked outcome i ends its tie group. A False past each row's end makes
-    # argmin count the outcomes that stand alone before the first tie: all of a tie-free row.
-    ends = np.zeros((rows, width + 1), dtype=bool)
-    np.less(ranked[:, 1:], ranked[:, :-1] - _LOG_TIE_TOL, out=ends[:, :-2])
-    ends[:, -2] = True
-    alone = ends.argmin(axis=1)
-    # The running sums never decrease, so the first that reaches the target counts those short of
-    # it; a row that never reaches it is short by its width.
-    reaches = mass.take(at).cumsum(axis=1) >= target
-    short = np.where(reaches[:, -1], reaches.argmax(axis=1), width)
-    reached = alone > short
-    # No value reaches a NaN threshold, so the other rows admit nothing here.
-    log_threshold = np.where(reached, ranked.take(firsts + np.minimum(short, width - 1)), np.nan)
-    included = log_g >= log_threshold[:, None]
-    # The admitted masses, row after row, each in outcome order; a run of rows admitting k outcomes
-    # each is summed as one (rows, k) array.
-    admitted = mass[included]
-    covered = np.zeros(rows)
-    row = done = 0
-    for k, run in itertools.groupby(np.where(reached, short + 1, 0).tolist()):
-        count = len(list(run))
-        if k:
-            covered[row : row + count] = np.add.reduce(admitted[done : done + count * k].reshape(count, k), axis=1)
-            done += count * k
-        row += count
-    targets = np.broadcast_to(np.ravel(target), rows)
-    for j in np.flatnonzero(~(reached & (covered >= targets))).tolist():
-        included[j], log_threshold[j], covered[j] = _walk(log_g[j], mass[j], targets[j])
-    return included, log_threshold, covered
-
-
-def _walk(log_g: np.ndarray, mass: np.ndarray, target: float) -> tuple:
-    """Admit one row's outcomes by descending log g, a tie group at a time, until its mass reaches ``target``.
-
-    Adjacent ranked values chain into one tie group while their densities
-    stay within TIE_RTOL of each other (equal infinities tie), and a tie
-    group is admitted or withheld as a unit.
-
-    Returns (inclusion flags, smallest admitted log g, admitted mass), the
-    mass summed in outcome order as a row rebuilt from its flags sums it.
-    A row that even its whole support leaves short of ``target`` returns
-    every outcome admitted and the whole row's mass; the caller decides
-    whether that is an error. A Monte Carlo row never is short: its target
-    is at most the sum of its whole row.
-    """
-    order = (-log_g).argsort(kind="stable")
-    ranked = log_g[order]
-    splits = ranked[1:] < ranked[:-1] - _LOG_TIE_TOL
-    starts = np.concatenate(([0], np.flatnonzero(splits) + 1))
-    reached = np.add.reduceat(mass[order], starts).cumsum()
-    # Groups enter up to and including the first that brings the rank-order
-    # sum to target, then one more at a time while the outcome-order sum,
-    # rounded differently, is still short of it. The masses are nonnegative,
-    # so the running totals never decrease and a search counts those short.
-    taken = int(reached.searchsorted(target)) + 1
-    included = np.zeros(order.size, dtype=bool)
+    # The running sums never decrease, so the first past the allowance counts those within it; a
+    # row whose whole mass fits cuts at its top outcome.
+    over = mass.take(at).cumsum(axis=1) > allowance
+    over[:, -1] = True
+    cut = over.argmax(axis=1)
     while True:
-        stop = int(starts[taken]) if taken < starts.size else order.size
-        included[order[:stop]] = True
-        covered = float(mass[included].sum())
-        if covered >= target or stop == order.size:
-            return included, log_g[order[stop - 1]], covered
-        taken += 1
+        cut = _whole_groups(ranked, firsts, cut)
+        log_threshold = ranked.take(firsts + cut)
+        included = log_g >= log_threshold[:, None]
+        # The rejected masses, row after row, each in outcome order; a run of rows rejecting k
+        # outcomes each is summed as one (rows, k) array.
+        masses = mass[~included]
+        rejected = np.zeros(rows)
+        row = done = 0
+        for k, run in itertools.groupby(cut.tolist()):
+            count = len(list(run))
+            if k:
+                rejected[row : row + count] = np.add.reduce(masses[done : done + count * k].reshape(count, k), axis=1)
+                done += count * k
+            row += count
+        back = rejected > np.ravel(allowance)
+        if not back.any():
+            return included, log_threshold, rejected
+        cut = cut - back
+
+
+def _whole_groups(ranked: np.ndarray, firsts: np.ndarray, cut: np.ndarray) -> np.ndarray:
+    """Walk each row's cut down to the start of the tie group it falls in.
+
+    ``ranked`` holds each row's log g ascending, ``firsts`` the flat index of
+    each row's first outcome, and ``cut`` how many of each row's outcomes lie
+    below its cut. Adjacent ranked values chain into one tie group while
+    their densities stay within TIE_RTOL of each other (equal infinities
+    tie). A cut at a row's first outcome stays.
+    """
+    while True:
+        # A cut at 0 reads the outcome before its row, clipped into the stack; the mask drops it.
+        below = ranked.take(firsts + cut - 1, mode="clip")
+        tied = (cut > 0) & (below >= ranked.take(firsts + cut) - _LOG_TIE_TOL)
+        if not tied.any():
+            return cut
+        cut = cut - tied
 
 
 def build_decision_row(eta: float, config: TestConfig, *, ranking: tuple | None = None) -> tuple:
@@ -298,56 +277,47 @@ def build_decision_row(eta: float, config: TestConfig, *, ranking: tuple | None 
     config : TestConfig
         Level, model, and prior. The grid is not consulted here.
     ranking : optional
-        This row's (included, log_threshold, covered) from the block pass of
-        ``build_decision_matrix``, which ranks and admits many rows at once
-        against 1 - level. A row built alone is a block of one.
+        This row's (included, log_threshold, rejected) from the block pass of
+        ``build_decision_matrix``, which ranks many rows at once and rejects
+        at most ``level`` of each. A row built alone is a block of one.
 
     Returns
     -------
     (included, log_threshold, achieved_coverage)
         One row of a DecisionMatrix, with the meanings given there: outcomes
-        admitted in order of decreasing posterior density until the exact
-        binomial mass under eta reaches 1 - level. Outcomes are ranked by
-        log density, which stays finite where the density itself would
-        overflow. Tie groups enter atomically; the log threshold records the
-        smallest admitted log density.
-
-    Raises ValueError, naming the target, the mass and the null, when even
-    the whole support holds less than 1 - level.
+        rejected in order of increasing posterior density while the exact
+        binomial mass they hold under eta stays within level, and the rest
+        admitted. Outcomes are ranked by log density, which stays finite
+        where the density itself would overflow. Tie groups are rejected or
+        admitted whole; the log threshold records the smallest admitted log
+        density, and the achieved coverage is 1 minus the rejected mass.
     """
     eta = check_open_unit(eta, "eta")
-    target = 1.0 - config.level
     if ranking is None:
         (ranking,) = _rankings(config, np.array([eta]))
-    included, log_threshold, covered = ranking
-    if covered < target:
-        raise ValueError(
-            f"no set of outcomes reaches the coverage target {target!r}: "
-            f"the whole support holds {float(covered)!r} at eta {point(eta)}"
-        )
-    return included, log_threshold, float(covered)
+    included, log_threshold, rejected = ranking
+    return included, log_threshold, 1.0 - float(rejected)
 
 
 def _rankings(config: TestConfig, etas: np.ndarray):
-    """Yield each null's (included, log_threshold, covered), ranked and admitted a block of ``etas`` per pass.
+    """Yield each null's (included, log_threshold, rejected), ranked a block of ``etas`` per pass.
 
     ln f and ln g are evaluated for one block at a time, against the
-    beta-binomial mixture that ``_log_f_and_g`` evaluates once.
+    beta-binomial mixture that ``_log_f_and_g`` evaluates once, and each row
+    may reject ``level`` of its pmf.
     """
     log_f_and_g = _log_f_and_g(config.model, config.prior)
     step = max(1, _RANK_BLOCK // (config.model.n + 1))
     for i in range(0, len(etas), step):
         log_f, log_g = log_f_and_g(etas[i : i + step])
-        yield from zip(*_rank(log_g, np.exp(log_f), 1.0 - config.level))
+        yield from zip(*_rank(log_g, np.exp(log_f), config.level))
 
 
 def build_decision_matrix(config: TestConfig) -> DecisionMatrix:
     """Build one decision row per grid point. Deterministic in config.
 
-    Rows are ranked and admitted a block at a time (``_rankings``); each row
-    then goes through ``build_decision_row``, which checks it against
-    1 - level. A block is admitted whole before its rows are checked, and
-    the first row in grid order that its whole support leaves short raises.
+    Rows are ranked a block at a time (``_rankings``); each row then goes
+    through ``build_decision_row``, which returns it with its coverage.
     """
     points = config.grid.points
     included = np.zeros((points.size, config.model.n + 1), dtype=bool)
@@ -374,8 +344,10 @@ def coverage(matrix: DecisionMatrix, theta: float, eta_index: int) -> float:
 
 
 def type1_error(matrix: DecisionMatrix, eta_index: int) -> float:
-    """The exact rejection rate under the row's own null: 1 - its achieved coverage."""
-    return 1.0 - float(matrix.achieved_coverage[_check_index(matrix, eta_index)])
+    """The exact rejection rate under the row's own null: its rejected pmf mass, summed as the build sums it."""
+    eta_index = _check_index(matrix, eta_index)
+    pmf = binom_pmf_support(matrix.config.model, matrix.config.grid.points[eta_index])
+    return float(pmf[~matrix.included[eta_index]].sum())
 
 
 def confidence_region(matrix: DecisionMatrix, x_observed: int) -> ConfidenceRegion:
@@ -464,13 +436,15 @@ def decision_matrix_from_csv(text: str, config: TestConfig) -> DecisionMatrix:
 
     Line 2 + j*(n+1) + x (the header is line 1) holds grid point j and
     outcome x; only its flag is parsed. Log thresholds and coverages are
-    recomputed from the flags, which restores the built matrix bit for bit.
-    Raises ValueError for a wrong header or line count, a flag other than 0
-    or 1, a row covering less than 1 - level (an empty row covers 0), or a
-    text that differs from what the rebuilt matrix writes (compared with the
-    writer's chunks one at a time, so no second text is built), naming the first
-    differing line with its expected text; line ends other than ``\n`` and
-    a missing final newline differ too. An overflowing threshold raises
+    recomputed from the flags, each coverage as 1 minus the row's rejected
+    mass, which restores the built matrix bit for bit. Raises ValueError for
+    a wrong header or line count, a flag other than 0 or 1, a row rejecting
+    more than level of its null's mass (naming the mass it admits, 0 for an
+    empty row, and the mass it rejects), or a text that differs from what
+    the rebuilt matrix writes (compared with the writer's chunks one at a
+    time, so no second text is built), naming the first differing line with
+    its expected text; line ends other than ``\n`` and a missing final
+    newline differ too. An overflowing threshold raises
     ThresholdOverflowError, as the writer does.
     """
     lines = text.splitlines()
@@ -490,11 +464,12 @@ def decision_matrix_from_csv(text: str, config: TestConfig) -> DecisionMatrix:
     log_kernel, log_g = _log_f_and_g(config.model, config.prior)(grid.points)
     pmf = np.exp(log_kernel)
     achieved = np.empty(len(grid))
-    target = 1.0 - config.level
     for j, (eta, pmf_row, row) in enumerate(zip(grid.points, pmf, included)):
-        achieved[j] = pmf_row[row].sum()
-        if not achieved[j] >= target:
-            raise ValueError(f"eta {point(eta)} covers {float(achieved[j])!r}, short of 1 - level = {target!r}")
+        rejected = float(pmf_row[~row].sum())
+        if not rejected <= config.level:
+            covers = float(pmf_row[row].sum())
+            raise ValueError(f"eta {point(eta)} covers {covers!r}: it rejects {rejected!r} > level {config.level!r}")
+        achieved[j] = 1.0 - rejected
     log_threshold = np.where(included, log_g, np.inf).min(axis=1)
     matrix = DecisionMatrix(config=config, included=included, log_threshold=log_threshold, achieved_coverage=achieved)
     # The text against what the matrix writes, a chunk at a time. The line counts

@@ -5,8 +5,8 @@ a batched likelihood evaluator, a prior sampler and a batched data sampler.
 From those the engine samples parameters from the prior, samples a row of
 data under each, estimates the prior predictive mass of every distinct
 observed outcome as the mean of the sampled likelihoods, and builds per-null
-acceptance rows by the same posterior-descending greedy rule as the exact
-path.
+acceptance rows by the same rule as the exact path: outcomes of lowest
+posterior density are rejected first.
 
 Randomness is counter-based. Parameter draws use the Philox stream keyed by
 SeedSequence((seed, 0)). The data rows share one key, from
@@ -150,8 +150,10 @@ class McDecisionMatrix:
     ``included`` is bool (G, K); ``log_threshold``, ``estimated_coverage``
     and ``ess`` are float (G,). Row j is the acceptance decision for the null
     ``etas[j]``, its log threshold the smallest admitted log density ratio,
-    and its ess the effective sample size of the raw draws under that null's
-    coverage weights.
+    its estimated coverage 1 minus the coverage weight it rejects over the
+    row's weight total (the rejected weight is at most level times that
+    total), and its ess the effective sample size of the raw draws under
+    that null's coverage weights.
     """
 
     etas: Sequence[Any]
@@ -236,15 +238,14 @@ def pool_samples(model: GenericModel, params: Sequence[Any], data: DataSample) -
 
 
 def _mc_rankings(model: GenericModel, etas: Sequence[Any], samples: PooledSamples, cfg: McConfig):
-    """Yield each null's row, admitted by ln g = ln f - ln mix_density against weights v, with its row sums.
+    """Yield each null's row, ranked by ln g = ln f - ln mix_density against weights v, with its row sums.
 
-    A block of nulls is ranked and admitted per pass (``_rank``). v_k =
+    A block of nulls is ranked per pass (``_rank``). v_k =
     exp(ln g_k + ln count_k) over the row's largest, so each is at most 1
     and a row with any likelihood mass sums to at least 1. Each row comes as
-    (included, log_threshold, covered, sum of v, sum of v^2 / count), the
+    (included, log_threshold, rejected, sum of v, sum of v^2 / count), the
     two sums taken row-wise over the block, which sums each row as it sums
-    alone. The target is 1 - level times the row's own sum of v, which the
-    whole row holds, so every row reaches it.
+    alone. A row may reject level times its own sum of v.
     """
     log_mix = np.log(samples.mix_density)
     log_counts = np.log(samples.counts)
@@ -258,7 +259,7 @@ def _mc_rankings(model: GenericModel, etas: Sequence[Any], samples: PooledSample
         v = np.exp(log_v - peak)
         total = v.sum(axis=1, keepdims=True)
         squares = (v * v / samples.counts).sum(axis=1)
-        yield from zip(*_rank(log_g, v, (1.0 - cfg.level) * total), total[:, 0].tolist(), squares.tolist())
+        yield from zip(*_rank(log_g, v, cfg.level * total), total[:, 0].tolist(), squares.tolist())
 
 
 def mc_build_decision_row(
@@ -270,16 +271,17 @@ def mc_build_decision_row(
     McDecisionMatrix over ``samples.outcomes``.
 
     Outcomes are ordered by the estimated posterior-to-prior density ratio
-    (likelihood over estimated predictive mass), tie groups entering
-    atomically, and admitted until the coverage estimate reaches 1 - level.
-    In that estimate a draw of outcome k weighs f_k / mix_density_k, the
-    null likelihood over the prior predictive density it was drawn from, up
-    to one factor per row (``_mc_rankings``) that neither the estimate nor
-    the ESS depends on.
+    (likelihood over estimated predictive mass) and rejected from the lowest
+    up, a tie group at a time, while the estimated rejected mass stays within
+    level; the rest are admitted, and the coverage estimate is 1 minus the
+    rejected mass. In that estimate a draw of outcome k weighs
+    f_k / mix_density_k, the null likelihood over the prior predictive
+    density it was drawn from, up to one factor per row (``_mc_rankings``)
+    that neither the estimate nor the ESS depends on.
 
-    ``ranking`` is this row's (included, log_threshold, covered, weight
+    ``ranking`` is this row's (included, log_threshold, rejected, weight
     total, ESS denominator) from the block pass of ``mc_decision_rows``,
-    which has admitted the row already; a row built alone is a block of one.
+    which has ranked the row already; a row built alone is a block of one.
 
     Raises DegenerateWeightsError when the null assigns no likelihood to any
     sampled outcome, and LowEffectiveSampleError when the weights carry fewer
@@ -287,7 +289,7 @@ def mc_build_decision_row(
     """
     if ranking is None:
         (ranking,) = _mc_rankings(model, [eta], samples, cfg)
-    included, log_threshold, covered, total_v, squares = ranking
+    included, log_threshold, rejected, total_v, squares = ranking
     if total_v == 0.0:
         raise DegenerateWeightsError(f"no sampled outcome carries likelihood mass at eta {eta!r}")
     # Effective sample size of the raw draws, not of the pooled atoms: each
@@ -298,13 +300,13 @@ def mc_build_decision_row(
             f"effective sample size {ess:.1f} below floor {cfg.ess_floor:.1f} at eta {eta!r}"
         )
 
-    return included, log_threshold, float(covered) / total_v, ess
+    return included, log_threshold, 1.0 - float(rejected) / total_v, ess
 
 
 def mc_decision_rows(model: GenericModel, cfg: McConfig, etas: Sequence[Any]) -> McDecisionMatrix:
     """Run the full pipeline and build one row per requested null value.
 
-    Rows are ranked and admitted a block at a time (``_mc_rankings``), then
+    Rows are ranked a block at a time (``_mc_rankings``), then
     checked one at a time by ``mc_build_decision_row``, so the first null
     whose weights are degenerate or too concentrated raises.
     """

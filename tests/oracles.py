@@ -8,12 +8,14 @@ pmf summation. Test tolerances then measure real disagreement, not shared
 bugs. Two exceptions are float-exact references that the library must
 match bit for bit: ``oracle_matrix_csv``, a plain per-line formatter for the
 whole-array CSV writer, and ``oracle_admit_tie_groups``, the plain tie-group
-admission that the library's faster one must reproduce. A third,
+admission on the rejected side that the library's array passes must
+reproduce. A third,
 ``oracle_bisect_cp``, is the plain bisection on the same float tail sums; the
 library's endpoints must fall inside its final bracket. A fourth,
 ``_data_rng``, is the Monte Carlo data row's stream built the documented way,
 numpy's own ``Philox.jumped``; the library's one generator, whose counter it
-sets through the state dict, must draw the same values.
+sets through the state dict, must draw the same values. The type I audit,
+``oracle_rejected_mass``, sums at 50 digits.
 """
 
 from __future__ import annotations
@@ -204,32 +206,61 @@ def oracle_matrix_csv(points, included, threshold) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def oracle_admit_tie_groups(log_g, mass, target: float) -> tuple:
-    """Greedy admission with every ranked group built explicitly.
+def oracle_admit_tie_groups(log_g, mass, allowance: float) -> tuple:
+    """Tie-group admission on the rejected side, with every ranked group built explicitly.
 
-    Returns (inclusion flags, admitted mass summed in outcome order, smallest
-    admitted density). Groups chain while adjacent ranked log densities lie
-    within -log1p(-1e-12) of each other; they enter up to the first that
-    brings the rank-order sum to target, then one at a time while the
-    outcome-order sum is short. Raises ValueError when no set reaches target.
+    Returns (inclusion flags, rejected mass summed in outcome order, smallest
+    admitted density). Outcomes are ranked ascending in log density, and
+    groups chain while adjacent ranked values lie within -log1p(-1e-12) of
+    each other. Groups below the top one are rejected from the bottom while
+    the rank-order running sum at each group's last outcome stays within
+    allowance, then handed back one at a time while the outcome-order sum of
+    the rejected masses passes it. Rejecting nothing always fits.
     """
     tol = -math.log1p(-1e-12)
-    order = np.argsort(-log_g, kind="stable")
+    order = np.argsort(log_g, kind="stable")
     ranked = log_g[order]
-    starts = np.concatenate(([0], np.flatnonzero(ranked[1:] < ranked[:-1] - tol) + 1))
-    reached = np.cumsum(np.add.reduceat(mass[order], starts))
-    taken = int(np.count_nonzero(reached < target)) + 1
-    included = np.zeros(order.size, dtype=bool)
+    # How many outcomes lie at or below each group's last one.
+    ends = np.append(np.flatnonzero(ranked[:-1] < ranked[1:] - tol), order.size - 1) + 1
+    rising = np.cumsum(mass[order])
+    taken = min(int(np.count_nonzero(rising[ends - 1] <= allowance)), ends.size - 1)
     while True:
-        stop = starts[taken] if taken < starts.size else order.size
-        included[order[:stop]] = True
-        covered = float(mass[included].sum())
-        if covered >= target:
+        included = np.ones(order.size, dtype=bool)
+        included[order[: ends[taken - 1] if taken else 0]] = False
+        rejected = float(mass[~included].sum())
+        if rejected <= allowance:
             with np.errstate(over="ignore"):
-                return included, covered, float(np.exp(log_g[included].min()))
-        if stop == order.size:
-            raise ValueError("no set of outcomes reaches the coverage target")
-        taken += 1
+                return included, rejected, float(np.exp(log_g[included].min()))
+        taken -= 1
+
+
+def oracle_rejected_mass(included, n: int, eta: float) -> float:
+    """The Binomial(n, eta) mass of a row's excluded outcomes, summed at 50 digits.
+
+    Excluded outcomes between the row's first and last admitted ones are
+    summed term by term. Each tail beyond them is walked outward from its
+    inner end with the term ratio x / (n - x + 1) * (1 - eta) / eta downward,
+    or its inverse upward, and stops once the terms fall and one is below
+    1e-40 of the sum so far. A row that admits nothing rejects everything.
+    """
+    admitted = np.flatnonzero(included)
+    if admitted.size == 0:
+        return 1.0
+    lo, hi = int(admitted[0]), int(admitted[-1])
+    with mp.workdps(50):
+        eta = mp.mpf(eta)
+        odds = eta / (1 - eta)
+        total = mp.fsum(_mp_binom_pmf(x, n, eta) for x in range(lo + 1, hi) if not included[x])
+        for x, step in ((lo - 1, -1), (hi + 1, 1)):
+            term = _mp_binom_pmf(x, n, eta) if 0 <= x <= n else mp.mpf(0)
+            while term:
+                total += term
+                ratio = x / ((n - x + 1) * odds) if step < 0 else (n - x) * odds / (x + 1)
+                x += step
+                term *= ratio
+                if ratio < 1 and term < total * mp.mpf("1e-40"):
+                    break
+        return float(total)
 
 
 def _upper_tail(model: BinomialModel, x: int, theta: float) -> float:

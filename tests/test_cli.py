@@ -8,7 +8,8 @@ import tracemalloc
 
 import pytest
 
-from avgpower import cli
+from avgpower import BinomialModel, ParameterGrid, cli
+from avgpower.distributions import binom_pmf_support
 
 
 def run(argv: list[str]) -> int:
@@ -71,14 +72,19 @@ class TestConstruct:
             assert f"error: threshold at eta {eta} does not fit in a double{rows}" in capsys.readouterr().err
             assert not os.path.exists(out)
 
-    def test_unreachable_coverage_target_fails(self, tmp_path, capsys):
-        # At n=1000 no row's whole support holds 1 - 1e-13 of the pmf.
+    def test_level_below_the_pmf_rounding_succeeds(self, tmp_path):
+        # At n=1000 the pmf sums to about 1 - 3e-13, so no set of outcomes holds 1 - 1e-13 of it;
+        # every row still rejects at most 1e-13.
         out = str(tmp_path / "tight")
-        assert run(["construct", "--n", "1000", "--alpha", "1e-13", "--grid-points", "49", "--out", out]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: no set of outcomes reaches the coverage target")
-        assert err.rstrip().endswith("at eta 0.002000")
-        assert not os.path.exists(out)
+        assert run(["construct", "--n", "1000", "--alpha", "1e-13", "--grid-points", "49", "--out", out]) == 0
+        assert sorted(os.listdir(out)) == ["decision_matrix.csv", "decision_rows.csv"]
+        lines = read(os.path.join(out, "decision_matrix.csv")).splitlines()[1:]
+        assert len(lines) == 49 * 1001
+        for j, eta in enumerate(ParameterGrid.regular(49).points):
+            row = [line.split(",") for line in lines[j * 1001 : (j + 1) * 1001]]
+            assert row[0][0] == f"{eta:.6f}"
+            excluded = [int(x) for _, x, flag, _ in row if flag == "0"]
+            assert binom_pmf_support(BinomialModel(1000), eta)[excluded].sum() <= 1e-13, eta
 
     def test_write_error_leaves_no_file_behind(self, tmp_path, capsys):
         # decision_rows.csv is a directory, so the second file cannot be

@@ -24,8 +24,7 @@ from avgpower import (
     decision_matrix_to_csv,
     type1_error,
 )
-from avgpower import decisions
-from avgpower.decisions import TIE_RTOL, DecisionMatrix, ThresholdOverflowError, _rank, _walk, rows_summary_csv
+from avgpower.decisions import TIE_RTOL, DecisionMatrix, ThresholdOverflowError, _rank, rows_summary_csv
 from avgpower.distributions import (
     beta_binom_log_pmf_support,
     binom_log_pmf_support,
@@ -40,7 +39,13 @@ from avgpower.monte_carlo import (
     mc_sample_params,
     pool_samples,
 )
-from oracles import _posterior_values, oracle_admit_tie_groups, oracle_greedy_row, oracle_matrix_csv
+from oracles import (
+    _posterior_values,
+    oracle_admit_tie_groups,
+    oracle_greedy_row,
+    oracle_matrix_csv,
+    oracle_rejected_mass,
+)
 
 
 def small_config(n: int = 20, a: float = 0.5, b: float = 0.5, level: float = 0.05) -> TestConfig:
@@ -185,27 +190,21 @@ class TestBuildDecisionRow:
             _, _, achieved = build_decision_row(eta, config)
             assert achieved >= 1.0 - config.level
 
-    def test_unreachable_target_raises(self):
-        # At n=1000 the pmf sums to about 1 - 3e-13, short of 1 - 1e-13.
+    def test_level_below_the_pmf_rounding_is_met(self):
+        # At n=1000 the pmf sums to about 1 - 3e-13, so no set of outcomes holds 1 - 1e-13 of it; the
+        # row still rejects at most 1e-13, summed in float and at 50 digits.
         config = small_config(n=1000, level=1e-13)
-        with pytest.raises(
-            ValueError, match=r"coverage target 0\.9999999999999: the whole support holds 0\.99999\d* at eta 0\.500000$"
-        ):
-            build_decision_row(0.5, config)
-
-    def test_matrix_names_its_first_unreachable_row(self):
-        # Every row of the first 8-row block falls short; the block is admitted whole, then its
-        # first row, at eta 0.002, raises as it does built alone.
-        config = TestConfig(1e-13, BinomialModel(1000), BetaPrior(0.5, 0.5), ParameterGrid.regular(49))
-        with pytest.raises(ValueError) as alone:
-            build_decision_row(0.002, config)
-        with pytest.raises(ValueError, match=f"^{re.escape(str(alone.value))}$"):
-            build_decision_matrix(config)
+        included, _, achieved = build_decision_row(0.5, config)
+        rejected = float(binom_pmf_support(config.model, 0.5)[~included].sum())
+        assert rejected <= 1e-13
+        assert achieved == 1.0 - rejected
+        assert oracle_rejected_mass(included, 1000, 0.5) <= 1e-13
 
     def test_tiny_level_meets_target_on_every_row(self):
-        # At Beta(100, 100) the rows at eta 0.426 (n=50) and 0.268 (n=200)
-        # reach the target summed in rank order but fall one ulp short of it
-        # summed in outcome order, the order the stored coverage uses.
+        # Each row rejects at most level, summed in outcome order as the stored coverage is, so
+        # 1 minus that mass, rounded, is at least 1 - level, rounded. At Beta(100, 100) the rows at
+        # eta 0.426 (n=50) and 0.268 (n=200) admit a mass that, summed in outcome order, falls one
+        # ulp short of 1 - level.
         for n, a, level in ((100, 0.5, 1e-12), (50, 100.0, 3e-12), (200, 100.0, 1e-12)):
             matrix = build_decision_matrix(small_config(n=n, a=a, b=a, level=level))
             assert np.all(matrix.achieved_coverage >= 1.0 - level), (n, a, level)
@@ -215,6 +214,27 @@ class TestBuildDecisionRow:
         for eta in (0.0, 1.0, -0.1, float("nan")):
             with pytest.raises(ValueError):
                 build_decision_row(eta, config)
+
+
+class TestTypeOneAudit:
+    """Every row's true type I error, its excluded mass summed at 50 digits from its flags, is at most
+    level. Each float log pmf is about 1e-10 relative off at n=1e5, so the bound holds to about that
+    factor; these rows keep it outright."""
+
+    @pytest.mark.parametrize(
+        "n, level, points", [(10**5, 1e-9, 9), (1000, 1e-13, 49)], ids=["n100000_level1e-9", "n1000_level1e-13"]
+    )
+    def test_every_row_rejects_within_level(self, n, level, points):
+        config = TestConfig(level, BinomialModel(n), BetaPrior(0.5, 0.5), ParameterGrid.regular(points))
+        matrix = build_decision_matrix(config)
+        for j, eta in enumerate(config.grid.points):
+            assert oracle_rejected_mass(matrix.included[j], n, eta) <= level, eta
+
+    def test_a_row_of_a_million_trials(self):
+        # The pmf sums to about 1 - 6e-10 here.
+        config = TestConfig(1e-9, BinomialModel(10**6), BetaPrior(0.5, 0.5), ParameterGrid([0.5]))
+        included, _, _ = build_decision_row(0.5, config)
+        assert oracle_rejected_mass(included, 10**6, 0.5) <= 1e-9
 
 
 def assert_log_threshold_overflows_and_matches_mpmath(matrix: DecisionMatrix, eta: float) -> None:
@@ -238,14 +258,14 @@ def has_ties(log_g: np.ndarray) -> bool:
 
 class TestAdmissionReference:
     """Rows built by the library equal the plain tie-group admission bit for bit:
-    the flags, the covered sum and the threshold, exponentiated as the
-    writers do."""
+    the flags, the coverage (1 minus the rejected sum) and the threshold,
+    exponentiated as the writers do."""
 
     @staticmethod
     def exact_inputs(config: TestConfig, eta: float) -> tuple:
         log_f = binom_log_pmf_support(config.model, eta)
         log_g = log_f - beta_binom_log_pmf_support(config.model, config.prior)
-        return log_g, np.exp(log_f), 1.0 - config.level
+        return log_g, np.exp(log_f), config.level
 
     def assert_matrix_matches(self, config: TestConfig) -> tuple:
         """Check every row of the built matrix; return it with each row's log densities."""
@@ -254,10 +274,10 @@ class TestAdmissionReference:
             written = np.exp(matrix.log_threshold)
         seen = []
         for j, eta in enumerate(config.grid.points):
-            log_g, pmf, target = self.exact_inputs(config, float(eta))
-            included, covered, threshold = oracle_admit_tie_groups(log_g, pmf, target)
+            log_g, pmf, allowance = self.exact_inputs(config, float(eta))
+            included, rejected, threshold = oracle_admit_tie_groups(log_g, pmf, allowance)
             assert np.array_equal(matrix.included[j], included), eta
-            assert matrix.achieved_coverage[j] == covered, eta
+            assert matrix.achieved_coverage[j] == 1.0 - rejected, eta
             assert written[j] == threshold, eta
             seen.append(log_g)
         return matrix, seen
@@ -271,17 +291,17 @@ class TestAdmissionReference:
 
     def test_symmetric_ties_at_half(self):
         config = small_config(n=100)
-        log_g, pmf, target = self.exact_inputs(config, 0.5)
+        log_g, pmf, allowance = self.exact_inputs(config, 0.5)
         assert has_ties(log_g)
-        included, covered, threshold = oracle_admit_tie_groups(log_g, pmf, target)
+        included, rejected, threshold = oracle_admit_tie_groups(log_g, pmf, allowance)
         row = build_decision_row(0.5, config)
         assert np.array_equal(row[0], included)
-        assert (np.exp(row[1]), row[2]) == (threshold, covered)
+        assert (np.exp(row[1]), row[2]) == (threshold, 1.0 - rejected)
 
     @pytest.mark.parametrize("n, level", [(50, 3e-12), (200, 1e-12)])
     def test_rows_summed_short_in_outcome_order(self, n, level):
-        # Includes the row (eta 0.426 at n=50, 0.268 at n=200) that reaches
-        # the target in rank order but not in outcome order.
+        # Includes the rows (eta 0.426 at n=50, 0.268 at n=200) whose admitted mass, summed in outcome
+        # order, falls one ulp short of 1 - level; each rejects at most level, as every other row does.
         self.assert_matrix_matches(small_config(n=n, a=100.0, b=100.0, level=level))
 
     def test_overflowing_thresholds(self):
@@ -306,9 +326,9 @@ class TestAdmissionReference:
             log_v = log_g + np.log(samples.counts)
             v = np.exp(log_v - log_v.max())
             total_v = float(v.sum())
-            included, covered, threshold = oracle_admit_tie_groups(log_g, v, (1.0 - cfg.level) * total_v)
+            included, rejected, threshold = oracle_admit_tie_groups(log_g, v, cfg.level * total_v)
             assert np.array_equal(rows.included[j], included), eta
-            assert rows.estimated_coverage[j] == covered / total_v, eta
+            assert rows.estimated_coverage[j] == 1.0 - rejected / total_v, eta
             assert np.exp(rows.log_threshold[j]) == threshold, eta
 
     @given(
@@ -322,28 +342,30 @@ class TestAdmissionReference:
         ),
         level=st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.floats(5e-324, 1e-15)),
     )
-    # Summed in rank order this row holds 1.0, short of its outcome-order total 1 + 2**-52.
-    @example(row=[(-1.0, 1e-16), (-2.0, 1e-16), (0.0, 1.0)], level=1e-300)
+    # Its three lowest outcomes hold 1.42 summed in rank order, its allowance, and 1.4200000000000002
+    # summed in outcome order: the row hands the highest of them back.
+    @example(row=[(-2.0, 0.33), (-1.0, 0.79), (-3.0, 0.3), (0.0, 0.5)], level=0.7395833333333333)
     @settings(max_examples=200, deadline=None)
     def test_monte_carlo_target_is_always_reached(self, row, level):
-        # A Monte Carlo row's target is 1 - level times its own weight total, which the whole row,
-        # summed in the same order, holds; so admission never runs out of outcomes.
+        # A Monte Carlo row may reject level times its own weight total, and rejecting nothing always
+        # fits; so every row reaches its coverage target on the rejected side.
         log_g, v = (np.array([col]) for col in zip(*row))
-        target = (1.0 - level) * v.sum(axis=1, keepdims=True)
-        _, _, covered = _rank(log_g, v, target)
-        assert covered[0] >= target[0, 0]
+        allowance = level * v.sum(axis=1, keepdims=True)
+        included, _, rejected = _rank(log_g, v, allowance)
+        assert rejected[0] <= allowance[0, 0]
+        assert rejected[0] == v[0, ~included[0]].sum()
 
 
 @st.composite
 def admission_blocks(draw) -> tuple:
-    """A block of rows to rank and admit: (log g, masses, target).
+    """A block of rows to rank: (log g, masses, allowance).
 
     Widths fall in each of numpy's three pairwise-sum paths: below 8, 8 to
     128, and above 128. Log densities may be rounded into exact ties, nudged
     into chained ties within the tolerance, or set to -inf, and masses may be
-    zero. The target is 1 - level as for exact rows, with each row's masses
-    normalized like a pmf, or a (rows, 1) column of 1 - level times each
-    row's total as for Monte Carlo rows.
+    zero. The allowance is level as for exact rows, with each row's masses
+    normalized like a pmf, or a (rows, 1) column of level times each row's
+    total as for Monte Carlo rows.
     """
     rows = draw(st.integers(1, 6))
     width = draw(st.one_of(st.integers(1, 7), st.integers(8, 128), st.integers(129, 300)))
@@ -364,61 +386,58 @@ def admission_blocks(draw) -> tuple:
     )
     if draw(st.booleans()):
         total = mass.sum(axis=1, keepdims=True)
-        return log_g, np.divide(mass, total, out=mass, where=total > 0.0), 1.0 - level
-    return log_g, mass, (1.0 - level) * mass.sum(axis=1, keepdims=True)
+        return log_g, np.divide(mass, total, out=mass, where=total > 0.0), level
+    return log_g, mass, level * mass.sum(axis=1, keepdims=True)
 
 
-# Summed in rank order this row holds 1.0, short of its outcome-order total 1 + 2**-52.
-RANK_ORDER_SHORT = (np.array([[-1.0, -2.0, 0.0]]), np.array([[1e-16, 1e-16, 1.0]]))
-# Its first three ranked outcomes reach 1.2200000000000002 in rank order but hold 1.22 in outcome order.
-OUTCOME_ORDER_SHORT = (np.array([[0.0, -2.0, -3.0, -4.0, -1.0]]), np.array([[0.27, 0.04, 0.02, 0.81, 0.91]]))
-# Against 0.95 the middle row's whole support holds 0.9; the rows around it reach the target.
-EXHAUSTED_AMID_REACHABLE = (
-    np.array([[0.0, -1.0, -2.0]] * 3),
-    np.array([[0.5, 0.3, 0.2], [0.3, 0.3, 0.3], [0.6, 0.4, 0.0]]),
-)
+# Its three lowest outcomes hold 1.42 summed in rank order and 1.4200000000000002 in outcome order.
+OVER_IN_OUTCOME_ORDER = (np.array([[-2.0, -1.0, -3.0, 0.0]]), np.array([[0.33, 0.79, 0.3, 0.5]]), 1.42)
+# The same masses with the two middle outcomes tied: handing back the higher hands back its group.
+TIED_OVER_IN_OUTCOME_ORDER = (np.array([[-1.0, -1.0, -3.0, 0.0]]), *OVER_IN_OUTCOME_ORDER[1:])
+# The middle row's whole mass, 0, fits its allowance: it admits its top outcome and rejects the rest.
+ALL_ZERO_AMID_WEIGHTED = (np.array([[0.0, -1.0, -2.0]] * 3), np.array([[0.5, 0.3, 0.2], [0.0] * 3, [0.6, 0.4, 0.0]]))
 
 
 class TestBlockAdmission:
-    """``_rank`` admits a block of rows in array passes; every row must come out as ``_walk`` admits it alone."""
+    """``_rank`` ranks a block of rows in array passes; every row must come out as the plain
+    tie-group walk of ``oracle_admit_tie_groups`` admits it alone, and as ``_rank`` ranks it alone."""
 
     @given(block=admission_blocks())
-    @example(block=(*RANK_ORDER_SHORT, (1.0 - 1e-300) * RANK_ORDER_SHORT[1].sum(axis=1, keepdims=True)))
-    @example(block=(*OUTCOME_ORDER_SHORT, 1.2200000000000002))
-    @example(block=(*EXHAUSTED_AMID_REACHABLE, 0.95))
+    @example(block=OVER_IN_OUTCOME_ORDER)
+    @example(block=TIED_OVER_IN_OUTCOME_ORDER)
+    @example(block=(*ALL_ZERO_AMID_WEIGHTED, 0.05 * ALL_ZERO_AMID_WEIGHTED[1].sum(axis=1, keepdims=True)))
     @settings(max_examples=300, deadline=None)
     def test_every_row_admits_what_the_walk_admits_alone(self, block):
-        log_g, mass, target = block
-        targets = np.broadcast_to(target, (len(log_g), 1))[:, 0].tolist()
-        for j, (included, log_threshold, covered) in enumerate(zip(*_rank(log_g, mass, target))):
-            want = _walk(log_g[j], mass[j], targets[j])
+        log_g, mass, allowance = block
+        allowances = np.broadcast_to(allowance, (len(log_g), 1))
+        for j, (included, log_threshold, rejected) in enumerate(zip(*_rank(log_g, mass, allowance))):
+            want = oracle_admit_tie_groups(log_g[j], mass[j], allowances[j, 0])
             assert np.array_equal(included, want[0]), j
-            assert log_threshold == want[1], j
-            assert covered == want[2], j
-            if covered < targets[j]:
-                # A row that its whole support leaves short admits every outcome.
-                assert included.all(), j
-                assert covered == mass[j].sum(), j
+            assert rejected == want[1], j
+            with np.errstate(over="ignore"):
+                assert np.exp(log_threshold) == want[2], j
+            alone = _rank(log_g[j : j + 1], mass[j : j + 1], allowances[j : j + 1])
+            assert np.array_equal(included, alone[0][0]), j
+            assert (log_threshold, rejected) == (alone[1][0], alone[2][0]), j
+            # Every row admits its top outcome, however much of its mass fits the allowance.
+            assert included[np.argmax(log_g[j])], j
 
     @pytest.mark.parametrize(
-        "log_g, mass, target, flags",
+        "log_g, mass, allowance, flags",
         [
-            (*RANK_ORDER_SHORT, (1.0 - 1e-300) * (1.0 + 2.0**-52), [True, True, True]),
-            (*OUTCOME_ORDER_SHORT, 1.2200000000000002, [True, True, True, False, True]),
+            (*OVER_IN_OUTCOME_ORDER, [False, True, False, True]),
+            (*TIED_OVER_IN_OUTCOME_ORDER, [True, True, False, True]),
         ],
-        ids=["rank_order_short", "outcome_order_short"],
+        ids=["tie_free", "tied"],
     )
-    def test_rows_short_in_either_order_are_walked(self, monkeypatch, log_g, mass, target, flags):
-        # Neither tie-free row is admitted by the array passes: the first never reaches its target in
-        # rank order, and the second reaches it there but falls short of it in outcome order, so the
-        # walk admits one more outcome.
-        walks = []
-        walk = decisions._walk
-        monkeypatch.setattr(decisions, "_walk", lambda *args: walks.append(args) or walk(*args))
-        ((included, _, covered),) = zip(*_rank(log_g, mass, target))
-        assert len(walks) == 1
+    def test_rows_over_in_outcome_order_step_back(self, log_g, mass, allowance, flags):
+        # Summed from the bottom in rank order the three lowest outcomes fit the allowance, but summed
+        # in outcome order they pass it, so the row hands back its highest rejected tie group.
+        ranked = mass[0, np.argsort(log_g[0], kind="stable")]
+        assert np.cumsum(ranked)[2] <= allowance < mass[0, :3].sum()
+        ((included, _, rejected),) = zip(*_rank(log_g, mass, allowance))
         assert included.tolist() == flags
-        assert covered >= target
+        assert rejected == mass[0, ~included].sum() <= allowance
 
 
 def assert_rows_equal_rows_built_alone(matrix: DecisionMatrix) -> None:
@@ -487,9 +506,13 @@ class TestMatrixAndCoverage:
 
     def test_type1_error_complements_own_coverage(self, matrix_non, matrix_inf):
         for matrix in (matrix_non, matrix_inf):
-            for j in range(len(matrix.config.grid)):
-                assert type1_error(matrix, j) == 1.0 - matrix.achieved_coverage[j], j
-                assert type1_error(matrix, j) <= matrix.config.level, j
+            # The rejected mass is summed directly, not as 1 - coverage, which keeps only the digits
+            # of the complement.
+            for j, eta in enumerate(matrix.config.grid.points):
+                rejected = float(binom_pmf_support(matrix.config.model, eta)[~matrix.included[j]].sum())
+                assert type1_error(matrix, j) == rejected, j
+                assert matrix.achieved_coverage[j] == 1.0 - rejected, j
+                assert rejected <= matrix.config.level, j
 
     def test_index_validation(self):
         matrix = build_decision_matrix(small_config())
@@ -617,6 +640,14 @@ class TestCsv:
         grid = ParameterGrid([0.3, 0.5, 0.5000001])
         assert_reads_back(TestConfig(0.05, BinomialModel(20), BetaPrior(0.5, 0.5), grid))
 
+    def test_round_trip_below_the_pmf_rounding(self):
+        # At n=1e4 the pmf sums to about 1 - 1.1e-11, so a row that rejects at most 1e-11 admits less
+        # than 1 - 1e-11 of it; the reader checks the rejected mass and reads the row back.
+        config = TestConfig(1e-11, BinomialModel(10**4), BetaPrior(0.5, 0.5), ParameterGrid([0.5]))
+        included, _, _ = build_decision_row(0.5, config)
+        assert binom_pmf_support(config.model, 0.5)[included].sum() < 1.0 - 1e-11
+        assert_reads_back(config)
+
     def test_rejects_a_row_short_of_coverage(self):
         # Dropping the mode keeps the row's threshold, so only the coverage shows it.
         config = TestConfig(0.05, BinomialModel(20), BetaPrior(0.5, 0.5), ParameterGrid.regular(49, 0.02, 0.98))
@@ -664,8 +695,8 @@ class TestCsv:
             with pytest.raises(ValueError, match=re.escape(message)):
                 read(unreadable)
 
-        # Withholding an admitted outcome leaves the row short of 1 - level; an
-        # empty row covers nothing. Admitting one more lowers the threshold,
+        # Withholding an admitted outcome makes the row reject more than level;
+        # an empty row covers nothing. Admitting one more lowers the threshold,
         # which the row's first line then shows.
         j = config.grid.nearest_index(0.202)
         row = [1 + j * 4 + x for x in range(4)]

@@ -2,7 +2,7 @@
 per block of rows, exact or Monte Carlo, the plug-in likelihood once per block of sampled parameters and
 once per block of nulls, the binomial kernel once per distinct grid, the prior measure once per average,
 each inclusion matrix once per grid of averages, and one bit generator per Monte Carlo stage; and which
-rows the block pass leaves to the walk of one row at a time.
+rows of a block pass walk their cut down a tie group or step it back.
 
 Counters wrap the module bindings that the callers read, so a call made
 through any of them is counted.
@@ -119,22 +119,36 @@ def test_build_ranks_every_row_in_one_pass(monkeypatch, prior):
     assert len(row_builds) == len(GRID)
 
 
-def walked(monkeypatch, module) -> list:
-    """Wrap ``module._rank`` so that the ln g of every row it hands to ``decisions._walk`` is recorded.
+def walked(monkeypatch, module) -> tuple:
+    """Wrap ``module._rank`` to record, from its calls of ``decisions._whole_groups``, which rows move their cut.
 
-    Those are the rows that the array passes could not admit.
+    Returns two lists: the ln g of every row whose first cut the tie walk
+    moves down, and of every row that steps its cut back because its
+    outcome-order rejected sum passes its allowance.
     """
     walks: list = []
+    steps_back: list = []
     rank = module._rank
 
-    def ranked(log_g, mass, target):
+    def ranked(log_g, mass, allowance):
+        cuts: list = []
+        whole_groups = decisions._whole_groups
+
+        def recorded(ranked, firsts, cut):
+            moved = whole_groups(ranked, firsts, cut)
+            cuts.append((cut.copy(), moved))
+            return moved
+
         with monkeypatch.context() as m:
-            walk = decisions._walk
-            m.setattr(decisions, "_walk", lambda g, v, t: walks.append(g.copy()) or walk(g, v, t))
-            return rank(log_g, mass, target)
+            m.setattr(decisions, "_whole_groups", recorded)
+            result = rank(log_g, mass, allowance)
+        walks.extend(log_g[cuts[0][0] != cuts[0][1]])
+        for (_, before), (after, _) in zip(cuts, cuts[1:]):
+            steps_back.extend(log_g[before != after])
+        return result
 
     monkeypatch.setattr(module, "_rank", ranked)
-    return walks
+    return walks, steps_back
 
 
 def ln_g_at_half(model: BinomialModel, prior: BetaPrior) -> np.ndarray:
@@ -142,25 +156,29 @@ def ln_g_at_half(model: BinomialModel, prior: BetaPrior) -> np.ndarray:
 
 
 def test_build_walks_only_the_tied_row(monkeypatch):
-    # At n=100 and G=499 under Beta(0.5, 0.5) the array passes admit 498 rows. The row at eta 0.5,
-    # whose mirrored outcomes tie, is the one walked, and every row still goes through build_decision_row.
-    walks = walked(monkeypatch, decisions)
+    # At n=100 and G=499 under Beta(0.5, 0.5) only the row at eta 0.5, whose mirrored outcomes tie,
+    # has a first cut inside a tie group; no row steps back, and every row still goes through
+    # build_decision_row.
+    walks, steps_back = walked(monkeypatch, decisions)
     row_builds = counter(monkeypatch, decisions, "build_decision_row")
     build_decision_matrix(TestConfig(0.05, BinomialModel(100), PRIORS[1], ParameterGrid.regular(499)))
     assert len(walks) == 1
     assert np.array_equal(walks[0], ln_g_at_half(BinomialModel(100), PRIORS[1]))
+    assert steps_back == []
     assert len(row_builds) == 499
 
 
 def test_mc_validate_defaults_walk_no_monte_carlo_row(monkeypatch, tmp_path):
-    # At the mc-validate defaults (n=100, G=499, Beta(0.5, 0.5), 1000 x 100 draws, seed 1729) the array
-    # passes admit all 499 Monte Carlo rows, so none is walked; the exact matrix walks its tied row.
-    mc_walks = walked(monkeypatch, monte_carlo)
-    exact_walks = walked(monkeypatch, decisions)
+    # At the mc-validate defaults (n=100, G=499, Beta(0.5, 0.5), 1000 x 100 draws, seed 1729) no
+    # Monte Carlo row's cut falls inside a tie group and none steps back; the exact matrix walks
+    # its tied row and steps none back.
+    mc_walks, mc_steps_back = walked(monkeypatch, monte_carlo)
+    exact_walks, exact_steps_back = walked(monkeypatch, decisions)
     mc_row_builds = counter(monkeypatch, monte_carlo, "mc_build_decision_row")
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["mc-validate", "--out", str(tmp_path)]) == 0
     assert (len(mc_walks), len(exact_walks), len(mc_row_builds)) == (0, 1, 499)
+    assert (mc_steps_back, exact_steps_back) == ([], [])
     assert np.array_equal(exact_walks[0], ln_g_at_half(BinomialModel(100), PRIORS[1]))
 
 
