@@ -6,8 +6,10 @@ twelve significant digits.
 
 Writers produce their text as chunks: ``csv_chunks`` yields the header line,
 then the lines of each block of rows as one chunk, every chunk ending with a
-newline. The CLI writes a file's chunks one at a time, so no file is ever
-held whole; a ``*_csv`` function joins the same chunks into one string.
+newline; ``template_chunks`` does the same for a flat list of fields,
+formatting each chunk with one ``%``-template. The CLI writes a file's
+chunks one at a time, so no file is ever held whole; a ``*_csv`` function
+joins the same chunks into one string.
 """
 
 from __future__ import annotations
@@ -45,7 +47,26 @@ def csv_chunks(header: str, rows: Iterable[Iterable[str]], rows_per_chunk: int =
         yield "\n".join(block)
 
 
+def template_chunks(header: str, template: str, fields: list) -> Iterator[str]:
+    """The header, then the lines that the one-line ``%``-template makes of consecutive ``fields``.
+
+    ``template`` holds one conversion per field and ends with a newline.
+    Each chunk of ``CHUNK_LINES`` lines is formatted with one ``%``. ``%`` and
+    ``format`` render a float through the same routine, so ``%.6f`` and
+    ``%.12g`` give what ``point`` and ``value`` give.
+    """
+    width = template.count("%")
+    step = CHUNK_LINES * width
+    yield header + "\n"
+    for start in range(0, len(fields), step):
+        block = fields[start : start + step]
+        yield template * (len(block) // width) % tuple(block)
+
+
 def grid_chunks(header: str, points: np.ndarray, *columns: np.ndarray) -> Iterator[str]:
-    """The header, then one line per grid point: the point, then its entry in each column as a value."""
-    cells = [map(value, column.tolist()) for column in columns]
-    return csv_chunks(header, zip(map(point, points.tolist()), *cells, strict=True))
+    """The header, then one line per grid point: the point, then its entry in each column as a value.
+
+    Columns of another length than the points raise ValueError here, when it is called.
+    """
+    fields = np.column_stack([points, *columns]).ravel().tolist()
+    return template_chunks(header, "%.6f" + ",%.12g" * len(columns) + "\n", fields)

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .csvtext import csv_chunks, grid_chunks, point, value
+from .csvtext import csv_chunks, grid_chunks, point, template_chunks, value
 from .decisions import DecisionMatrix, _check_index
 from .distributions import (
     BetaPrior,
@@ -184,15 +184,14 @@ def overall_power_grid(matrices: Sequence[DecisionMatrix], priors: Sequence[Beta
 
 def _power_curves_chunks(matrix: DecisionMatrix, thetas: Sequence[float]):
     """The chunks of ``power_curves_csv``. Every curve is evaluated here, so a bad theta raises before any chunk."""
-    curves = [(point(theta), power_curve(matrix, theta)) for theta in thetas]
+    curves = np.asarray([power_curve(matrix, theta) for theta in thetas], dtype=float)
+    # Each theta and grid point is formatted once, however many lines repeat it.
     etas = [point(eta) for eta in matrix.config.grid.points.tolist()]
-
-    def lines():
-        for theta_s, curve in curves:
-            for eta_s, val in zip(etas, curve.tolist()):
-                yield theta_s, eta_s, value(val)
-
-    return csv_chunks("theta,eta,power", lines())
+    fields = [None] * (3 * curves.size)
+    fields[0::3] = [theta for theta in map(point, thetas) for _ in etas]
+    fields[1::3] = etas * len(curves)
+    fields[2::3] = curves.ravel().tolist()
+    return template_chunks("theta,eta,power", "%s,%s,%.12g\n", fields)
 
 
 def power_curves_csv(matrix: DecisionMatrix, thetas: Sequence[float]) -> str:

@@ -15,7 +15,8 @@ library's endpoints must fall inside its final bracket. A fourth,
 ``_data_rng``, is the Monte Carlo data row's stream built the documented way,
 numpy's own ``Philox.jumped``; the library's one generator, whose counter it
 sets through the state dict, must draw the same values. The type I audit,
-``oracle_rejected_mass``, sums at 50 digits.
+``oracle_rejected_mass``, sums at 50 digits, and ``oracle_cp_root``
+bisects for a baseline endpoint at 50 digits in log space.
 """
 
 from __future__ import annotations
@@ -117,6 +118,29 @@ def oracle_cp_interval(x: int, n: int, level: float) -> tuple:
     else:
         upper = bisect(lambda t: mp.betainc(n - x, x + 1, 0, 1 - t, regularized=True), False)
     return lower, upper
+
+
+def oracle_cp_root(x: int, n: int, level: float) -> tuple:
+    """(lower endpoint for x, upper endpoint for n - x) at ``level``, from one 50-digit root.
+
+    Bisects ln(theta) until the bracket is 2**-60 wide, comparing the log of
+    the regularized incomplete beta tail P(X >= x | theta) = I_theta(x, n-x+1)
+    with ln(level / 2), so that a level below the normal floats keeps every
+    digit. The bracket starts at ln 1 and at (ln(level / 2) - ln C(n, x)) / x,
+    which lies below the root since P(X >= x) <= C(n, x) theta^x. The upper
+    endpoint for n - x is one minus the root, by the reflection of the law.
+    """
+    with mp.workdps(50):
+        log_half = mp.log(mp.mpf(level) / 2)
+        lo, hi = (log_half - mp.log(mp.binomial(n, x))) / x, mp.mpf(0)
+        while hi - lo > mp.mpf(2) ** -60:
+            mid = (lo + hi) / 2
+            if mp.log(mp.betainc(x, n - x + 1, 0, mp.exp(mid), regularized=True)) > log_half:
+                hi = mid
+            else:
+                lo = mid
+        root = mp.exp((lo + hi) / 2)
+        return float(root), float(1 - root)
 
 
 def _posterior_values(eta, n: int, a, b) -> list:

@@ -11,9 +11,12 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avgpower import BetaPrior, BinomialModel, ParameterGrid, TestConfig, build_decision_matrix
 from avgpower.clopper_pearson import _comparison_chunks, compare_lengths, comparison_csv
+from avgpower.csvtext import grid_chunks, point, value
 from avgpower.decisions import (
     ThresholdOverflowError,
     _decision_matrix_chunks,
@@ -133,3 +136,34 @@ def test_grid_point_chunks_hold_8192_lines():
     points = ParameterGrid.regular(10000).points
     report = AgreementReport(points, np.ones(points.size), 1.0)
     assert line_counts(_agreement_chunks(report)) == [8192, 1808]
+
+
+def test_power_curve_chunks_hold_8192_lines_across_curves():
+    assert line_counts(_power_curves_chunks(build(20, BetaPrior(0.5, 0.5), 49), [0.5] * 200)) == [8192, 1608]
+
+
+# Floats the templates must render as point() and value() do: signed zeros, subnormals, the
+# ends of the double range, and the non-finite values.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308]
+EDGE_FLOATS += [-1.7976931348623157e308, 0.1, 0.5, 1.0, 1 / 3, float("inf"), float("-inf"), float("nan")]
+floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=True, allow_infinity=True))
+
+
+def joined(header: str, points: list, *columns: list) -> str:
+    """One line per point: the point, then its entry in each column as a value, each field formatted alone."""
+    lines = (",".join([point(p), *map(value, row)]) + "\n" for p, *row in zip(points, *columns))
+    return "".join([header + "\n", *lines])
+
+
+@given(rows=st.lists(st.tuples(floats, floats, floats, st.integers(0, 1)), max_size=40), floats_in=st.integers(0, 2))
+@settings(max_examples=200, deadline=None)
+def test_grid_template_matches_a_per_field_join(rows, floats_in):
+    # The points, up to two float columns, then a 0/1 integer column like a ci file's flags.
+    columns = [[row[i] for row in rows] for i in (0, *range(1, 1 + floats_in), 3)]
+    chunks = grid_chunks("h", *(np.array(column) for column in columns))
+    assert "".join(chunks) == joined("h", *columns)
+
+
+def test_grid_columns_are_checked_when_called():
+    with pytest.raises(ValueError):
+        grid_chunks("h", np.zeros(3), np.zeros(3), np.zeros(2))

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import importlib
+import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from avgpower import (
 from avgpower.clopper_pearson import comparison_csv
 from avgpower.csvtext import value
 from avgpower.distributions import binom_pmf_support
-from oracles import oracle_bisect_cp, oracle_cp_interval
+from oracles import oracle_bisect_cp, oracle_cp_interval, oracle_cp_root
 
 cp_module = importlib.import_module("avgpower.clopper_pearson")
 
@@ -147,8 +149,77 @@ class TestPlainBisectionReference:
         assert (lower == 0.0).all() and (upper == 1.0).all()
 
 
+def sampled_outcomes(n: int) -> list:
+    """Every outcome up to n = 20; beyond, six at each end of the support and five inside it."""
+    if n <= 20:
+        return list(range(1, n + 1))
+    return sorted({*range(1, 7), n // 10, n // 4, n // 2, 3 * n // 4, n - n // 10, *range(n - 5, n + 1)})
+
+
+class TestAgainstFiftyDigitRoots:
+    """Each lower endpoint for x, and each upper one for n - x, against the 50-digit root.
+
+    The solver settles on the root of its own float tail sum
+    (TestSettledRoots); what is left is the float pmf row's error. ln C(n, x)
+    is a difference of log-gammas near 5900 at n = 1000, so the row is up to
+    1.5e-12 relative off there, which moves the root for x = 2 by 7.9e-13.
+    At n <= 100 the worst is 8.4e-14, at n = 20, x = 1 and level 1e-300,
+    where x ln(theta) is near -694.
+    """
+
+    @staticmethod
+    def endpoints(n: int, level: float):
+        """(x, endpoint, root) for the lower endpoint of x and the upper endpoint of n - x."""
+        lower, upper = cp_intervals(BinomialModel(n), level)
+        for x in sampled_outcomes(n):
+            low, up = oracle_cp_root(x, n, level)
+            yield x, lower[x], low
+            yield n - x, upper[n - x], up
+
+    @pytest.mark.parametrize("level", [0.5, 0.05, 1e-9, 1e-300])
+    @pytest.mark.parametrize("n, rtol", [(20, 1e-13), (100, 1e-13), (1000, 1e-12)])
+    def test_relative_error(self, n, rtol, level):
+        for x, end, root in self.endpoints(n, level):
+            assert abs(end - root) <= rtol * root, (x, end, root)
+
+    @pytest.mark.parametrize("n", [20, 100])
+    def test_a_subnormal_level(self, n):
+        # Half of 1e-320 keeps 11 bits as a float, so its tail is compared in logs. A root that is
+        # itself subnormal, as for x = 1, is held to within one ulp, which is 2e-2 relative at n = 20.
+        for x, end, root in self.endpoints(n, 1e-320):
+            bound = 1e-12 * root if root >= sys.float_info.min else math.ulp(root)
+            assert abs(end - root) <= bound, (x, end, root)
+
+
+class TestSettledRoots:
+    """Every lower endpoint lies within 1e-13 in logit(theta) of the root of its own float tail sum.
+
+    The distance is Newton's, |g| / g' for g = ln(tail / half). The solver
+    leaves at most 3.5e-14, where x ln(theta) is near -694 and the row's
+    rounding is 1e-13 in g; a Halley step that returned from |g| <= 1e-3
+    would leave up to 5.7e-12 (n = 100, x = 51, level 0.5).
+    """
+
+    @pytest.mark.parametrize("level", [0.5, 0.05, 1e-9, 1e-300])
+    @pytest.mark.parametrize("n", [20, 100, 1000])
+    def test_every_lower_endpoint(self, n, level):
+        model = BinomialModel(n)
+        lower, _ = cp_intervals(model, level)
+        for x in range(1, n + 1):
+            t = float(lower[x])
+            pmf = binom_pmf_support(model, t)
+            tail = float(pmf[x:].sum())
+            slope = x * (1.0 - t) * float(pmf[x]) / tail
+            assert abs(math.log(tail / (level / 2.0))) <= 1e-13 * slope, (x, t)
+
+
+# Tail sums per endpoint the solver may spend at level 0.05. Newton steps alone spent 3.52 at
+# n = 100 and 3.12 at n = 1000; with Halley steps near the root it spends 2.60 and 2.18.
+TAIL_SUM_BUDGET = {100: 2.7, 1000: 2.25}
+
+
 class TestTailSumBudget:
-    """Tail sums per endpoint; the plain bisection spends 34 on each, Newton about four."""
+    """Tail sums per endpoint; the plain bisection spends 34 on each, the solver two to four."""
 
     @staticmethod
     def tail_sums(monkeypatch, n, level) -> int:
@@ -166,10 +237,11 @@ class TestTailSumBudget:
     @pytest.mark.parametrize("n", [100, 1000])
     def test_newton_budget(self, monkeypatch, n):
         # x = 0 has no lower endpoint to solve and x = n no upper one.
-        assert self.tail_sums(monkeypatch, n, 0.05) <= 6 * 2 * n
+        assert self.tail_sums(monkeypatch, n, 0.05) <= TAIL_SUM_BUDGET[n] * 2 * n
 
     def test_newton_budget_at_a_tiny_level(self, monkeypatch):
-        assert self.tail_sums(monkeypatch, 20, 1e-300) <= 6 * 2 * 20
+        # 120 sums, 3.0 per endpoint, with Newton steps alone as with Halley steps.
+        assert self.tail_sums(monkeypatch, 20, 1e-300) <= 3.1 * 2 * 20
 
     def test_exhausted_budget_raises(self, monkeypatch, tmp_path, capsys):
         # One tail sum cannot settle this endpoint, and an iterate never evaluated is no answer.

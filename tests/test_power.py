@@ -221,6 +221,7 @@ class TestSerialization:
         theta_s, eta_s, val_s = lines[1].split(",")
         assert theta_s == "0.500000" and eta_s == "0.002000"
         float(val_s)
+        assert power_curves_csv(matrix_non, ()) == "theta,eta,power\n"
 
     def test_mixed_and_avg_csv(self, grid499):
         config = TestConfig(level=0.05, model=BinomialModel(20), prior=BetaPrior(0.5, 0.5), grid=grid499)
@@ -242,7 +243,8 @@ class TestSerialization:
             assert mixed[j] == f"{eta:.6f},{mixed_power_given_eta(matrix, j):.12g}"
             assert avg[j] == f"{eta:.6f},{avg_power_given_theta(matrix, float(eta)):.12g}"
 
-        thetas = (0.3, 0.55)
+        # The ends of [0, 1], a subnormal and a signed zero print as point() prints them.
+        thetas = (0.3, 0.55, 0.0, 1.0, 5e-324, -0.0)
         curves = power_curves_csv(matrix, thetas).splitlines()[1:]
         assert len(curves) == len(thetas) * len(grid)
         for i, theta in enumerate(thetas):
