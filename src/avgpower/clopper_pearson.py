@@ -1,10 +1,12 @@
 """Symmetric equal-tail binomial intervals and length comparison.
 
 Endpoints are defined through the exact binomial tail sums, each side at
-half the level. No incomplete-beta inverse is needed: the lower endpoint is
-solved by a safeguarded Newton iteration on the tail sum that turns to
-Halley steps near the root, two to four sums per endpoint, and the upper
-endpoint is the lower one of the reflected outcome, since
+half the level. The lower endpoint is solved by a safeguarded Newton
+iteration on the tail sum that turns to Halley steps near the root. It
+starts at the exact root for x = 1 and x = n and at an approximate
+incomplete-beta inverse between them, so most endpoints take two sums and
+none more than four at levels down to 1e-9. The upper endpoint is the
+lower one of the reflected outcome, since
 P(X <= x | theta) = P(X >= n - x | 1 - theta).
 """
 
@@ -60,8 +62,10 @@ _HALLEY_G = 0.1
 # A Halley step's point is good to about the cube, so it returns from this g.
 _HALLEY_CLOSE_G = 1e-5
 # Tail sums one endpoint may spend, or it raises ValueError. The solver has needed
-# at most 13, on every outcome for n up to 5000 at 13 levels from 0.999 down to
-# 1e-323; bisection alone would need about 64.
+# at most 12, on every outcome for n in {1, 2, 3, 5, 10, 20, 50, 100, 333, 1000,
+# 2000, 5000} at 13 levels from 0.999 down to 1e-323. It needs 12 only at levels
+# 1e-300 and 1e-307, for x above 0.87 n at n >= 1000, where the tail at the start
+# underflows to zero and the solver bisects; bisection alone would need about 64.
 _MAX_EVALS = 64
 
 
@@ -89,15 +93,31 @@ def _start_quantile(half: float) -> float:
     return -NormalDist().inv_cdf(half)
 
 
-def _wilson_start(n: int, x: int, half: float) -> float:
-    """Continuity-corrected Wilson lower score bound at tail level ``half``: the solver's first point."""
-    z = _start_quantile(half)
-    k = x - 0.5
-    z2 = z * z
-    center = (k + z2 / 2.0) / (n + z2)
-    spread = z * math.sqrt(k * (n - k) / n + z2 / 4.0) / (n + z2)
-    t = center - spread
-    return t if 0.0 < t < 1.0 else 0.5
+def _start(n: int, x: int, half: float) -> float:
+    """The solver's first point: the theta where P(X >= x) = ``half``, exact or approximate.
+
+    P(X >= x) is I_theta(x, n - x + 1), so the root is the lower-tail
+    ``half`` quantile of Beta(x, n - x + 1). It is exact for x = n, where the
+    tail is theta^n, and for x = 1, where it is 1 - (1 - theta)^n; between
+    them it is Abramowitz & Stegun's 26.5.22, from the normal quantile of
+    ``half``. Where the point leaves (0, 1), the least positive float takes
+    its place: that happens for x = 1 at subnormal levels, whose root rounds
+    to that float or below it, and the solver then settles in one sum.
+    """
+    if x == n:
+        t = math.exp(math.log(half) / n)
+    elif x == 1:
+        t = -math.expm1(math.log1p(-half) / n)
+    else:
+        a, b = x, n - x + 1
+        y = _start_quantile(half)
+        lam = (y * y - 3.0) / 6.0
+        ra, rb = 1.0 / (2 * a - 1), 1.0 / (2 * b - 1)
+        h = 2.0 / (ra + rb)
+        w = y * math.sqrt(h + lam) / h - (rb - ra) * (lam + 5.0 / 6.0 - 2.0 / (3.0 * h))
+        # theta = a / (a + b exp(2 w)), taken through its logit so that exp(2 w) cannot overflow.
+        t = _expit(math.log(a / b) - 2.0 * w)
+    return t if 0.0 < t < 1.0 else math.ulp(0.0)
 
 
 def _log_tail(model: BinomialModel, x: int, t: float, half: float) -> tuple:
@@ -113,7 +133,7 @@ def _log_tail(model: BinomialModel, x: int, t: float, half: float) -> tuple:
             return -math.inf, 0.0
         return log_tail - math.log(half), math.exp(float(log_pmf[x]) - log_tail)
     pmf = binom_pmf_support(model, t)
-    tail = float(pmf[x:].sum())
+    tail = float(np.add.reduce(pmf[x:]))
     if tail == 0.0:
         return -math.inf, 0.0
     return math.log(tail / half), float(pmf[x]) / tail
@@ -122,11 +142,11 @@ def _log_tail(model: BinomialModel, x: int, t: float, half: float) -> tuple:
 def _lower_endpoint(model: BinomialModel, x: int, half: float) -> float:
     """The theta where P(X >= x) = ``half``, for 1 <= x <= n; zero when ``half`` is.
 
-    Safeguarded Newton on g = ln(tail / half) against u = logit(theta). g
-    rises with u and is concave in it (its second derivative is the variance
-    of X given X >= x less n theta (1 - theta), and truncation shrinks the
-    variance of a log-concave law), so after one step the iterates close in
-    on the root from below. Once |g| <= ``_HALLEY_G`` the step is Halley's,
+    Safeguarded Newton on g = ln(tail / half) against u = logit(theta),
+    from ``_start``. g rises with u and is concave in it (its second
+    derivative is the variance of X given X >= x less n theta (1 - theta),
+    and truncation shrinks the variance of a log-concave law), so after one
+    step the iterates close in on the root from below. Once |g| <= ``_HALLEY_G`` the step is Halley's,
     from the same pmf row: with s = g', g'' = s (x - (n + 1) theta - s). A
     step that leaves the bracket of signs seen so far, or that a zero tail
     leaves undefined, is replaced by the bracket's midpoint in u. Raises
@@ -137,7 +157,7 @@ def _lower_endpoint(model: BinomialModel, x: int, half: float) -> float:
         return 0.0
     n = model.n
     lo, hi = _LOGIT_MIN, _LOGIT_MAX
-    t = _wilson_start(n, x, half)
+    t = _start(n, x, half)
     u = _logit(t)
     for _ in range(_MAX_EVALS):
         g, share = _log_tail(model, x, t, half)

@@ -122,9 +122,10 @@ class TestPlainBisectionReference:
             assert_within_bisection((lower[x], upper[x]), x, 1000, 0.05)
 
     def test_edge_outcomes_at_a_tiny_level_at_n_1000(self):
-        # The Wilson start lies where the tail underflows to zero, so the
-        # safeguard bisects in logit(theta); a bracket reaching past the floats
-        # inside (0, 1) rounds its midpoints to 1 and stopped there.
+        # For x near n the start lies where the float tail underflows to zero,
+        # 148 times in these 82 intervals, so the safeguard bisects in
+        # logit(theta); a bracket reaching past the floats inside (0, 1) rounds
+        # its midpoints to 1 and stopped there.
         model = BinomialModel(1000)
         for x in (*range(41), *range(960, 1001)):
             assert_within_bisection(clopper_pearson(x, model, 1e-300), x, 1000, 1e-300)
@@ -213,16 +214,19 @@ class TestSettledRoots:
             assert abs(math.log(tail / (level / 2.0))) <= 1e-13 * slope, (x, t)
 
 
-# Tail sums per endpoint the solver may spend at level 0.05. Newton steps alone spent 3.52 at
-# n = 100 and 3.12 at n = 1000; with Halley steps near the root it spends 2.60 and 2.18.
-TAIL_SUM_BUDGET = {100: 2.7, 1000: 2.25}
+# Tail sums per endpoint the solver may spend at level 0.05, where it spends 1.96 at n = 100 and
+# 1.84 at n = 1000.
+TAIL_SUM_BUDGET = {100: 2.0, 1000: 1.85}
+# The same at level 1e-9, where it spends 2.35 and 2.11.
+TINY_LEVEL_TAIL_SUM_BUDGET = {100: 2.4, 1000: 2.15}
 
 
 class TestTailSumBudget:
-    """Tail sums per endpoint; the plain bisection spends 34 on each, the solver two to four."""
+    """Tail sums per endpoint; the plain bisection spends 34 on each, the solver one to four down to level 1e-9."""
 
     @staticmethod
-    def tail_sums(monkeypatch, n, level) -> int:
+    def counted_sums(monkeypatch) -> list:
+        """Wrap the module's pmf row; the list it returns gains one theta per tail sum."""
         calls = []
         kernel = cp_module.binom_pmf_support
 
@@ -231,6 +235,10 @@ class TestTailSumBudget:
             return kernel(model, theta)
 
         monkeypatch.setattr(cp_module, "binom_pmf_support", counted)
+        return calls
+
+    def tail_sums(self, monkeypatch, n, level) -> int:
+        calls = self.counted_sums(monkeypatch)
         cp_intervals(BinomialModel(n), level)
         return len(calls)
 
@@ -239,12 +247,37 @@ class TestTailSumBudget:
         # x = 0 has no lower endpoint to solve and x = n no upper one.
         assert self.tail_sums(monkeypatch, n, 0.05) <= TAIL_SUM_BUDGET[n] * 2 * n
 
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_newton_budget_at_level_1e_9(self, monkeypatch, n):
+        assert self.tail_sums(monkeypatch, n, 1e-9) <= TINY_LEVEL_TAIL_SUM_BUDGET[n] * 2 * n
+
     def test_newton_budget_at_a_tiny_level(self, monkeypatch):
-        # 120 sums, 3.0 per endpoint, with Newton steps alone as with Halley steps.
-        assert self.tail_sums(monkeypatch, 20, 1e-300) <= 3.1 * 2 * 20
+        # 88 sums, 2.2 per endpoint.
+        assert self.tail_sums(monkeypatch, 20, 1e-300) <= 2.25 * 2 * 20
+
+    @pytest.mark.parametrize("level", [0.5, 0.05, 1e-9])
+    @pytest.mark.parametrize("n", [2, 20, 100, 1000])
+    def test_exact_starts_settle_in_one_sum(self, monkeypatch, n, level):
+        # P(X >= n) = theta^n and P(X >= 1) = 1 - (1 - theta)^n invert in closed form.
+        model, calls = BinomialModel(n), self.counted_sums(monkeypatch)
+        for x in (1, n):
+            calls.clear()
+            cp_module._lower_endpoint(model, x, level / 2.0)
+            assert len(calls) == 1, (x, calls)
+
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_beta_quantile_start_is_near_the_root(self, n):
+        # Within |g| <= 0.1 the first step is already Halley's. Abramowitz & Stegun's 26.5.22 is
+        # least accurate at the smallest shape, x = 2, which starts at g = -0.151 (n = 100) and
+        # -0.153 (n = 1000); every other x starts within 0.092.
+        model, half = BinomialModel(n), 0.025
+        g = {x: cp_module._log_tail(model, x, cp_module._start(n, x, half), half)[0] for x in range(2, n)}
+        assert abs(g.pop(2)) <= 0.16
+        assert max(map(abs, g.values())) <= 0.1
 
     def test_exhausted_budget_raises(self, monkeypatch, tmp_path, capsys):
-        # One tail sum cannot settle this endpoint, and an iterate never evaluated is no answer.
+        # One tail sum cannot settle this endpoint, which starts at |g| = 0.07, and an iterate
+        # never evaluated is no answer.
         monkeypatch.setattr(cp_module, "_MAX_EVALS", 1)
         message = "lower endpoint for x=3, n=20 at tail level 0.025 unsettled after 1 sums"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
