@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvtext import csv_chunks, value
+from .csvtext import template_chunks, value
 from .decisions import DecisionMatrix
 from .distributions import BinomialModel, binom_log_pmf_support, binom_pmf_support, check_open_unit, check_outcome
 
@@ -62,10 +62,11 @@ _HALLEY_G = 0.1
 # A Halley step's point is good to about the cube, so it returns from this g.
 _HALLEY_CLOSE_G = 1e-5
 # Tail sums one endpoint may spend, or it raises ValueError. The solver has needed
-# at most 12, on every outcome for n in {1, 2, 3, 5, 10, 20, 50, 100, 333, 1000,
-# 2000, 5000} at 13 levels from 0.999 down to 1e-323. It needs 12 only at levels
-# 1e-300 and 1e-307, for x above 0.87 n at n >= 1000, where the tail at the start
-# underflows to zero and the solver bisects; bisection alone would need about 64.
+# at most 8, on every outcome for n in {1, 2, 3, 5, 10, 20, 50, 100, 333, 1000,
+# 2000, 5000} at 13 levels from 0.999 down to 1e-323. It needs 8 only for x >= n - 5
+# at levels 1e-100 to 1e-307 and n >= 2000, where the start is weakest, and it
+# bisects only for x = 1 at levels 1e-320 and 1e-323; bisection alone would need
+# about 64.
 _MAX_EVALS = 64
 
 
@@ -121,22 +122,21 @@ def _start(n: int, x: int, half: float) -> float:
 
 
 def _log_tail(model: BinomialModel, x: int, t: float, half: float) -> tuple:
-    """(ln(P(X >= x) / half), pmf[x] / P(X >= x)) at theta ``t``; (-inf, 0) where the tail is zero.
+    """(ln(P(X >= x) / half), pmf[x] / P(X >= x)) at theta ``t``.
 
-    A subnormal ``half`` keeps only a few bits, so below the normal floats the
-    tail is summed in log space; above them the float sum needs fewer passes.
+    Above the normal floats the tail is a float sum, which needs fewer
+    passes. Where that sum underflows to zero, and below the normal floats,
+    where ``half`` keeps only a few bits, the tail is summed in log space,
+    whose sum is finite at every theta of the search bracket.
     """
-    if half < sys.float_info.min:
-        log_pmf = binom_log_pmf_support(model, t)
-        log_tail = float(np.logaddexp.reduce(log_pmf[x:]))
-        if log_tail == -math.inf:
-            return -math.inf, 0.0
-        return log_tail - math.log(half), math.exp(float(log_pmf[x]) - log_tail)
-    pmf = binom_pmf_support(model, t)
-    tail = float(np.add.reduce(pmf[x:]))
-    if tail == 0.0:
-        return -math.inf, 0.0
-    return math.log(tail / half), float(pmf[x]) / tail
+    if half >= sys.float_info.min:
+        pmf = binom_pmf_support(model, t)
+        tail = float(np.add.reduce(pmf[x:]))
+        if tail > 0.0:
+            return math.log(tail / half), float(pmf[x]) / tail
+    log_pmf = binom_log_pmf_support(model, t)
+    log_tail = float(np.logaddexp.reduce(log_pmf[x:]))
+    return log_tail - math.log(half), math.exp(float(log_pmf[x]) - log_tail)
 
 
 def _lower_endpoint(model: BinomialModel, x: int, half: float) -> float:
@@ -148,10 +148,10 @@ def _lower_endpoint(model: BinomialModel, x: int, half: float) -> float:
     and truncation shrinks the variance of a log-concave law), so after one
     step the iterates close in on the root from below. Once |g| <= ``_HALLEY_G`` the step is Halley's,
     from the same pmf row: with s = g', g'' = s (x - (n + 1) theta - s). A
-    step that leaves the bracket of signs seen so far, or that a zero tail
-    leaves undefined, is replaced by the bracket's midpoint in u. Raises
-    ValueError when ``_MAX_EVALS`` tail sums leave the root unsettled, rather
-    than return an iterate it never evaluated.
+    step that leaves the bracket of signs seen so far, or that a share
+    underflowing to zero leaves undefined, is replaced by the bracket's
+    midpoint in u. Raises ValueError when ``_MAX_EVALS`` tail sums leave the
+    root unsettled, rather than return an iterate it never evaluated.
     """
     if half == 0.0:
         return 0.0
@@ -248,10 +248,8 @@ def _comparison_chunks(comparison: LengthComparison):
         column.tolist()
         for column in (comparison.cp_lower, comparison.cp_upper, comparison.prop_lower, comparison.prop_upper)
     ]
-    return csv_chunks(
-        "x,cp_lower,cp_upper,prop_lower,prop_upper",
-        ([str(x), *map(field, ends)] for x, ends in enumerate(zip(*columns))),
-    )
+    lines = [",".join([str(x), *map(field, ends)]) for x, ends in enumerate(zip(*columns))]
+    return template_chunks("x,cp_lower,cp_upper,prop_lower,prop_upper", "%s\n", lines)
 
 
 def comparison_csv(comparison: LengthComparison) -> str:

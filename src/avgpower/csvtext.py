@@ -4,18 +4,16 @@ A header line, comma-separated fields, LF line endings and a trailing
 newline. Grid points and thetas carry six decimals; computed values carry
 twelve significant digits.
 
-Writers produce their text as chunks: ``csv_chunks`` yields the header line,
-then the lines of each block of rows as one chunk, every chunk ending with a
-newline; ``template_chunks`` does the same for a flat list of fields,
-formatting each chunk with one ``%``-template. The CLI writes a file's
-chunks one at a time, so no file is ever held whole; a ``*_csv`` function
-joins the same chunks into one string.
+Writers produce their text as chunks: the header line, then blocks of
+whole lines, every chunk ending with a newline. ``template_chunks`` builds
+them from a flat list of fields, formatting each block with one
+``%``-template. The CLI writes a file's chunks one at a time, so no file is
+ever held whole; a ``*_csv`` function joins the same chunks into one string.
 """
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -32,19 +30,6 @@ def point(v: float) -> str:
 def value(v: float) -> str:
     """A computed value, twelve significant digits."""
     return format(v, ".12g")
-
-
-def csv_chunks(header: str, rows: Iterable[Iterable[str]], rows_per_chunk: int = CHUNK_LINES) -> Iterator[str]:
-    """The header line, then one chunk of lines per ``rows_per_chunk`` rows of already formatted fields.
-
-    A row is usually one line; a writer whose rows each span many lines
-    passes fewer rows per chunk.
-    """
-    yield header + "\n"
-    rows = iter(rows)
-    while block := list(map(",".join, islice(rows, rows_per_chunk))):
-        block.append("")
-        yield "\n".join(block)
 
 
 def template_chunks(header: str, template: str, fields: list) -> Iterator[str]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvtext import CHUNK_LINES, csv_chunks, grid_chunks, point, value
+from .csvtext import CHUNK_LINES, grid_chunks, point, value
 from .distributions import (
     BetaPrior,
     BinomialModel,
@@ -379,26 +379,28 @@ def _thresholds(matrix: DecisionMatrix) -> np.ndarray:
 
 
 def _decision_matrix_chunks(matrix: DecisionMatrix):
-    """The chunks of ``decision_matrix_to_csv``: a block of rows each, formatted as they are written.
+    """The chunks of ``decision_matrix_to_csv``: the header, then a block of whole grid rows each.
 
     The thresholds are checked here, before the first chunk is asked for.
     """
-    threshold = _thresholds(matrix).tolist()
-    points = matrix.config.grid.points.tolist()
+    thresholds = [value(thr) for thr in _thresholds(matrix).tolist()]
+    etas = [point(eta) for eta in matrix.config.grid.points.tolist()]
     x = matrix.config.model.outcomes()
     step = max(1, CHUNK_LINES // x.size)
     # "x,0" and "x,1" for every outcome, then a block of rows' cells in one index.
     cells = np.array([[f"{i},{flag}" for i in x.tolist()] for flag in "01"], dtype=object)
 
-    def rows():
-        for i in range(0, len(points), step):
+    def chunks():
+        yield "eta,x,included,threshold\n"
+        for i in range(0, len(etas), step):
             block = cells[matrix.included[i : i + step].view(np.uint8), x].tolist()
-            for eta, thr, row in zip(points[i : i + step], threshold[i : i + step], block):
-                # One row's lines in one join: the separator closes a line and opens the next.
-                eta_s, thr_s = point(eta), value(thr)
-                yield (f"{eta_s}," + f",{thr_s}\n{eta_s},".join(row) + f",{thr_s}",)
+            # One row's lines in one join: the separator closes a line and opens the next.
+            yield "".join(
+                f"{eta}," + f",{thr}\n{eta},".join(row) + f",{thr}\n"
+                for eta, thr, row in zip(etas[i : i + step], thresholds[i : i + step], block)
+            )
 
-    return csv_chunks("eta,x,included,threshold", rows(), step)
+    return chunks()
 
 
 def decision_matrix_to_csv(matrix: DecisionMatrix) -> str:
@@ -442,9 +444,10 @@ def decision_matrix_from_csv(text: str, config: TestConfig) -> DecisionMatrix:
     more than level of its null's mass (naming the mass it admits, 0 for an
     empty row, and the mass it rejects), or a text that differs from what
     the rebuilt matrix writes (compared with the writer's chunks one at a
-    time, so no second text is built), naming the first differing line with
-    its expected text; line ends other than ``\n`` and a missing final
-    newline differ too. An overflowing threshold raises
+    time, so no second text is built). That last error names the first line
+    that differs, line ends included, beside its expected text, and shows
+    the ends only when nothing else on that line differs; a missing final
+    newline gets its own message. An overflowing threshold raises
     ThresholdOverflowError, as the writer does.
     """
     lines = text.splitlines()
@@ -484,14 +487,12 @@ def decision_matrix_from_csv(text: str, config: TestConfig) -> DecisionMatrix:
         return matrix
     if len(text) - start == len(chunk) - 1 and text.startswith(chunk[:-1], start):
         raise ValueError("the text lacks the final newline that the writer ends it with")
-    # The lines before this chunk match, ends and all; look for the first line after them that reads otherwise.
+    # The lines before this chunk match, ends and all. Walk the rest, ends included, to the first
+    # line that differs; it shows its ends only when nothing else on it differs.
     done = text.count("\n", 0, start)
-    wanted = (line for written in itertools.chain([chunk], chunks) for line in written.splitlines())
-    for i, want in enumerate(wanted, start=done):
-        if want != lines[i]:
-            raise ValueError(f"line {i + 1} is {lines[i]!r}, but the matrix it encodes writes {want!r}")
-    # Every line reads alike, so the line ends differ: compare and show them too.
-    got = text.splitlines(keepends=True)
-    i = next(i for i, line in enumerate(got) if line != lines[i] + "\n")
-    want = lines[i] + "\n"
-    raise ValueError(f"line {i + 1} is {got[i]!r}, but the matrix it encodes writes {want!r}")
+    wanted = (line for written in itertools.chain([chunk], chunks) for line in written.splitlines(keepends=True))
+    got = text[start:].splitlines(keepends=True)
+    i, have, want = next((i, have, want) for i, have, want in zip(itertools.count(done), got, wanted) if have != want)
+    if lines[i] != want[:-1]:
+        have, want = lines[i], want[:-1]
+    raise ValueError(f"line {i + 1} is {have!r}, but the matrix it encodes writes {want!r}")

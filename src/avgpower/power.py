@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .csvtext import csv_chunks, grid_chunks, point, template_chunks, value
+from .csvtext import grid_chunks, point, template_chunks, value
 from .decisions import DecisionMatrix, _check_index
 from .distributions import (
     BetaPrior,
@@ -227,10 +227,8 @@ def _power_table_chunks(values: np.ndarray):
     values = np.asarray(values, dtype=float)
     if values.shape != (len(TABLE_ROWS), len(TABLE_COLUMNS)):
         raise ValueError(f"table shape {values.shape} is not 2x2")
-    return csv_chunks(
-        ",".join([TABLE_CORNER, *TABLE_COLUMNS]),
-        ([lab, *(value(v) for v in row)] for lab, row in zip(TABLE_ROWS, values)),
-    )
+    lines = [",".join([lab, *(value(v) for v in row)]) for lab, row in zip(TABLE_ROWS, values)]
+    return template_chunks(",".join([TABLE_CORNER, *TABLE_COLUMNS]), "%s\n", lines)
 
 
 def power_table_csv(values: np.ndarray) -> str:

@@ -8,6 +8,7 @@ chunk, and the public ``*_csv`` text is the join of its chunks.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avgpower import BetaPrior, BinomialModel, ParameterGrid, TestConfig, build_decision_matrix
-from avgpower.clopper_pearson import _comparison_chunks, compare_lengths, comparison_csv
+from avgpower.clopper_pearson import LengthComparison, _comparison_chunks, compare_lengths, comparison_csv
 from avgpower.csvtext import grid_chunks, point, value
 from avgpower.decisions import (
     ThresholdOverflowError,
@@ -28,6 +29,9 @@ from avgpower.decisions import (
 )
 from avgpower.monte_carlo import AgreementReport, _agreement_chunks, agreement_csv
 from avgpower.power import (
+    TABLE_COLUMNS,
+    TABLE_CORNER,
+    TABLE_ROWS,
     _avg_power_chunks,
     _mixed_power_chunks,
     _power_curves_chunks,
@@ -162,6 +166,24 @@ def test_grid_template_matches_a_per_field_join(rows, floats_in):
     columns = [[row[i] for row in rows] for i in (0, *range(1, 1 + floats_in), 3)]
     chunks = grid_chunks("h", *(np.array(column) for column in columns))
     assert "".join(chunks) == joined("h", *columns)
+
+
+@given(rows=st.lists(st.tuples(floats, floats, floats, floats), max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_comparison_lines_match_a_per_field_join(rows):
+    # Four endpoint columns; NaN, an empty proposed region's endpoint, writes an empty field.
+    ends = np.array(rows, dtype=float).reshape(-1, 4).T
+    comparison = LengthComparison(*ends, mean_cp_length=0.0, mean_proposed_length=0.0, grid_step=0.0)
+    lines = (",".join([str(x), *("" if math.isnan(v) else value(v) for v in row)]) + "\n" for x, row in enumerate(rows))
+    assert "".join(_comparison_chunks(comparison)) == "".join(["x,cp_lower,cp_upper,prop_lower,prop_upper\n", *lines])
+
+
+@given(cells=st.lists(floats, min_size=4, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_power_table_lines_match_a_per_field_join(cells):
+    values = np.array(cells).reshape(2, 2)
+    lines = (",".join([label, value(a), value(b)]) + "\n" for label, (a, b) in zip(TABLE_ROWS, values.tolist()))
+    assert "".join(_power_table_chunks(values)) == "".join([",".join([TABLE_CORNER, *TABLE_COLUMNS]) + "\n", *lines])
 
 
 def test_grid_columns_are_checked_when_called():

@@ -123,9 +123,9 @@ class TestPlainBisectionReference:
 
     def test_edge_outcomes_at_a_tiny_level_at_n_1000(self):
         # For x near n the start lies where the float tail underflows to zero,
-        # 148 times in these 82 intervals, so the safeguard bisects in
-        # logit(theta); a bracket reaching past the floats inside (0, 1) rounds
-        # its midpoints to 1 and stopped there.
+        # 132 times in 586 sums over these 82 intervals; those tails are summed
+        # in log space. A bisection whose bracket reached past the floats inside
+        # (0, 1) would round its midpoints to 1 and stop there.
         model = BinomialModel(1000)
         for x in (*range(41), *range(960, 1001)):
             assert_within_bisection(clopper_pearson(x, model, 1e-300), x, 1000, 1e-300)
@@ -214,11 +214,26 @@ class TestSettledRoots:
             assert abs(math.log(tail / (level / 2.0))) <= 1e-13 * slope, (x, t)
 
 
+class TestBracketSafeguard:
+    """A start far above the root sends Newton's step past the bracket; the bracket's midpoint replaces it."""
+
+    @pytest.mark.parametrize("start", [0.9, 1.0 - 2.0**-53])
+    def test_far_starts_settle_on_the_same_roots(self, monkeypatch, start):
+        model = BinomialModel(100)
+        expected, _ = cp_intervals(model, 0.05)
+        monkeypatch.setattr(cp_module, "_start", lambda n, x, half: start)
+        lower, _ = cp_intervals(model, 0.05)
+        np.testing.assert_allclose(lower, expected, rtol=1e-14, atol=0.0)
+
+
 # Tail sums per endpoint the solver may spend at level 0.05, where it spends 1.96 at n = 100 and
 # 1.84 at n = 1000.
 TAIL_SUM_BUDGET = {100: 2.0, 1000: 1.85}
 # The same at level 1e-9, where it spends 2.35 and 2.11.
 TINY_LEVEL_TAIL_SUM_BUDGET = {100: 2.4, 1000: 2.15}
+# The same at level 1e-300, where it spends 2.56 and 3.17: 38 and 260 of the float tails underflow
+# to zero there, and are summed in log space.
+LEVEL_1E_300_TAIL_SUM_BUDGET = {100: 2.6, 1000: 3.2}
 
 
 class TestTailSumBudget:
@@ -251,9 +266,13 @@ class TestTailSumBudget:
     def test_newton_budget_at_level_1e_9(self, monkeypatch, n):
         assert self.tail_sums(monkeypatch, n, 1e-9) <= TINY_LEVEL_TAIL_SUM_BUDGET[n] * 2 * n
 
+    @pytest.mark.parametrize("n", [100, 1000])
+    def test_newton_budget_at_level_1e_300(self, monkeypatch, n):
+        assert self.tail_sums(monkeypatch, n, 1e-300) <= LEVEL_1E_300_TAIL_SUM_BUDGET[n] * 2 * n
+
     def test_newton_budget_at_a_tiny_level(self, monkeypatch):
-        # 88 sums, 2.2 per endpoint.
-        assert self.tail_sums(monkeypatch, 20, 1e-300) <= 2.25 * 2 * 20
+        # 76 sums, 1.9 per endpoint.
+        assert self.tail_sums(monkeypatch, 20, 1e-300) <= 1.95 * 2 * 20
 
     @pytest.mark.parametrize("level", [0.5, 0.05, 1e-9])
     @pytest.mark.parametrize("n", [2, 20, 100, 1000])

@@ -726,6 +726,18 @@ class TestCsv:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 decision_matrix_from_csv(text.replace("\n", end), config)
 
+    def test_names_the_first_differing_line(self):
+        # A CRLF end on line 2 comes before a garbled threshold on line 9: line 2 is named, with
+        # its ends, since nothing else on it differs.
+        config = small_config(n=3)
+        lines = decision_matrix_to_csv(build_decision_matrix(config)).splitlines(keepends=True)
+        written = lines[1]
+        lines[1] = written.replace("\n", "\r\n")
+        lines[8] = ",".join([*lines[8].split(",")[:3], "abc\n"])
+        message = f"line 2 is {lines[1]!r}, but the matrix it encodes writes {written!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            decision_matrix_from_csv("".join(lines), config)
+
 
 class TestExtremePrior:
     """n=1000 under Beta(1000, 1): low nulls have posterior densities beyond
